@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import oracles, rational, trace_estimator
 from .errors import ContractViolationError
 from .error_estimator import ErrorMonitor, lookback_check
-from .lanczos import lanczos_init, lanczos_step, quadrature_value
+from .lanczos import REORTH_MODES, lanczos_init, lanczos_step, quadrature_value
 from .operators import Laplacian2D, build_matern_operator, sample_sites
 from .rational import kind_function
 
@@ -41,7 +42,7 @@ class ExperimentConfig:
     beta: float | None = None
     delta: float | None = None
     t: float = 0.1
-    reorth: str = "full"
+    reorth: str = "auto"
     m_max: int = 2000
     K: int | None = None
     k_min: int = 1
@@ -61,11 +62,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        hints = typing.get_type_hints(cls)
+        unknown = set(d) - set(hints)
         if unknown:
             raise ContractViolationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**{key: _typed(key, value, hints[key]) for key, value in d.items()})
+
+
+def _typed(key, value, hint):
+    """value if its JSON type fits the field's annotation (an int is taken
+    for a float field), else a ContractViolationError."""
+    types = typing.get_args(hint) or (hint,)
+    if float in types and type(value) is int:
+        value = float(value)
+    if type(value) not in types:
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ContractViolationError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def make_operator(config: ExperimentConfig):
@@ -136,7 +149,8 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
     truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
                                              u / np.linalg.norm(u))
-    state = lanczos_init(op, u, reorth_mode=config.reorth, m_max=config.m_max)
+    reorth = trace_estimator.resolve_reorth_mode(config.reorth, op.dim, config.m_max)
+    state = lanczos_init(op, u, reorth_mode=reorth, m_max=config.m_max)
     monitor = ErrorMonitor(r, tol=0.0, t=config.t)
     prev_beta = 0.0
     quad_values = []
@@ -178,11 +192,15 @@ def _truth_for(config: ExperimentConfig, op, f):
 
 
 def cmd_trace(config: ExperimentConfig) -> int:
-    """Trace estimate with confidence interval; JSON or aligned-text report."""
+    """Trace estimate with confidence interval; JSON or aligned-text report.
+
+    ``timings.wall_seconds`` spans the whole command: the operator and its
+    spectrum interval, calibration, the estimate and the truth oracle.
+    """
+    tic = time.perf_counter()
     op, interval, descriptor = make_operator(config)
     f = kind_function(config.kind)
     delta = config.delta
-    tic = time.perf_counter()
     if delta is None:
         beta = config.beta if config.beta is not None else 0.1
         delta = trace_estimator.calibrate_delta(
@@ -193,17 +211,16 @@ def cmd_trace(config: ExperimentConfig) -> int:
         op, config.kind, config.n_samples, delta, alpha=config.alpha,
         t=config.t, seed=config.seed, interval=interval, K=config.K,
         m_max=config.m_max, reorth_mode=config.reorth)
-    wall = time.perf_counter() - tic
     report = estimate.to_json_dict()
     report["operator"] = descriptor
     report["config"] = config.to_dict()
-    report["timings"]["wall_seconds"] = wall
     truth = _truth_for(config, op, f)
     if truth is not None:
         report["truth"] = truth
         report["abs_error"] = abs(truth - estimate.mean)
         report["within_half_width"] = bool(abs(truth - estimate.mean)
                                            <= estimate.half_width)
+    report["timings"]["wall_seconds"] = time.perf_counter() - tic
     if config.format == "table":
         _emit(_format_table(report), config.output)
     else:
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float)
         p.add_argument("--delta", type=float)
         p.add_argument("--t", type=float)
-        p.add_argument("--reorth", choices=["none", "full", "partial"])
+        p.add_argument("--reorth", choices=["auto", *REORTH_MODES])
         p.add_argument("--m-max", type=int, dest="m_max")
         p.add_argument("--K", type=int)
         p.add_argument("--k-min", type=int, dest="k_min")

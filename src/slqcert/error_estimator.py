@@ -94,40 +94,24 @@ class ErrorMonitor:
     pole_state: PoleState = field(init=False)
     history: list = field(default_factory=list)
     prefix_sums: list = field(default_factory=list)
-    converged_at: int | None = None
-    converged_estimate: float | None = None
     sign_flips: int = 0
-    trace_rows: list = field(default_factory=list)
 
     def __post_init__(self):
         if not 0 < self.t < 1:
             raise ContractViolationError(f"lookback threshold must be in (0,1), got {self.t}")
         self.pole_state = PoleState(self.approximant.poles)
 
-    @property
-    def steps_observed(self) -> int:
-        return self.pole_state.m
-
     def advance(self, alpha: float, beta: float) -> float | None:
         """Feed (alpha_m, beta_m) of Lanczos step m; returns d_{m-1} for m >= 2.
 
         ``beta`` is the off-diagonal *below* the new diagonal entry, i.e. the
-        normalization produced by the previous step (0 for m = 1, and 0 again
-        right after a breakdown restart).
+        normalization produced by the previous step (0 for m = 1).
         """
         m = self.pole_state.m + 1
         self.pole_state.update(alpha, beta, m)
         if m == 1:
             return None
-        d = incremental_error(self, beta)
-        return d
-
-    def record_trace(self, step: int, lookback: "LookbackResult | None"):
-        d = self.history[-1] if self.history else np.nan
-        if lookback is not None and lookback.retired_step is not None:
-            self.trace_rows.append((step, d, lookback.retired_step, lookback.estimate))
-        else:
-            self.trace_rows.append((step, d, None, None))
+        return incremental_error(self, beta)
 
 
 def incremental_error(monitor: ErrorMonitor, beta: float) -> float:
@@ -154,19 +138,7 @@ def cumulative_error(monitor: ErrorMonitor, m: int, m_prime: int) -> float:
     return float(upper - lower)
 
 
-def trace_log_csv(monitor: ErrorMonitor) -> str:
-    """Per-step CSV (step, d, retired step, cumulative estimate) for error-curve plots."""
-    lines = ["step,incremental_error,retired_step,cumulative_estimate"]
-    for step, d, mbar, est in monitor.trace_rows:
-        lines.append(
-            f"{step},{'' if d != d else f'{d:.16e}'},"
-            f"{'' if mbar is None else mbar},"
-            f"{'' if est is None else f'{est:.16e}'}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def lookback_check(monitor: ErrorMonitor, current_step: int | None = None) -> LookbackResult:
+def lookback_check(monitor: ErrorMonitor) -> LookbackResult:
     """Ratio test on the increment history, then the tolerance test.
 
     With J increments recorded, the candidate retirement step is the largest
@@ -187,8 +159,4 @@ def lookback_check(monitor: ErrorMonitor, current_step: int | None = None) -> Lo
     if mbar is None:
         return LookbackResult(False)
     estimate = cumulative_error(monitor, mbar, J)
-    if abs(estimate) < monitor.tol:
-        monitor.converged_at = mbar
-        monitor.converged_estimate = estimate
-        return LookbackResult(True, mbar, estimate)
-    return LookbackResult(False, mbar, estimate)
+    return LookbackResult(abs(estimate) < monitor.tol, mbar, estimate)

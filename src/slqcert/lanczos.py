@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ContractViolationError,
@@ -72,66 +73,17 @@ class TridiagEigen:
 def tridiag_eigen(T: SymTridiagonal) -> TridiagEigen:
     """All eigenvalues of T and the first row of its eigenvector matrix.
 
-    Implicit-shift QL on the tridiagonal, accumulating each plane rotation
-    against e1 only, so the quadrature weights cost O(m^2) in total.  Raises
-    after 50 sweeps on any single eigenvalue.
+    LAPACK's tridiagonal divide and conquer (``scipy.linalg.eigh_tridiagonal``);
+    the squared first row gives the Gauss quadrature weights.  A solver that
+    does not converge raises NumericalFailureError.
     """
-    m = T.m
-    if m < 1:
+    if T.m < 1:
         raise ContractViolationError("tridiag_eigen needs order >= 1")
-    d = T.alphas.copy()
-    e = np.zeros(m)
-    e[: m - 1] = T.betas
-    z = np.zeros(m)
-    z[0] = 1.0
-    for l in range(m):
-        iterations = 0
-        while True:
-            mm = l
-            while mm < m - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            iterations += 1
-            if iterations > 50:
-                raise NumericalFailureError(
-                    f"tridiagonal eigensolver did not converge for index {l}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                fz = z[i + 1]
-                z[i + 1] = s * z[i] + c * fz
-                z[i] = c * z[i] - s * fz
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[mm] = 0.0
-    order = np.argsort(d, kind="stable")
-    return TridiagEigen(d[order], z[order])
+    try:
+        thetas, Q = scipy.linalg.eigh_tridiagonal(T.alphas, T.betas)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return TridiagEigen(thetas, Q[0].copy())
 
 
 def quadrature_value(T: SymTridiagonal, f) -> float:
@@ -153,8 +105,7 @@ class LanczosState:
     loss-of-orthogonality recurrence (partial mode)."""
 
     def __init__(self, op: LinearOperator, u, reorth_mode: str = "full",
-                 m_max: int = 2000, breakdown_rel_tol: float = BREAKDOWN_REL_TOL,
-                 restart_seed: int = 0):
+                 m_max: int = 2000, breakdown_rel_tol: float = BREAKDOWN_REL_TOL):
         if reorth_mode not in REORTH_MODES:
             raise ContractViolationError(f"unknown reorth mode {reorth_mode!r}")
         u = np.asarray(u, dtype=float)
@@ -174,9 +125,7 @@ class LanczosState:
         self.alphas: list = []
         self.betas: list = []          # betas[j] = beta_{j+2}
         self.breakdown = False
-        self.restarts = 0
         self._norm_estimate = 0.0
-        self._rng = np.random.Generator(np.random.Philox(key=np.uint64(restart_seed)))
         self._capacity = 16
         self._basis = np.empty((self._capacity, op.dim))
         self._basis[0] = u / norm
@@ -251,22 +200,19 @@ class LanczosState:
 
 
 def lanczos_init(op: LinearOperator, u, reorth_mode: str = "full",
-                 m_max: int = 2000, restart_seed: int = 0) -> LanczosState:
+                 m_max: int = 2000) -> LanczosState:
     """Normalize the start vector; record ||u||^2 for the bilinear form."""
-    return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max,
-                        restart_seed=restart_seed)
+    return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max)
 
 
-def lanczos_step(state: LanczosState, on_breakdown: str = "stop"):
+def lanczos_step(state: LanczosState):
     """One Lanczos step: returns (alpha_m, beta_{m+1}).
 
     On breakdown (beta below the scale-aware tolerance) the subspace is
-    invariant and the quadrature exact; with ``on_breakdown='stop'`` the
-    state is flagged and beta_{m+1} = 0 is returned.  With ``'restart'`` a
-    random unit vector orthogonal to the stored basis continues the run,
-    keeping the factorization valid with a zero coupling coefficient.
+    invariant and the quadrature exact: the state is flagged, beta_{m+1} = 0
+    is returned, and no further step is allowed.
     """
-    if state.breakdown and on_breakdown == "stop":
+    if state.breakdown:
         raise ContractViolationError("Lanczos run already terminated by breakdown")
     if state.m >= state.op.dim:
         raise ContractViolationError("cannot exceed the operator dimension")
@@ -294,26 +240,6 @@ def lanczos_step(state: LanczosState, on_breakdown: str = "stop"):
 
     tol = state.breakdown_rel_tol * max(state._norm_estimate, 1.0)
     if beta <= tol:
-        if on_breakdown == "restart" and state.m < state.op.dim:
-            fresh = None
-            for _ in range(3):
-                cand = state._rng.standard_normal(state.op.dim)
-                cand = state._orthogonalize(cand, state.m)
-                cand = state._orthogonalize(cand, state.m)
-                nrm = np.linalg.norm(cand)
-                if nrm > 1e-6:
-                    fresh = cand / nrm
-                    break
-            if fresh is None:
-                state.breakdown = True
-                return alpha, 0.0
-            state.betas.append(0.0)
-            state._append_vector(fresh)
-            state.restarts += 1
-            state._omega_prev = np.zeros(state.m)
-            state._omega_cur = np.ones(state.m + 1)
-            state._omega_cur[:-1] = _EPS
-            return alpha, 0.0
         state.breakdown = True
         return alpha, 0.0
 
@@ -342,13 +268,13 @@ def bilinear_estimate(state: LanczosState, f) -> float:
     return state.norm_sq * quadrature_value(state.tridiagonal(), f)
 
 
-def lanczos_run(op: LinearOperator, u, steps: int, reorth_mode: str = "full",
-                on_breakdown: str = "stop") -> LanczosState:
+def lanczos_run(op: LinearOperator, u, steps: int,
+                reorth_mode: str = "full") -> LanczosState:
     """Run up to ``steps`` Lanczos steps (stops early on breakdown)."""
     state = lanczos_init(op, u, reorth_mode=reorth_mode,
                          m_max=max(steps, 1))
     for _ in range(steps):
-        lanczos_step(state, on_breakdown=on_breakdown)
+        lanczos_step(state)
         if state.breakdown:
             break
     return state

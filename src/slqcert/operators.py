@@ -36,10 +36,6 @@ class LinearOperator:
             )
         return self.matvec(x)
 
-    def norm_upper_bound(self) -> float:
-        """Cheap overestimate of ||A||_2 used for scale-invariant tolerances."""
-        return np.inf
-
 
 class DenseOperator(LinearOperator):
     """Wrap an explicit symmetric matrix in the operator contract."""
@@ -53,9 +49,6 @@ class DenseOperator(LinearOperator):
 
     def matvec(self, x):
         return self.matrix @ x
-
-    def norm_upper_bound(self):
-        return float(np.linalg.norm(self.matrix, 1))
 
 
 class Laplacian2D(LinearOperator):
@@ -82,9 +75,6 @@ class Laplacian2D(LinearOperator):
         Y[1:, :] -= X[:-1, :]
         Y[:-1, :] -= X[1:, :]
         return Y.reshape(-1)
-
-    def norm_upper_bound(self):
-        return 8.0
 
 
 def apply_laplacian(op: Laplacian2D, x) -> np.ndarray:
@@ -198,10 +188,6 @@ class MaternOperator(LinearOperator):
         d2 = coords[:, None, 1] - coords[None, :, 1]
         r = np.sqrt((d1 / self.ell[1]) ** 2 + (d2 / self.ell[0]) ** 2)
         return matern_kernel(r, self.nu, self.tau)
-
-    def norm_upper_bound(self):
-        # row sums of the nonnegative kernel are bounded by dim * phi(0)
-        return float(self.dim * (1.0 + self.tau))
 
 
 def build_matern_operator(grid, sites, ell1, ell2, nu=1.5, tau=0.0) -> MaternOperator:

@@ -73,20 +73,11 @@ class DenseFOracle:
         self.f = f
         self.f_eigenvalues = np.asarray(f(self.eigenvalues), dtype=float)
 
-    def matrix_function(self) -> np.ndarray:
-        Q = self.eigenvectors
-        return (Q * self.f_eigenvalues) @ Q.T
-
     def trace(self) -> float:
         return float(np.sum(self.f_eigenvalues))
 
     def bilinear(self, u) -> float:
         w = self.eigenvectors.T @ np.asarray(u, dtype=float)
-        return float(np.sum(w**2 * self.f_eigenvalues))
-
-    def corner(self) -> float:
-        """e1^T f(M) e1 (quadrature reference for tridiagonal inputs)."""
-        w = self.eigenvectors[0, :]
         return float(np.sum(w**2 * self.f_eigenvalues))
 
 

@@ -171,17 +171,18 @@ def _finish(kind, interval, poles, coeffs, constant, K, method):
 
 # ----------------------------------------------------------------------
 # exp(-x): Caratheodory-Fejer on a Chebyshev transplant of the negative
-# real axis.  Pole/residue sets depend only on the order n = 2K and the
-# transplant scale, so candidates are cached per order and the best scale
-# is picked by measured error on the requested interval.
+# real axis (Trefethen, Weideman & Schmelzer, BIT 2006).  The transplanted
+# exponential's Chebyshev coefficients decay fast enough that a 75 x 75
+# Hankel matrix resolves every order up to CF_MAX_K.  Pole/residue sets
+# depend only on the order n = 2K and the transplant scale; one candidate
+# per scale is built and the best is picked by measured error on the
+# requested interval.
 # ----------------------------------------------------------------------
 
-_cf_cache: dict = {}
+_CF_HANKEL = 75
 
 
 def _cf_candidates(n):
-    if n in _cf_cache:
-        return _cf_cache[n]
     nf = 1024
     w = np.exp(2j * np.pi * np.arange(nf) / nf)
     t = w.real
@@ -189,13 +190,13 @@ def _cf_candidates(n):
     for scl in _CF_SCL_GRID:
         F = np.exp(scl * (t - 1) / (t + 1 + 1e-16))
         c = np.fft.fft(F).real / nf
-        H = hankel(c[1 : nf // 2 + 1])
+        H = hankel(c[1 : _CF_HANKEL + 1])
         U, S, Vh = np.linalg.svd(H)
         u = U[::-1, n]
         v = Vh[n, :]
         pad = np.zeros(nf - len(u))
         blaschke = np.fft.fft(np.concatenate([u, pad])) / np.fft.fft(np.concatenate([v, pad]))
-        f_anal = np.polyval(c[nf // 2 :: -1], w)
+        f_anal = np.polyval(c[_CF_HANKEL::-1], w)
         rt = f_anal - S[n] * w**n * blaschke
         roots = np.roots(v)
         qk = roots[np.abs(roots) > 1.0]
@@ -216,7 +217,6 @@ def _cf_candidates(n):
         if sel.sum() != n // 2:
             continue
         out.append((poles[sel], 2 * coeffs[sel]))
-    _cf_cache[n] = out
     return out
 
 
@@ -237,7 +237,9 @@ def _parabolic_exp_neg(K):
 def build_exp(K, interval):
     """Pole/coefficient form for exp(-x); K conjugate pairs kept.
 
-    Orders up to CF_MAX_K use the best-uniform construction; beyond that a
+    Orders up to CF_MAX_K use the best-uniform (Caratheodory-Fejer)
+    construction from a 75 x 75 Hankel matrix, rebuilt on every call for
+    each transplant scale (tens of milliseconds per order); beyond that a
     parabolic-contour quadrature is substituted (recorded in ``method``).
     """
     a, b = _check_interval(interval, positive_lower=False)

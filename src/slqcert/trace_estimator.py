@@ -13,6 +13,7 @@ per-sample bias stays below delta, which is what the monitor tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -53,15 +54,10 @@ def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
 
 
 def p_alpha(alpha: float) -> float:
-    """erf(alpha / sqrt(2)) by the Abramowitz-Stegun rational fit (7.1.26),
-    absolute error below 1.5e-7."""
+    """erf(alpha / sqrt(2)): the coverage of a two-sided alpha-sigma interval."""
     if alpha <= 0:
         raise ContractViolationError("alpha must be positive")
-    x = alpha / np.sqrt(2.0)
-    t = 1.0 / (1.0 + 0.3275911 * x)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
-             + t * (-1.453152027 + t * 1.061405429))))
-    return float(1.0 - poly * np.exp(-x * x))
+    return math.erf(alpha / math.sqrt(2.0))
 
 
 def confidence_half_width(s: float, N: int, delta: float, alpha: float) -> float:
@@ -211,8 +207,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
         steps += 1
         tic = time.perf_counter()
         monitor.advance(alpha, prev_beta)
-        result = lookback_check(monitor, steps)
-        monitor.record_trace(steps, result)
+        result = lookback_check(monitor)
         t_monitor += time.perf_counter() - tic
         if state.breakdown:
             # invariant subspace found: the quadrature at T_m is exact
@@ -250,7 +245,9 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     """N independent error-monitored samples -> mean, standard error, interval.
 
     Samples use deterministic per-index probe seeds, and the reduction order
-    is fixed, so identical inputs reproduce the estimate bit for bit.
+    is fixed, so identical inputs reproduce the estimate bit for bit at a
+    fixed BLAS thread count; the reductions inside the BLAS calls change
+    order with the thread count, which moves the last bits.
     """
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
@@ -340,14 +337,3 @@ def calibrate_delta(op: LinearOperator, kind: str, n_pilot: int = 30,
         )
     return float(beta * alpha * pilot.std_err / np.sqrt(production_n))
 
-
-def planning_half_width(s: float, N: int, alpha: float, beta: float) -> float:
-    """Width bound when the tolerance is set to beta alpha s / sqrt(N):
-    (alpha s / sqrt(N)) (1 + beta + beta alpha / sqrt(N - 1)).
-
-    Planning aid for pairing calibrate_delta with a production run; the
-    certificate itself always uses confidence_half_width.
-    """
-    if N < 2:
-        raise ContractViolationError("planning bound needs N >= 2")
-    return (alpha * s / np.sqrt(N)) * (1.0 + beta + beta * alpha / np.sqrt(N - 1.0))

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 
+from slqcert import trace_estimator
 from slqcert.cli import ExperimentConfig, main
 from slqcert.errors import ContractViolationError
 
@@ -25,6 +27,19 @@ def test_config_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ContractViolationError):
         ExperimentConfig.from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize("bad", [{"n1": "90"}, {"n1": 9.5}])
+def test_config_type_mismatch_is_usage_error(bad, tmp_path, capsys):
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(bad))
+    code, _, err = run_cli(["trace", "--config", str(cfg_file)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "'n1'" in err
+
+
+def test_config_accepts_int_for_float_field():
+    assert ExperimentConfig.from_dict({"alpha": 2}).alpha == 2.0
 
 
 def test_rational_check_exp_reaches_machine_precision(capsys):
@@ -126,6 +141,33 @@ def test_trace_replay_identical_except_timings(tmp_path, capsys):
         data["config"].pop("output")
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_trace_reports_resolved_reorth_mode(capsys):
+    code, out, _ = run_cli(
+        ["trace", "--n1", "8", "--n2", "8", "--kind", "log",
+         "--n-samples", "2", "--delta", "1.0"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["reorth"] == "auto"
+    assert report["reorth_mode"] == "full"
+
+
+def test_trace_wall_time_spans_interval_estimation(monkeypatch, tmp_path, capsys):
+    estimate_interval = trace_estimator.estimate_spectrum_interval
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return estimate_interval(*args, **kwargs)
+
+    monkeypatch.setattr(trace_estimator, "estimate_spectrum_interval", slow)
+    out_file = tmp_path / "matern.json"
+    code, _, _ = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",
+         "--sample-fraction", "0.3", "--kind", "log", "--n-samples", "2",
+         "--delta", "2.0", "--tau", "1e-3", "-o", str(out_file)], capsys)
+    assert code == 0
+    assert json.loads(out_file.read_text())["timings"]["wall_seconds"] >= 0.2
 
 
 def test_trace_table_format(capsys):

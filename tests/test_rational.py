@@ -60,6 +60,31 @@ def test_exp_rejects_bad_K():
         build_exp(41, EXP_INTERVAL)
 
 
+# uniform errors of the CF construction from a 512 x 512 Hankel matrix; the
+# 75 x 75 construction must reproduce them to 1 %
+CF_EPS_512 = {
+    1: 0.014285917681786109,
+    2: 0.00017355906626874418,
+    3: 2.0136097656220375e-06,
+    4: 2.3448477525986333e-08,
+    5: 2.720913633291744e-10,
+    6: 3.127040293371408e-12,
+}
+
+
+@pytest.mark.parametrize("K", sorted(CF_EPS_512))
+def test_cf_errors_match_large_hankel(K):
+    r = build_exp(K, EXP_INTERVAL)
+    assert r.method == "cf"
+    assert r.eps == pytest.approx(CF_EPS_512[K], rel=0.01)
+
+
+def test_cf_highest_order_reaches_roundoff():
+    r = build_exp(7, EXP_INTERVAL)
+    assert r.method == "cf"
+    assert r.eps <= 1e-13
+
+
 def test_exp_parabolic_fallback_path():
     r = build_exp(10, EXP_INTERVAL)
     assert r.method == "parabolic"
