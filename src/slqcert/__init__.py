@@ -18,8 +18,6 @@ from .operators import (
     Laplacian2D,
     LinearOperator,
     MaternOperator,
-    apply_laplacian,
-    apply_matern,
     build_matern_operator,
     matern_kernel,
     sample_sites,
@@ -32,6 +30,7 @@ from .lanczos import (
     lanczos_init,
     lanczos_run,
     lanczos_step,
+    lanczos_steps,
     quadrature_value,
     tridiag_eigen,
 )
@@ -54,7 +53,6 @@ from .error_estimator import (
     cumulative_error,
     incremental_error,
     lookback_check,
-    update_pivots,
 )
 from .trace_estimator import (
     SampleRecord,

@@ -21,9 +21,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import oracles, rational, trace_estimator
-from .errors import ContractViolationError
-from .error_estimator import ErrorMonitor, lookback_check
-from .lanczos import REORTH_MODES, lanczos_init, lanczos_step, quadrature_value
+from .errors import (
+    CalibrationFailedError,
+    ContractViolationError,
+    NumericalFailureError,
+    UnreachableAccuracyError,
+)
+from .error_estimator import ErrorMonitor, cumulative_error
+from .lanczos import REORTH_MODES, lanczos_steps, quadrature_value
 from .operators import Laplacian2D, build_matern_operator, sample_sites
 from .rational import kind_function
 
@@ -144,26 +149,18 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
         target = (config.delta / (2.0 * op.dim)) if config.delta else 1e-10
         try:
             r = rational.choose_K(config.kind, interval, target)
-        except rational.UnreachableAccuracyError as exc:
+        except UnreachableAccuracyError as exc:
             r = rational.build(config.kind, exc.best_k, interval)
     u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
     truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
                                              u / np.linalg.norm(u))
     reorth = trace_estimator.resolve_reorth_mode(config.reorth, op.dim, config.m_max)
-    state = lanczos_init(op, u, reorth_mode=reorth, m_max=config.m_max)
     monitor = ErrorMonitor(r, tol=0.0, t=config.t)
-    prev_beta = 0.0
     quad_values = []
-    steps = min(config.m_max, op.dim)
-    for m in range(1, steps + 1):
-        alpha, beta_next = lanczos_step(state)
-        monitor.advance(alpha, prev_beta)
-        quad_values.append(quadrature_value(state.tridiagonal(m), f))
-        if state.breakdown:
-            break
-        prev_beta = beta_next
+    for state, alpha, beta in lanczos_steps(op, u, reorth, config.m_max):
+        monitor.advance(alpha, beta)
+        quad_values.append(quadrature_value(state.tridiagonal(), f))
     d = monitor.history
-    prefix = np.concatenate([[0.0], np.cumsum(d)])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["m", "true_error", "incremental_error", "cumulative_window"])
@@ -175,7 +172,7 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
         if has_d:
             for mp in range(m + 1, len(d) + 1):
                 if abs(d[mp - 1]) <= config.t * abs(d[m - 1]):
-                    window = f"{abs(prefix[mp - 1] - prefix[m - 1]):.6e}"
+                    window = f"{abs(cumulative_error(monitor, m, mp)):.6e}"
                     break
         row.append(window)
         writer.writerow(row)
@@ -331,7 +328,8 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return _COMMANDS[args.command](config)
-    except (ContractViolationError, OSError, ValueError) as exc:
+    except (ContractViolationError, OSError, ValueError, UnreachableAccuracyError,
+            NumericalFailureError, CalibrationFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

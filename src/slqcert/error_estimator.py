@@ -68,11 +68,6 @@ class PoleState:
             )
 
 
-def update_pivots(ps: PoleState, alpha: float, beta: float, m: int) -> PoleState:
-    """Advance every pole's (u, eta) pair by one Lanczos step."""
-    return ps.update(alpha, beta, m)
-
-
 @dataclass
 class LookbackResult:
     converged: bool

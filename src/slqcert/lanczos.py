@@ -268,13 +268,29 @@ def bilinear_estimate(state: LanczosState, f) -> float:
     return state.norm_sq * quadrature_value(state.tridiagonal(), f)
 
 
+def lanczos_steps(op: LinearOperator, u, reorth_mode: str = "full",
+                  m_max: int = 2000):
+    """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
+
+    beta_m is the off-diagonal above alpha_m (0 at m = 1), the pair that
+    ``ErrorMonitor.advance`` takes.  The loop runs at most min(m_max, op.dim)
+    steps and ends after a breakdown step, whose quadrature is exact.
+    """
+    if m_max < 1:
+        raise ContractViolationError(f"m_max must be >= 1, got {m_max}")
+    state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max)
+    beta = 0.0
+    for _ in range(min(m_max, op.dim)):
+        alpha, beta_next = lanczos_step(state)
+        yield state, alpha, beta
+        if state.breakdown:
+            return
+        beta = beta_next
+
+
 def lanczos_run(op: LinearOperator, u, steps: int,
                 reorth_mode: str = "full") -> LanczosState:
-    """Run up to ``steps`` Lanczos steps (stops early on breakdown)."""
-    state = lanczos_init(op, u, reorth_mode=reorth_mode,
-                         m_max=max(steps, 1))
-    for _ in range(steps):
-        lanczos_step(state)
-        if state.breakdown:
-            break
+    """Run up to min(steps, op.dim) Lanczos steps (stops early on breakdown)."""
+    for state, _, _ in lanczos_steps(op, u, reorth_mode, steps):
+        pass
     return state

@@ -77,11 +77,6 @@ class Laplacian2D(LinearOperator):
         return Y.reshape(-1)
 
 
-def apply_laplacian(op: Laplacian2D, x) -> np.ndarray:
-    """(I (x) L + L (x) I) x, stencil-wise."""
-    return op(x)
-
-
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 
@@ -193,8 +188,3 @@ class MaternOperator(LinearOperator):
 def build_matern_operator(grid, sites, ell1, ell2, nu=1.5, tau=0.0) -> MaternOperator:
     """Construct the scattered-site Matern operator with a cached FFT symbol."""
     return MaternOperator(grid, sites, ell1, ell2, nu, tau)
-
-
-def apply_matern(op: MaternOperator, x) -> np.ndarray:
-    """Scatter x to the grid, convolve via the embedded circulant, gather."""
-    return op(x)

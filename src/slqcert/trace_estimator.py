@@ -22,7 +22,7 @@ import numpy as np
 from . import rational
 from .errors import CalibrationFailedError, ContractViolationError
 from .error_estimator import ErrorMonitor, lookback_check
-from .lanczos import lanczos_init, lanczos_step, quadrature_value, tridiag_eigen
+from .lanczos import lanczos_run, lanczos_steps, quadrature_value, tridiag_eigen
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
@@ -81,12 +81,7 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = No
     if not op.spd_hint:
         raise ContractViolationError("spectrum estimation requires an SPD operator")
     u = rademacher_vector(op.dim, seed, index=2**32 - 1)
-    state = lanczos_init(op, u, reorth_mode="full",
-                         m_max=min(probe_steps, op.dim))
-    for _ in range(min(probe_steps, op.dim)):
-        lanczos_step(state)
-        if state.breakdown:
-            break
+    state = lanczos_run(op, u, probe_steps)
     eig = tridiag_eigen(state.tridiagonal())
     b = float(eig.thetas[-1]) * safety
     if lower_hint is not None:
@@ -171,6 +166,7 @@ class TraceEstimate:
                     "error_estimate": r.error_estimate,
                     "seed": r.seed,
                     "converged": r.converged,
+                    "sign_flips": r.sign_flips,
                 }
                 for r in self.records
             ],
@@ -189,52 +185,45 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     """
     u = np.asarray(u, dtype=float)
     norm_sq = float(u @ u)
-    tol = delta / norm_sq
     reorth_mode = resolve_reorth_mode(reorth_mode, op.dim, m_max)
-    state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max)
-    monitor = ErrorMonitor(r, tol, t)
+    monitor = ErrorMonitor(r, delta / norm_sq, t)
     t_lanczos = 0.0
     t_monitor = 0.0
     retired = None
     estimate = None
     converged = False
-    prev_beta = 0.0
-    steps = 0
-    while steps < min(m_max, op.dim):
-        tic = time.perf_counter()
-        alpha, beta_next = lanczos_step(state)
-        t_lanczos += time.perf_counter() - tic
-        steps += 1
-        tic = time.perf_counter()
-        monitor.advance(alpha, prev_beta)
+    tic = time.perf_counter()
+    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max):
+        toc = time.perf_counter()
+        t_lanczos += toc - tic
+        monitor.advance(alpha, beta)
         result = lookback_check(monitor)
-        t_monitor += time.perf_counter() - tic
+        tic = time.perf_counter()
+        t_monitor += tic - toc
         if state.breakdown:
             # invariant subspace found: the quadrature at T_m is exact
-            retired, estimate, converged = steps, 0.0, True
+            retired, estimate, converged = state.m, 0.0, True
             break
         if result.converged:
             retired, estimate, converged = result.retired_step, result.estimate, True
             break
-        prev_beta = beta_next
     if retired is None:
-        retired = steps
+        retired = state.m
         estimate = monitor.history[-1] if monitor.history else np.inf
-        converged = False
     tic = time.perf_counter()
     value = norm_sq * quadrature_value(state.tridiagonal(retired), f)
     t_lanczos += time.perf_counter() - tic
     record = SampleRecord(
         index=index,
         value=float(value),
-        steps_run=steps,
+        steps_run=state.m,
         retired_step=retired,
         error_estimate=float(abs(estimate) * norm_sq),
         seed=seed,
         converged=converged,
         sign_flips=monitor.sign_flips,
     )
-    return record, (t_lanczos, t_monitor), monitor
+    return record, (t_lanczos, t_monitor)
 
 
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
@@ -257,8 +246,8 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     t_err = 0.0
     for i in range(N):
         u = rademacher_vector(op.dim, seed, index=i)
-        rec, (ta, te), _ = sample_bilinear(op, f, r, u, delta, t=t, m_max=m_max,
-                                           reorth_mode=reorth_mode, index=i, seed=seed)
+        rec, (ta, te) = sample_bilinear(op, f, r, u, delta, t=t, m_max=m_max,
+                                        reorth_mode=reorth_mode, index=i, seed=seed)
         records.append(rec)
         t_approx += ta
         t_err += te

@@ -117,6 +117,7 @@ def test_trace_minimal_run_valid_json(tmp_path, capsys):
     for key in ("K", "rational_eps", "delta", "average_steps", "mean",
                 "half_width", "p_alpha", "per_sample"):
         assert key in report
+    assert all(type(s["sign_flips"]) is int for s in report["per_sample"])
 
 
 def _dense_lap(n1, n2):
@@ -176,6 +177,14 @@ def test_trace_table_format(capsys):
          "--n-samples", "3", "--delta", "1.0", "--format", "table"], capsys)
     assert code == 0
     assert "estimate" in out and "half-width" in out and "truth" in out
+
+
+def test_trace_unreachable_accuracy_is_an_error(capsys):
+    code, _, err = run_cli(
+        ["trace", "--n1", "10", "--n2", "10", "--kind", "log", "--delta", "1e-14",
+         "--n-samples", "2"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_trace_uncertified_exit_code(capsys):

@@ -9,6 +9,7 @@ from slqcert.lanczos import (
     lanczos_init,
     lanczos_run,
     lanczos_step,
+    lanczos_steps,
     quadrature_value,
     tridiag_eigen,
 )
@@ -52,6 +53,37 @@ def test_identity_breaks_down_immediately():
     assert alpha == pytest.approx(1.0)
     assert beta == 0.0
     assert state.breakdown
+
+
+def test_steps_yield_the_beta_above_each_alpha():
+    op = Laplacian2D(6, 7)
+    u = np.random.default_rng(3).standard_normal(42)
+    for count, (state, alpha, beta) in enumerate(lanczos_steps(op, u, m_max=12), 1):
+        m = state.m
+        assert m == count and alpha == state.alphas[m - 1]
+        assert beta == (state.betas[m - 2] if m > 1 else 0.0)
+    assert count == 12
+
+
+@pytest.mark.parametrize("m_max,dim,expect", [(5, 12, 5), (20, 12, 12)])
+def test_steps_stop_at_min_of_m_max_and_dim(m_max, dim, expect):
+    rng = np.random.default_rng(dim)
+    op = DenseOperator(random_spd(dim, rng))
+    steps = list(lanczos_steps(op, rng.standard_normal(dim), m_max=m_max))
+    assert len(steps) == expect and steps[-1][0].m == expect
+
+
+def test_steps_end_after_breakdown_step():
+    steps = list(lanczos_steps(DenseOperator(np.eye(5)), np.ones(5)))
+    assert len(steps) == 1
+    state, alpha, beta = steps[0]
+    assert state.breakdown and state.m == 1
+    assert alpha == pytest.approx(1.0) and beta == 0.0
+
+
+def test_steps_need_one_step():
+    with pytest.raises(ContractViolationError):
+        next(lanczos_steps(DenseOperator(np.eye(3)), np.ones(3), m_max=0))
 
 
 def test_two_by_two_hand_run():
@@ -187,14 +219,9 @@ def test_exactness_at_distinct_eigenvalue_count():
     diag = np.concatenate([eigs, eigs, eigs])
     op = DenseOperator(np.diag(diag))
     u = rng.standard_normal(len(diag))
-    state = lanczos_init(op, u)
-    steps = 0
-    while not state.breakdown and steps < len(diag):
-        lanczos_step(state)
-        steps += 1
-        if state.breakdown:
-            break
-    assert state.m <= len(eigs)
+    for state, _, _ in lanczos_steps(op, u):
+        pass
+    assert state.breakdown and state.m <= len(eigs)
     f = lambda x: np.exp(-x)
     exact = float(np.sum(f(diag) * (u**2)))
     assert bilinear_estimate(state, f) == pytest.approx(exact, rel=1e-10)

@@ -8,8 +8,6 @@ from slqcert.operators import (
     DenseOperator,
     Laplacian2D,
     MaternOperator,
-    apply_laplacian,
-    apply_matern,
     build_matern_operator,
     matern_kernel,
     sample_sites,
@@ -20,18 +18,18 @@ from helpers import dense_laplacian
 
 def test_laplacian_2x2_basis_vector():
     op = Laplacian2D(2, 2)
-    np.testing.assert_allclose(apply_laplacian(op, np.array([1.0, 0, 0, 0])),
+    np.testing.assert_allclose(op(np.array([1.0, 0, 0, 0])),
                                [4.0, -1.0, -1.0, 0.0])
 
 
 def test_laplacian_2x2_row_sums():
     op = Laplacian2D(2, 2)
-    np.testing.assert_allclose(apply_laplacian(op, np.ones(4)), 2 * np.ones(4))
+    np.testing.assert_allclose(op(np.ones(4)), 2 * np.ones(4))
 
 
 def test_laplacian_zero_vector():
     op = Laplacian2D(5, 7)
-    np.testing.assert_allclose(apply_laplacian(op, np.zeros(35)), 0.0)
+    np.testing.assert_allclose(op(np.zeros(35)), 0.0)
 
 
 def test_laplacian_dimension_mismatch():
@@ -125,18 +123,18 @@ def test_matern_fft_matches_dense():
     M = op.dense_matrix()
     for _ in range(10):
         x = rng.standard_normal(op.dim)
-        np.testing.assert_allclose(apply_matern(op, x), M @ x, atol=1e-12)
+        np.testing.assert_allclose(op(x), M @ x, atol=1e-12)
 
 
 def test_matern_single_site():
     op = build_matern_operator((5, 5), [7], 2.0, 2.0, tau=1e-3)
-    np.testing.assert_allclose(apply_matern(op, np.array([1.0])), [1.001])
+    np.testing.assert_allclose(op(np.array([1.0])), [1.001])
 
 
 def test_matern_zero_vector():
     sites = sample_sites(6, 6, 0.2, seed=1)
     op = build_matern_operator((6, 6), sites, 2.4, 2.4)
-    np.testing.assert_allclose(apply_matern(op, np.zeros(op.dim)), 0.0)
+    np.testing.assert_allclose(op(np.zeros(op.dim)), 0.0)
 
 
 def test_matern_contract_errors():
@@ -148,7 +146,7 @@ def test_matern_contract_errors():
         build_matern_operator((4, 4), [99], 1.0, 1.0)
     op = build_matern_operator((4, 4), [0, 5], 1.0, 1.0)
     with pytest.raises(ContractViolationError):
-        apply_matern(op, np.ones(3))
+        op(np.ones(3))
 
 
 def _symmetry_defect(op, pairs, rng):

@@ -131,7 +131,7 @@ def test_sample_bilinear_identity_breakdown():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 2, (0.0, 2.0))
     u = rademacher_vector(n, seed=2)
-    rec, (t_lan, t_mon), _ = sample_bilinear(op, f, r, u, delta=1e-3)
+    rec, (t_lan, t_mon) = sample_bilinear(op, f, r, u, delta=1e-3)
     assert rec.converged
     assert rec.steps_run == 1 and rec.retired_step == 1
     assert rec.value == pytest.approx(n * f(1.0), rel=1e-12)
@@ -144,7 +144,7 @@ def test_sample_bilinear_laplacian_retires_early():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 3, (0.0, interval[1]))
     u = rademacher_vector(op.dim, seed=0, index=0)
-    rec, _, _ = sample_bilinear(op, f, r, u, delta=0.5)
+    rec, _ = sample_bilinear(op, f, r, u, delta=0.5)
     assert rec.converged
     assert rec.retired_step < rec.steps_run <= 12
     # certificate honest against the sine-transform oracle
@@ -157,7 +157,7 @@ def test_sample_bilinear_flags_unconverged_at_cap():
     interval = oracles.laplacian_extreme_eigenvalues(12, 12)
     r = build("log", 12, interval)
     u = rademacher_vector(op.dim, seed=1)
-    rec, _, _ = sample_bilinear(op, np.log, r, u, delta=1e-10, m_max=4)
+    rec, _ = sample_bilinear(op, np.log, r, u, delta=1e-10, m_max=4)
     assert not rec.converged
     assert rec.steps_run == 4
 
