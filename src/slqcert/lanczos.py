@@ -140,13 +140,14 @@ class LanczosState:
     def basis(self) -> np.ndarray:
         return self._basis[: self._nstored]
 
-    def _append_vector(self, v):
+    def _append_vector(self, w, beta):
+        """Store w / beta as the next basis vector, written in place."""
         if self._nstored == self._capacity:
             self._capacity = min(max(2 * self._capacity, 16), max(self.m_max + 1, 16))
             grown = np.empty((self._capacity, self.op.dim))
             grown[: self._nstored] = self._basis[: self._nstored]
             self._basis = grown
-        self._basis[self._nstored] = v
+        np.divide(w, beta, out=self._basis[self._nstored])
         self._nstored += 1
 
     def tridiagonal(self, m: int | None = None) -> SymTridiagonal:
@@ -257,7 +258,7 @@ def lanczos_step(state: LanczosState):
             beta = beta_new
 
     state.betas.append(beta)
-    state._append_vector(w / beta)
+    state._append_vector(w, beta)
     return alpha, beta
 
 

@@ -9,6 +9,8 @@ eigendecomposition or Cholesky references.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.fft
 
@@ -56,7 +58,12 @@ def exact_bilinear_laplacian(f, n1: int, n2: int, v) -> float:
 
 
 class DenseFOracle:
-    """Eigendecomposition reference for a small dense symmetric matrix."""
+    """Eigendecomposition reference for a small dense symmetric matrix.
+
+    The eigenvalues are computed up front; the eigenvectors, which only
+    ``bilinear`` needs, on its first call, from the matrix the oracle keeps
+    a reference to.
+    """
 
     def __init__(self, matrix, f):
         matrix = np.asarray(matrix, dtype=float)
@@ -66,12 +73,14 @@ class DenseFOracle:
             raise ContractViolationError(
                 f"dense oracle capped at dim {DENSE_ORACLE_MAX_DIM}"
             )
-        try:
-            self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
+        self.matrix = matrix
+        self.eigenvalues = _dense_eigh(np.linalg.eigvalsh, matrix)
         self.f = f
         self.f_eigenvalues = np.asarray(f(self.eigenvalues), dtype=float)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _dense_eigh(np.linalg.eigh, self.matrix)[1]
 
     def trace(self) -> float:
         return float(np.sum(self.f_eigenvalues))
@@ -79,6 +88,13 @@ class DenseFOracle:
     def bilinear(self, u) -> float:
         w = self.eigenvectors.T @ np.asarray(u, dtype=float)
         return float(np.sum(w**2 * self.f_eigenvalues))
+
+
+def _dense_eigh(solver, matrix):
+    try:
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
 
 
 def dense_f_oracle(matrix, f) -> DenseFOracle:

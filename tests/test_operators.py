@@ -126,6 +126,41 @@ def test_matern_fft_matches_dense():
         np.testing.assert_allclose(op(x), M @ x, atol=1e-12)
 
 
+# unequal sides and unequal lengthscales, so that swapped axes or an axis
+# pruned or padded wrongly show; a one-wide grid embeds that axis in length 1
+@pytest.mark.parametrize("n1,n2", [(1, 7), (7, 1), (13, 17), (37, 41)])
+def test_matern_fft_matches_dense_rectangular(n1, n2):
+    sites = sample_sites(n1, n2, 0.5, seed=n1 * n2)
+    op = build_matern_operator((n1, n2), sites, 0.4 * n2, 0.25 * n1, nu=1.5, tau=1e-5)
+    M = op.dense_matrix()
+    rng = np.random.default_rng(n1 + n2)
+    for _ in range(5):
+        x = rng.standard_normal(op.dim)
+        ref = M @ x
+        assert np.linalg.norm(op(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_matern_embedding_and_real_symbol():
+    op = build_matern_operator((13, 17), sample_sites(13, 17, 1.0, seed=4), 6.8, 3.25)
+    # next_fast_len(2 n - 1, real=True) on each axis
+    assert op.embedding == (25, 36)
+    assert op.symbol.dtype == np.float64
+    assert op.symbol.shape == (25, 19)
+    assert build_matern_operator((97, 3), [0], 1.0, 1.0).embedding == (200, 5)
+
+
+def test_matern_apply_returns_a_fresh_array():
+    # lanczos_step subtracts into the result in place
+    op = build_matern_operator((13, 17), sample_sites(13, 17, 1.0, seed=4), 6.8, 3.25)
+    x = np.ones(op.dim)
+    y = op(x)
+    again = op(x)
+    assert not np.shares_memory(y, again)
+    assert not np.shares_memory(y, x)
+    y -= 1.0
+    np.testing.assert_array_equal(op(x), again)
+
+
 def test_matern_single_site():
     op = build_matern_operator((5, 5), [7], 2.0, 2.0, tau=1e-3)
     np.testing.assert_allclose(op(np.array([1.0])), [1.001])
