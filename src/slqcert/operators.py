@@ -125,22 +125,20 @@ def sample_sites(n1: int, n2: int, fraction: float, seed: int) -> np.ndarray:
 class MaternOperator(LinearOperator):
     """Matern covariance matrix on scattered sites of a regular grid.
 
-    The full-grid kernel matrix is block Toeplitz; embedding it in an
-    L1 x L2 block-circulant array (Dietrich & Newsam, SISC 1997) makes the
-    matvec a convolution done by FFTs.  Each axis of length n gets
-    L = next_fast_len(2 n - 1, real=True): any L >= 2 n - 1 with offsets
-    min(i, L - i) reproduces the Toeplitz product exactly.  Scattered sites
-    are handled by scatter/gather around the grid matvec, which reproduces
-    the exact kernel-matrix product up to roundoff.
+    The full-grid kernel matrix is block Toeplitz; embedding it in a
+    (2 n1) x (2 n2) block-circulant array (Dietrich & Newsam, SISC 1997)
+    makes the matvec a convolution done by FFTs.  Scattered sites are
+    handled by scatter/gather around the grid matvec, which reproduces the
+    exact kernel-matrix product up to roundoff.
 
-    The data fill only the first n1 x n2 corner of the embedding and only
-    that corner of the result is read, so the apply runs four 1-D
-    transforms that skip the rest: a real FFT of length L2 on the n1 data
-    rows, a complex FFT of length L1 down the columns (the zero rows are
+    The data fill only the first n1 x n2 quarter of the embedding and only
+    that quarter of the result is read, so the apply runs four 1-D
+    transforms that skip the rest: a real FFT of length 2 n2 on the n1 data
+    rows, a complex FFT of length 2 n1 down the columns (the zero rows are
     implicit), the inverse of that, and an inverse real FFT on the first
     n1 rows only.  The embedded kernel block is even along both axes, so
     its transform ``symbol`` is real and is stored as a real array of shape
-    (L1, L2 // 2 + 1).
+    (2 n1, n2 + 1).
 
     ``ell1`` scales offsets along the second grid axis (length n2) and
     ``ell2`` scales offsets along the first (length n1); the experiments
@@ -165,29 +163,25 @@ class MaternOperator(LinearOperator):
         self.ell = (float(ell1), float(ell2))
         self.nu = float(nu)
         self.tau = float(tau)
-        # even reflection of the kernel row onto an L1 x L2 circulant
-        self.embedding = tuple(scipy.fft.next_fast_len(2 * n - 1, real=True)
-                               for n in (n1, n2))
-        L1, L2 = self.embedding
-        d1 = np.minimum(np.arange(L1), L1 - np.arange(L1))
-        d2 = np.minimum(np.arange(L2), L2 - np.arange(L2))
+        # even reflection of the kernel row onto a (2 n1) x (2 n2) circulant
+        d1 = np.minimum(np.arange(2 * n1), 2 * n1 - np.arange(2 * n1))
+        d2 = np.minimum(np.arange(2 * n2), 2 * n2 - np.arange(2 * n2))
         r = np.sqrt((d1[:, None] / ell2) ** 2 + (d2[None, :] / ell1) ** 2)
         block = matern_kernel(r, nu, tau)
         self.symbol = np.ascontiguousarray(scipy.fft.rfft2(block).real)
 
     def matvec(self, x):
         n1, n2 = self.grid
-        L1, L2 = self.embedding
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[self.sites] = x
-        spec = scipy.fft.rfft(grid, n=L2, axis=1)
-        spec = scipy.fft.fft(spec, n=L1, axis=0)
+        spec = scipy.fft.rfft(grid, n=2 * n2, axis=1)
+        spec = scipy.fft.fft(spec, n=2 * n1, axis=0)
         spec *= self.symbol
-        # spec is this call's own temporary; an out-of-place inverse, with a
-        # fresh (L1, L2 // 2 + 1) complex array, made the 90 x 120 apply
-        # about 1.7x slower (one thread of a 2-core Xeon, scipy 1.17)
+        # spec is this call's own temporary, so the inverse may reuse it; a
+        # fresh complex array here put about 15% on the traced apply time of
+        # the 90 x 120 benchmark workload (one thread of 2 cores, scipy 1.17)
         spec = scipy.fft.ifft(spec, axis=0, overwrite_x=True)
-        conv = scipy.fft.irfft(spec[:n1], n=L2, axis=1)
+        conv = scipy.fft.irfft(spec[:n1], n=2 * n2, axis=1)
         return conv[:, :n2].reshape(-1)[self.sites]
 
     def site_coordinates(self) -> np.ndarray:

@@ -9,8 +9,6 @@ eigendecomposition or Cholesky references.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.fft
 
@@ -60,9 +58,10 @@ def exact_bilinear_laplacian(f, n1: int, n2: int, v) -> float:
 class DenseFOracle:
     """Eigendecomposition reference for a small dense symmetric matrix.
 
-    The eigenvalues are computed up front; the eigenvectors, which only
-    ``bilinear`` needs, on its first call, from the matrix the oracle keeps
-    a reference to.
+    The constructor computes eigenvalues only, which is all ``trace``
+    needs; ``bilinear`` runs the full eigendecomposition on each call.  The
+    oracle keeps a reference to ``matrix``, which must not be mutated
+    afterwards.
     """
 
     def __init__(self, matrix, f):
@@ -78,16 +77,13 @@ class DenseFOracle:
         self.f = f
         self.f_eigenvalues = np.asarray(f(self.eigenvalues), dtype=float)
 
-    @functools.cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return _dense_eigh(np.linalg.eigh, self.matrix)[1]
-
     def trace(self) -> float:
         return float(np.sum(self.f_eigenvalues))
 
     def bilinear(self, u) -> float:
-        w = self.eigenvectors.T @ np.asarray(u, dtype=float)
-        return float(np.sum(w**2 * self.f_eigenvalues))
+        eigenvalues, eigenvectors = _dense_eigh(np.linalg.eigh, self.matrix)
+        w = eigenvectors.T @ np.asarray(u, dtype=float)
+        return float(np.sum(w**2 * np.asarray(self.f(eigenvalues), dtype=float)))
 
 
 def _dense_eigh(solver, matrix):

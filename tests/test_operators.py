@@ -127,7 +127,7 @@ def test_matern_fft_matches_dense():
 
 
 # unequal sides and unequal lengthscales, so that swapped axes or an axis
-# pruned or padded wrongly show; a one-wide grid embeds that axis in length 1
+# pruned or padded wrongly show; a one-wide grid embeds that axis in length 2
 @pytest.mark.parametrize("n1,n2", [(1, 7), (7, 1), (13, 17), (37, 41)])
 def test_matern_fft_matches_dense_rectangular(n1, n2):
     sites = sample_sites(n1, n2, 0.5, seed=n1 * n2)
@@ -140,13 +140,11 @@ def test_matern_fft_matches_dense_rectangular(n1, n2):
         assert np.linalg.norm(op(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_matern_embedding_and_real_symbol():
+def test_matern_symbol_is_real():
     op = build_matern_operator((13, 17), sample_sites(13, 17, 1.0, seed=4), 6.8, 3.25)
-    # next_fast_len(2 n - 1, real=True) on each axis
-    assert op.embedding == (25, 36)
+    # rfft2 of the even (2 n1) x (2 n2) kernel block, stored as its real part
     assert op.symbol.dtype == np.float64
-    assert op.symbol.shape == (25, 19)
-    assert build_matern_operator((97, 3), [0], 1.0, 1.0).embedding == (200, 5)
+    assert op.symbol.shape == (26, 18)
 
 
 def test_matern_apply_returns_a_fresh_array():

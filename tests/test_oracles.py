@@ -100,19 +100,11 @@ def test_dense_f_oracle_exp_vs_taylor():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((8, 8))
     M = X @ X.T / 8 + 0.5 * np.eye(8)
-    oracle = oracles.dense_f_oracle(M, lambda x: np.exp(-x))
-    assert oracle.trace() == pytest.approx(np.trace(_taylor_exp_neg(M)), abs=1e-9)
-
-
-def test_dense_f_oracle_bilinear_builds_eigenvectors_on_demand():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((8, 8))
-    M = X @ X.T / 8 + 0.5 * np.eye(8)
     u = rng.standard_normal(8)
     oracle = oracles.dense_f_oracle(M, lambda x: np.exp(-x))
-    oracle.trace()
-    assert "eigenvectors" not in vars(oracle)
-    assert oracle.bilinear(u) == pytest.approx(u @ _taylor_exp_neg(M) @ u, abs=1e-9)
+    E = _taylor_exp_neg(M)
+    assert oracle.trace() == pytest.approx(np.trace(E), abs=1e-9)
+    assert oracle.bilinear(u) == pytest.approx(u @ E @ u, abs=1e-9)
 
 
 def test_dense_f_oracle_dim_cap():
