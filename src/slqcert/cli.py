@@ -28,9 +28,17 @@ from .errors import (
     UnreachableAccuracyError,
 )
 from .error_estimator import ErrorMonitor, cumulative_error
-from .lanczos import REORTH_MODES, lanczos_steps, quadrature_value
+from .lanczos import DEFAULT_REORTH, REORTH_MODES, lanczos_steps, quadrature_value
 from .operators import Laplacian2D, build_matern_operator, sample_sites
 from .rational import kind_function
+
+# the values the parser and ExperimentConfig.from_dict accept for these keys
+CHOICES = {
+    "testbed": ("laplacian", "matern"),
+    "kind": rational.KINDS,
+    "reorth": REORTH_MODES,
+    "format": ("json", "table"),
+}
 
 
 @dataclass
@@ -47,7 +55,7 @@ class ExperimentConfig:
     beta: float | None = None
     delta: float | None = None
     t: float = 0.1
-    reorth: str = "auto"
+    reorth: str = DEFAULT_REORTH
     m_max: int = 2000
     K: int | None = None
     k_min: int = 1
@@ -71,18 +79,21 @@ class ExperimentConfig:
         unknown = set(d) - set(hints)
         if unknown:
             raise ContractViolationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{key: _typed(key, value, hints[key]) for key, value in d.items()})
+        return cls(**{key: _checked(key, value, hints[key]) for key, value in d.items()})
 
 
-def _typed(key, value, hint):
-    """value if its JSON type fits the field's annotation (an int is taken
-    for a float field), else a ContractViolationError."""
+def _checked(key, value, hint):
+    """value if its JSON type fits the field's annotation (an int is taken for
+    a float field) and the key's CHOICES, else a ContractViolationError."""
     types = typing.get_args(hint) or (hint,)
     if float in types and type(value) is int:
         value = float(value)
     if type(value) not in types:
         expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
         raise ContractViolationError(f"config key {key!r} must be {expected}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ContractViolationError(
+            f"config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
     return value
 
 
@@ -102,7 +113,7 @@ def make_operator(config: ExperimentConfig):
         op = build_matern_operator((config.n1, config.n2), sites, ell1, ell2,
                                    nu=config.nu, tau=config.tau)
         interval = trace_estimator.estimate_spectrum_interval(
-            op, lower_hint=config.tau, seed=config.seed)
+            op, lower_hint=config.tau, seed=config.seed, reorth_mode=config.reorth)
         descriptor = {"testbed": "matern", "n1": config.n1, "n2": config.n2,
                       "dim": op.dim, "sample_fraction": config.sample_fraction,
                       "ell1": ell1, "ell2": ell2, "nu": config.nu,
@@ -154,10 +165,9 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
     truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
                                              u / np.linalg.norm(u))
-    reorth = trace_estimator.resolve_reorth_mode(config.reorth, op.dim, config.m_max)
     monitor = ErrorMonitor(r, tol=0.0, t=config.t)
     quad_values = []
-    for state, alpha, beta in lanczos_steps(op, u, reorth, config.m_max):
+    for state, alpha, beta in lanczos_steps(op, u, config.reorth, config.m_max):
         monitor.advance(alpha, beta)
         quad_values.append(quadrature_value(state.tridiagonal(), f))
     d = monitor.history
@@ -203,7 +213,8 @@ def cmd_trace(config: ExperimentConfig) -> int:
         delta = trace_estimator.calibrate_delta(
             op, config.kind, n_pilot=config.pilot_n, beta=beta,
             alpha=config.alpha, production_n=config.n_samples,
-            seed=config.seed, interval=interval, m_max=config.m_max)
+            seed=config.seed, interval=interval, m_max=config.m_max,
+            reorth_mode=config.reorth)
     estimate = trace_estimator.estimate_trace(
         op, config.kind, config.n_samples, delta, alpha=config.alpha,
         t=config.t, seed=config.seed, interval=interval, K=config.K,
@@ -257,7 +268,7 @@ def cmd_calibrate_delta(config: ExperimentConfig) -> int:
     delta = trace_estimator.calibrate_delta(
         op, config.kind, n_pilot=config.pilot_n, beta=beta, alpha=config.alpha,
         production_n=config.n_samples, seed=config.seed, interval=interval,
-        m_max=config.m_max)
+        m_max=config.m_max, reorth_mode=config.reorth)
     out = {"delta": delta, "beta": beta, "pilot_n": config.pilot_n,
            "production_n": config.n_samples, "operator": descriptor,
            "config": config.to_dict()}
@@ -282,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--testbed", choices=["laplacian", "matern"])
+        p.add_argument("--testbed", choices=CHOICES["testbed"])
         p.add_argument("--n1", type=int)
         p.add_argument("--n2", type=int)
-        p.add_argument("--kind", choices=list(rational.KINDS))
+        p.add_argument("--kind", choices=CHOICES["kind"])
         p.add_argument("--n-samples", type=int, dest="n_samples")
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--delta", type=float)
         p.add_argument("--t", type=float)
-        p.add_argument("--reorth", choices=["auto", *REORTH_MODES])
+        p.add_argument("--reorth", choices=CHOICES["reorth"])
         p.add_argument("--m-max", type=int, dest="m_max")
         p.add_argument("--K", type=int)
         p.add_argument("--k-min", type=int, dest="k_min")
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--site-seed", type=int, dest="site_seed")
         p.add_argument("--pilot-n", type=int, dest="pilot_n")
         p.add_argument("--output", "-o")
-        p.add_argument("--format", choices=["json", "table"])
+        p.add_argument("--format", choices=CHOICES["format"])
     return parser
 
 

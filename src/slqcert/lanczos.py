@@ -1,15 +1,18 @@
 """Three-term Lanczos recurrence with reorthogonalization, plus the Gauss
 quadrature evaluation e1^T f(T_m) e1 on the resulting Jacobi matrix.
 
-Reorthogonalization modes:
+Reorthogonalization modes (each stores the whole basis):
 
-* ``full``    -- orthogonalize every new vector against the whole stored
-  basis (second pass when the first one removes most of the vector).
-* ``partial`` -- track the loss-of-orthogonality recurrence and
-  orthogonalize only when the estimated inner products exceed
-  sqrt(machine epsilon); the step after a correction is corrected too.
-* ``none``    -- plain recurrence (kept for the loss-of-orthogonality
-  study; do not use for production estimates).
+* ``partial`` -- the default: track the loss-of-orthogonality recurrence
+  (Simon, Math. Comp. 1984) and orthogonalize only when the estimated inner
+  products exceed sqrt(machine epsilon), and on the step after.
+* ``full``    -- orthogonalize every new vector against the whole basis;
+  the reference the other modes are checked against.
+* ``none``    -- plain recurrence, kept for the loss-of-orthogonality study;
+  not for production estimates.
+
+An orthogonalization is one pass, plus a second when the first removes most
+of the vector.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
 from .operators import LinearOperator
 
 REORTH_MODES = ("none", "full", "partial")
+DEFAULT_REORTH = "partial"
 
 BREAKDOWN_REL_TOL = 1e-13
 
@@ -104,8 +108,8 @@ class LanczosState:
     """State of one Lanczos run: stored basis, Jacobi coefficients, and the
     loss-of-orthogonality recurrence (partial mode)."""
 
-    def __init__(self, op: LinearOperator, u, reorth_mode: str = "full",
-                 m_max: int = 2000, breakdown_rel_tol: float = BREAKDOWN_REL_TOL):
+    def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
+                 m_max: int = 2000):
         if reorth_mode not in REORTH_MODES:
             raise ContractViolationError(f"unknown reorth mode {reorth_mode!r}")
         u = np.asarray(u, dtype=float)
@@ -120,7 +124,6 @@ class LanczosState:
         self.norm_sq = float(norm**2)
         self.reorth_mode = reorth_mode
         self.m_max = int(m_max)
-        self.breakdown_rel_tol = float(breakdown_rel_tol)
         self.m = 0
         self.alphas: list = []
         self.betas: list = []          # betas[j] = beta_{j+2}
@@ -165,29 +168,25 @@ class LanczosState:
 
     def _omega_advance(self, beta_next):
         """One row of the loss-of-orthogonality recurrence (partial mode)."""
-        k = self.m            # just completed step k, have omega rows k-1, k
+        k = self.m            # just completed step k >= 1, have omega rows k-1, k
         alphas, betas = self.alphas, self.betas
+        beta_next = max(beta_next, 1e-300)
         omega_new = np.empty(k + 1)
         omega_new[k] = 1.0
-        psi = _EPS * self.op.dim * (betas[0] if betas else 1.0) / max(beta_next, 1e-300)
-        omega_new[k - 1] = psi if k >= 1 else 1.0
+        # local loss eps ||A|| / beta_{k+1}; beta_2 in place of ||A|| misses it
+        # when the whole spectrum is narrow
+        omega_new[k - 1] = _EPS * self.op.dim * self._norm_estimate / beta_next
         if k >= 2:
-            j = np.arange(k - 1)
             beta_j1 = np.array(betas[:k - 1])        # beta_{j+2} linking j+1,j+2
-            omega_up = self._omega_cur[1:k]
-            omega_mid = self._omega_cur[:k - 1]
             omega_down = np.concatenate([[0.0], self._omega_cur[: k - 2]])
             beta_jm = np.concatenate([[0.0], betas[: k - 2]])
             alpha_j = np.array(alphas[: k - 1])
-            beta_k = betas[k - 2] if k >= 2 else 0.0
-            prev = self._omega_prev[: k - 1] if len(self._omega_prev) >= k - 1 else \
-                np.zeros(k - 1)
             noise = _EPS * 0.3 * (beta_j1 + beta_next)
             omega_new[: k - 1] = (
-                beta_j1 * omega_up
-                + (alpha_j - alphas[k - 1]) * omega_mid
+                beta_j1 * self._omega_cur[1:k]
+                + (alpha_j - alphas[k - 1]) * self._omega_cur[:k - 1]
                 + beta_jm * omega_down
-                - beta_k * prev
+                - betas[k - 2] * self._omega_prev[: k - 1]
             ) / beta_next + noise
         self._omega_prev = self._omega_cur
         self._omega_cur = omega_new
@@ -200,7 +199,7 @@ class LanczosState:
         return float(np.max(np.abs(V @ self._basis[self._nstored - 1])))
 
 
-def lanczos_init(op: LinearOperator, u, reorth_mode: str = "full",
+def lanczos_init(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
                  m_max: int = 2000) -> LanczosState:
     """Normalize the start vector; record ||u||^2 for the bilinear form."""
     return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max)
@@ -229,34 +228,27 @@ def lanczos_step(state: LanczosState):
     state._norm_estimate = max(state._norm_estimate,
                                abs(alpha) + (state.betas[k - 1] if k > 0 else 0.0))
 
-    if state.reorth_mode == "full":
-        norm_before = np.linalg.norm(w)
-        w = state._orthogonalize(w, k + 1)
-        if np.linalg.norm(w) < norm_before / math.sqrt(2.0):
-            w = state._orthogonalize(w, k + 1)
-
     beta = float(np.linalg.norm(w))
     state.alphas.append(alpha)
     state.m += 1
 
-    tol = state.breakdown_rel_tol * max(state._norm_estimate, 1.0)
-    if beta <= tol:
-        state.breakdown = True
-        return alpha, 0.0
-
+    reorth = state.reorth_mode == "full"
     if state.reorth_mode == "partial":
         state._omega_advance(beta)
-        if state._force_reorth or np.max(np.abs(state._omega_cur[:-1])) > _SQRT_EPS:
-            w = state._orthogonalize(w, state.m)
-            w = state._orthogonalize(w, state.m)
-            beta_new = float(np.linalg.norm(w))
+        reorth = state._force_reorth or np.max(np.abs(state._omega_cur[:-1])) > _SQRT_EPS
+        if reorth:
             state._force_reorth = not state._force_reorth
             state._omega_cur[:-1] = _EPS
-            if beta_new <= tol:
-                state.breakdown = True
-                return alpha, 0.0
-            beta = beta_new
+    if reorth:
+        w = state._orthogonalize(w, state.m)
+        beta_before, beta = beta, float(np.linalg.norm(w))
+        if beta < beta_before / math.sqrt(2.0):
+            w = state._orthogonalize(w, state.m)
+            beta = float(np.linalg.norm(w))
 
+    if beta <= BREAKDOWN_REL_TOL * max(state._norm_estimate, 1.0):
+        state.breakdown = True
+        return alpha, 0.0
     state.betas.append(beta)
     state._append_vector(w, beta)
     return alpha, beta
@@ -269,7 +261,7 @@ def bilinear_estimate(state: LanczosState, f) -> float:
     return state.norm_sq * quadrature_value(state.tridiagonal(), f)
 
 
-def lanczos_steps(op: LinearOperator, u, reorth_mode: str = "full",
+def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
                   m_max: int = 2000):
     """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
 
@@ -290,7 +282,7 @@ def lanczos_steps(op: LinearOperator, u, reorth_mode: str = "full",
 
 
 def lanczos_run(op: LinearOperator, u, steps: int,
-                reorth_mode: str = "full") -> LanczosState:
+                reorth_mode: str = DEFAULT_REORTH) -> LanczosState:
     """Run up to min(steps, op.dim) Lanczos steps (stops early on breakdown)."""
     for state, _, _ in lanczos_steps(op, u, reorth_mode, steps):
         pass

@@ -22,7 +22,8 @@ import numpy as np
 from . import rational
 from .errors import CalibrationFailedError, ContractViolationError
 from .error_estimator import ErrorMonitor, lookback_check
-from .lanczos import lanczos_run, lanczos_steps, quadrature_value, tridiag_eigen
+from .lanczos import (DEFAULT_REORTH, lanczos_run, lanczos_steps, quadrature_value,
+                      tridiag_eigen)
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
@@ -30,17 +31,6 @@ DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_T = 0.1
 DEFAULT_M_MAX = 2000
-
-# basis storage budget deciding the default reorthogonalization mode
-REORTH_MEMORY_BUDGET_BYTES = 2 << 30
-
-
-def resolve_reorth_mode(mode: str, dim: int, m_max: int) -> str:
-    """'auto' keeps full reorthogonalization while the stored basis fits the
-    memory budget (8 bytes per entry), else switches to partial."""
-    if mode != "auto":
-        return mode
-    return "full" if 8 * dim * m_max <= REORTH_MEMORY_BUDGET_BYTES else "partial"
 
 
 def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
@@ -71,7 +61,7 @@ def confidence_half_width(s: float, N: int, delta: float, alpha: float) -> float
 
 def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = None,
                                probe_steps: int = 80, safety: float = 1.005,
-                               seed: int = 0):
+                               seed: int = 0, reorth_mode: str = DEFAULT_REORTH):
     """[a, b] from a fixed-budget Lanczos run on a random probe.
 
     b inflates the largest Ritz value by the safety factor; a is the hint
@@ -81,7 +71,7 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = No
     if not op.spd_hint:
         raise ContractViolationError("spectrum estimation requires an SPD operator")
     u = rademacher_vector(op.dim, seed, index=2**32 - 1)
-    state = lanczos_run(op, u, probe_steps)
+    state = lanczos_run(op, u, probe_steps, reorth_mode)
     eig = tridiag_eigen(state.tridiagonal())
     b = float(eig.thetas[-1]) * safety
     if lower_hint is not None:
@@ -129,7 +119,7 @@ class TraceEstimate:
     t: float = DEFAULT_T
     seed: int = 0
     interval: tuple = (0.0, 0.0)
-    reorth_mode: str = "full"
+    reorth_mode: str = DEFAULT_REORTH
     certified: bool = True
     time_approx: float = 0.0
     time_error_estimate: float = 0.0
@@ -175,17 +165,19 @@ class TraceEstimate:
 
 def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
                     delta: float, t: float = DEFAULT_T, m_max: int = DEFAULT_M_MAX,
-                    reorth_mode: str = "auto", index: int = 0, seed: int = 0):
+                    reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0):
     """Error-monitored Lanczos run for one probe vector.
 
     Returns (record, time_split); the record's value is taken at the retired
     step with f itself (not r) on the Ritz values.  Hitting m_max yields a
     flagged, unconverged record instead of an exception.  On breakdown the
     quadrature is exact and the certificate is a zero error estimate.
+    ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
+    mode orthogonalizes only when the estimated loss of orthogonality calls
+    for it, ``full`` on every step.
     """
     u = np.asarray(u, dtype=float)
     norm_sq = float(u @ u)
-    reorth_mode = resolve_reorth_mode(reorth_mode, op.dim, m_max)
     monitor = ErrorMonitor(r, delta / norm_sq, t)
     t_lanczos = 0.0
     t_monitor = 0.0
@@ -229,10 +221,11 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
                         delta: float, alpha: float = DEFAULT_ALPHA,
                         t: float = DEFAULT_T, seed: int = 0,
-                        m_max: int = DEFAULT_M_MAX, reorth_mode: str = "auto",
+                        m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH,
                         kind: str = "") -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
+    Every sample runs with ``reorth_mode``, which the estimate reports.
     Samples use deterministic per-index probe seeds, and the reduction order
     is fixed, so identical inputs reproduce the estimate bit for bit at a
     fixed BLAS thread count; the reductions inside the BLAS calls change
@@ -240,7 +233,6 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     """
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
-    reorth_mode = resolve_reorth_mode(reorth_mode, op.dim, m_max)
     records = []
     t_approx = 0.0
     t_err = 0.0
@@ -280,7 +272,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
 def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float,
                    alpha: float = DEFAULT_ALPHA, t: float = DEFAULT_T,
                    seed: int = 0, interval=None, K: int | None = None,
-                   m_max: int = DEFAULT_M_MAX, reorth_mode: str = "auto",
+                   m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH,
                    lower_hint: float | None = None) -> TraceEstimate:
     """Algorithm driver for the four built-in function kinds.
 
@@ -289,7 +281,8 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float,
     Rademacher probes, unless K is forced explicitly.
     """
     if interval is None:
-        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed)
+        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed,
+                                              reorth_mode=reorth_mode)
     f = kind_function(kind)
     if K is not None:
         r = rational.build(kind, K, interval)
@@ -303,7 +296,7 @@ def calibrate_delta(op: LinearOperator, kind: str, n_pilot: int = 30,
                     beta: float = 0.1, alpha: float = DEFAULT_ALPHA,
                     production_n: int = DEFAULT_N, seed: int = 0,
                     interval=None, lower_hint: float | None = None,
-                    m_max: int = DEFAULT_M_MAX) -> float:
+                    m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH) -> float:
     """Pilot run -> delta = beta alpha s / sqrt(N) for the production run.
 
     The pilot uses a loose internal tolerance (1e-2 of the rough trace scale
@@ -313,13 +306,15 @@ def calibrate_delta(op: LinearOperator, kind: str, n_pilot: int = 30,
     if n_pilot < 2:
         raise ContractViolationError("pilot needs at least 2 samples")
     if interval is None:
-        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed)
+        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed,
+                                              reorth_mode=reorth_mode)
     f = kind_function(kind)
     mid = 0.5 * (interval[0] + interval[1])
     scale = max(abs(float(np.asarray(f(mid)))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     pilot = estimate_trace(op, kind, n_pilot, delta_pilot, alpha=alpha,
-                           seed=seed + 1, interval=interval, m_max=m_max)
+                           seed=seed + 1, interval=interval, m_max=m_max,
+                           reorth_mode=reorth_mode)
     if pilot.std_err == 0.0:
         raise CalibrationFailedError(
             "pilot standard error is zero; cannot calibrate a tolerance"

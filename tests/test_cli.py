@@ -9,6 +9,7 @@ import pytest
 from slqcert import trace_estimator
 from slqcert.cli import ExperimentConfig, main
 from slqcert.errors import ContractViolationError
+from slqcert.lanczos import DEFAULT_REORTH, LanczosState
 
 
 def run_cli(args, capsys):
@@ -29,13 +30,19 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"bogus": 1})
 
 
-@pytest.mark.parametrize("bad", [{"n1": "90"}, {"n1": 9.5}])
+@pytest.mark.parametrize("bad", [
+    {"n1": "90"}, {"n1": 9.5},
+    # values outside the parser's choices, such as a stale reorth mode
+    {"format": "tabel"}, {"reorth": "auto"}, {"testbed": "grid"}, {"kind": "cos"},
+])
 def test_config_type_mismatch_is_usage_error(bad, tmp_path, capsys):
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(bad))
-    code, _, err = run_cli(["trace", "--config", str(cfg_file)], capsys)
+    code, out, err = run_cli(["trace", "--config", str(cfg_file)], capsys)
     assert code == 1
-    assert err.startswith("error:") and "'n1'" in err
+    assert out == ""
+    (key,) = bad
+    assert err.startswith("error:") and f"'{key}'" in err
 
 
 def test_config_accepts_int_for_float_field():
@@ -150,8 +157,28 @@ def test_trace_reports_resolved_reorth_mode(capsys):
          "--n-samples", "2", "--delta", "1.0"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["config"]["reorth"] == "auto"
-    assert report["reorth_mode"] == "full"
+    assert report["config"]["reorth"] == "partial"
+    assert report["reorth_mode"] == "partial"
+
+
+def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
+    # without --delta the command runs the spectrum probe, the two pilot
+    # samples and the two samples of the estimate
+    modes = []
+    init = LanczosState.__init__
+
+    def recording_init(self, op, u, reorth_mode=DEFAULT_REORTH, *args, **kwargs):
+        modes.append(reorth_mode)
+        init(self, op, u, reorth_mode, *args, **kwargs)
+
+    monkeypatch.setattr(LanczosState, "__init__", recording_init)
+    code, _, _ = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",
+         "--sample-fraction", "0.3", "--kind", "log", "--n-samples", "2",
+         "--pilot-n", "2", "--tau", "1e-3", "--reorth", "none"], capsys)
+    assert code in (0, 2)
+    assert len(modes) == 1 + 2 + 2
+    assert set(modes) == {"none"}
 
 
 def test_trace_wall_time_spans_interval_estimation(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from slqcert import oracles
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import (
     SymTridiagonal,
@@ -13,7 +14,13 @@ from slqcert.lanczos import (
     quadrature_value,
     tridiag_eigen,
 )
-from slqcert.operators import DenseOperator, Laplacian2D
+from slqcert.operators import (
+    DenseOperator,
+    Laplacian2D,
+    build_matern_operator,
+    sample_sites,
+)
+from slqcert.trace_estimator import rademacher_vector
 
 from helpers import random_spd
 
@@ -130,6 +137,20 @@ def test_basis_stays_orthonormal_partial():
     V = state.basis()
     gram = V @ V.T - np.eye(len(V))
     assert np.max(np.abs(gram)) <= 10 * sqrt_eps
+
+
+def test_partial_quadrature_tracks_full_on_covariance_testbed():
+    # the criterion-9 testbed, where the plain recurrence stalls by two orders
+    sites = sample_sites(90, 120, 0.1, seed=3)
+    op = build_matern_operator((90, 120), sites, 0.4 * 120, 0.4 * 90,
+                               nu=1.5, tau=1e-5)
+    u = rademacher_vector(op.dim, seed=0)
+    truth = oracles.dense_f_oracle(op.dense_matrix(), np.log).bilinear(
+        u / np.linalg.norm(u))
+    errs = {mode: abs(truth - quadrature_value(
+                lanczos_run(op, u, 200, mode).tridiagonal(), np.log))
+            for mode in ("full", "partial")}
+    assert errs["partial"] <= 10 * errs["full"]
 
 
 def test_tridiag_eigen_order_one():
