@@ -18,8 +18,10 @@ from .operators import (
     Laplacian2D,
     LinearOperator,
     MaternOperator,
+    PreconditionedMatern,
     build_matern_operator,
     matern_kernel,
+    pivoted_cholesky,
     sample_sites,
 )
 from .lanczos import (

@@ -3,6 +3,16 @@ trace estimates with confidence intervals, and tolerance calibration.
 
 Every run is driven by an ExperimentConfig that round-trips losslessly
 through JSON, so experiments replay exactly (timing fields aside).
+
+On the Matern testbed with kind ``log`` (the Gaussian-process
+log-determinant) every command works on the preconditioned operator
+B = P^{-1/2} A P^{-1/2} of ``operators.PreconditionedMatern``, and ``trace``
+reports log det A = log det P + tr log B: log det P is exact and is added to
+every sample, so the standard error, delta and the half-width are those of
+the estimate of tr log B.  The spectrum of B lies above 1, so the interval's
+lower end a = 1 is certified; P has rank min(256, n // 4).  The other
+Matern kinds and the Laplacian run on A itself.
+
 Exit codes: 0 on certified success, 2 when any sample failed to converge,
 1 on usage or runtime errors.
 """
@@ -29,7 +39,8 @@ from .errors import (
 )
 from .error_estimator import ErrorMonitor, cumulative_error
 from .lanczos import DEFAULT_REORTH, REORTH_MODES, lanczos_steps, quadrature_value
-from .operators import Laplacian2D, build_matern_operator, sample_sites
+from .operators import (Laplacian2D, PreconditionedMatern, build_matern_operator,
+                        sample_sites)
 from .rational import kind_function
 
 # the values the parser and ExperimentConfig.from_dict accept for these keys
@@ -98,7 +109,13 @@ def _checked(key, value, hint):
 
 
 def make_operator(config: ExperimentConfig):
-    """Build the testbed operator plus its spectrum interval and descriptor."""
+    """Build the testbed operator plus its spectrum interval and descriptor.
+
+    For matern with kind log the operator is the preconditioned
+    ``PreconditionedMatern``, with the certified lower end 1; the descriptor's
+    ``preconditioner`` gives its rank and log det P.  ``condition_estimate``
+    is b / a of the operator returned, the one Lanczos runs on.
+    """
     if config.testbed == "laplacian":
         op = Laplacian2D(config.n1, config.n2)
         interval = oracles.laplacian_extreme_eigenvalues(config.n1, config.n2)
@@ -106,19 +123,27 @@ def make_operator(config: ExperimentConfig):
                       "dim": op.dim}
         return op, interval, descriptor
     if config.testbed == "matern":
+        if not config.tau > 0:
+            raise ContractViolationError(
+                f"the matern testbed needs a positive nugget tau, got {config.tau}")
         sites = sample_sites(config.n1, config.n2, config.sample_fraction,
                              config.site_seed)
         ell1 = config.ell_rule * config.n2
         ell2 = config.ell_rule * config.n1
         op = build_matern_operator((config.n1, config.n2), sites, ell1, ell2,
                                    nu=config.nu, tau=config.tau)
+        lower = config.tau
+        if config.kind == "log":
+            op, lower = PreconditionedMatern(op), 1.0
         interval = trace_estimator.estimate_spectrum_interval(
-            op, lower_hint=config.tau, seed=config.seed, reorth_mode=config.reorth)
+            op, lower_hint=lower, seed=config.seed, reorth_mode=config.reorth)
         descriptor = {"testbed": "matern", "n1": config.n1, "n2": config.n2,
                       "dim": op.dim, "sample_fraction": config.sample_fraction,
                       "ell1": ell1, "ell2": ell2, "nu": config.nu,
                       "tau": config.tau, "site_seed": config.site_seed,
                       "condition_estimate": interval[1] / interval[0]}
+        if isinstance(op, PreconditionedMatern):
+            descriptor["preconditioner"] = {"rank": op.rank, "logdet": op.logdet}
         return op, interval, descriptor
     raise ContractViolationError(f"unknown testbed {config.testbed!r}")
 
@@ -191,8 +216,11 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
 
 
 def _truth_for(config: ExperimentConfig, op, f):
+    """tr f(A) of the unpreconditioned A, or None past the dense oracle's cap."""
     if config.testbed == "laplacian":
         return oracles.exact_trace_laplacian(f, config.n1, config.n2)
+    if isinstance(op, PreconditionedMatern):
+        op = op.base
     if op.dim <= oracles.DENSE_ORACLE_MAX_DIM:
         return oracles.dense_f_oracle(op.dense_matrix(), f).trace()
     return None
@@ -220,14 +248,18 @@ def cmd_trace(config: ExperimentConfig) -> int:
         t=config.t, seed=config.seed, interval=interval, K=config.K,
         m_max=config.m_max, reorth_mode=config.reorth)
     report = estimate.to_json_dict()
+    if isinstance(op, PreconditionedMatern):
+        # log det A = log det P + tr log B, so each sample of tr log B shifts
+        report["mean"] += op.logdet
+        for sample in report["per_sample"]:
+            sample["value"] += op.logdet
     report["operator"] = descriptor
     report["config"] = config.to_dict()
     truth = _truth_for(config, op, f)
     if truth is not None:
         report["truth"] = truth
-        report["abs_error"] = abs(truth - estimate.mean)
-        report["within_half_width"] = bool(abs(truth - estimate.mean)
-                                           <= estimate.half_width)
+        report["abs_error"] = abs(truth - report["mean"])
+        report["within_half_width"] = bool(report["abs_error"] <= estimate.half_width)
     report["timings"]["wall_seconds"] = time.perf_counter() - tic
     if config.format == "table":
         _emit(_format_table(report), config.output)

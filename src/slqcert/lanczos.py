@@ -128,6 +128,7 @@ class LanczosState:
         self.alphas: list = []
         self.betas: list = []          # betas[j] = beta_{j+2}
         self.breakdown = False
+        self.reorth_passes = 0         # orthogonalization passes against the basis
         self._norm_estimate = 0.0
         self._capacity = 16
         self._basis = np.empty((self._capacity, op.dim))
@@ -162,6 +163,7 @@ class LanczosState:
     # -- reorthogonalization ----------------------------------------------
 
     def _orthogonalize(self, w, upto):
+        self.reorth_passes += 1
         V = self._basis[:upto]
         w -= V.T @ (V @ w)
         return w

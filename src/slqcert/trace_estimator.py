@@ -99,6 +99,7 @@ class SampleRecord:
     seed: int
     converged: bool
     sign_flips: int = 0
+    reorth_passes: int = 0
 
 
 @dataclass
@@ -143,6 +144,7 @@ class TraceEstimate:
             "certified": self.certified,
             "average_steps": float(np.mean([r.steps_run for r in self.records])),
             "average_retired_step": float(np.mean([r.retired_step for r in self.records])),
+            "reorth_passes": sum(r.reorth_passes for r in self.records),
             "timings": {
                 "approximation_seconds": self.time_approx,
                 "error_estimate_seconds": self.time_error_estimate,
@@ -157,6 +159,7 @@ class TraceEstimate:
                     "seed": r.seed,
                     "converged": r.converged,
                     "sign_flips": r.sign_flips,
+                    "reorth_passes": r.reorth_passes,
                 }
                 for r in self.records
             ],
@@ -214,6 +217,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
         seed=seed,
         converged=converged,
         sign_flips=monitor.sign_flips,
+        reorth_passes=state.reorth_passes,
     )
     return record, (t_lanczos, t_monitor)
 

@@ -6,10 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from slqcert import trace_estimator
+from slqcert import oracles, trace_estimator
 from slqcert.cli import ExperimentConfig, main
 from slqcert.errors import ContractViolationError
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState
+from slqcert.operators import build_matern_operator, sample_sites
 
 
 def run_cli(args, capsys):
@@ -235,6 +236,54 @@ def test_trace_matern_desk_scale(tmp_path, capsys):
     assert report["operator"]["dim"] == round(0.2 * 16 * 12)
     assert "condition_estimate" in report["operator"]
     assert "truth" in report  # dense logdet oracle at desk scale
+    # kind log runs on the preconditioned operator, whose spectrum starts at 1
+    assert report["operator"]["preconditioner"]["rank"] == round(0.2 * 16 * 12) // 4
+    assert report["interval"][0] == 1.0
+    assert report["operator"]["condition_estimate"] == report["interval"][1]
+    samples = report["per_sample"]
+    assert all(type(s["reorth_passes"]) is int for s in samples)
+    assert report["reorth_passes"] == sum(s["reorth_passes"] for s in samples)
+
+
+def test_trace_matern_sqrt_is_not_preconditioned(capsys):
+    code, out, _ = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "16", "--n2", "12",
+         "--sample-fraction", "0.2", "--kind", "sqrt", "--n-samples", "4",
+         "--delta", "0.5", "--tau", "1e-4", "--site-seed", "5"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert "preconditioner" not in report["operator"]
+    assert report["interval"][0] == 1e-4
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt"])
+@pytest.mark.parametrize("tau", ["0", "-1e-3"])
+def test_matern_rejects_a_nonpositive_tau(kind, tau, capsys):
+    code, out, err = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",
+         "--sample-fraction", "0.3", "--kind", kind, "--n-samples", "2",
+         "--delta", "1.0", f"--tau={tau}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "tau" in err
+
+
+def test_trace_matern_logdet_covers_dense_truth(capsys):
+    # the command-line counterpart of acceptance criterion 8, which calls the
+    # library on the unpreconditioned operator
+    hits = 0
+    for seed in range(20):
+        code, out, _ = run_cli(
+            ["trace", "--testbed", "matern", "--n1", "40", "--n2", "30",
+             "--kind", "log", "--n-samples", "30", "--pilot-n", "10",
+             "--seed", str(seed), "--site-seed", str(100 + seed)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        sites = sample_sites(40, 30, 0.1, seed=100 + seed)
+        op = build_matern_operator((40, 30), sites, 0.4 * 30, 0.4 * 40, nu=1.5, tau=1e-5)
+        hits += abs(report["mean"] - oracles.dense_logdet(op.dense_matrix())) \
+            <= report["half_width"]
+    assert hits >= 18
 
 
 def test_calibrate_delta_command(capsys):
@@ -245,3 +294,17 @@ def test_calibrate_delta_command(capsys):
     data = json.loads(out)
     assert data["delta"] > 0
     assert data["pilot_n"] == 6
+
+
+def test_calibrate_delta_and_trace_agree_on_matern_log(capsys):
+    args = ["--testbed", "matern", "--n1", "16", "--n2", "12", "--sample-fraction",
+            "0.2", "--kind", "log", "--n-samples", "4", "--pilot-n", "6",
+            "--tau", "1e-4", "--site-seed", "5"]
+    code, out, _ = run_cli(["calibrate-delta", *args], capsys)
+    assert code == 0
+    calibrated = json.loads(out)
+    code, out, _ = run_cli(["trace", *args], capsys)
+    assert code in (0, 2)
+    report = json.loads(out)
+    assert report["delta"] == calibrated["delta"]
+    assert report["operator"] == calibrated["operator"]

@@ -139,6 +139,18 @@ def test_basis_stays_orthonormal_partial():
     assert np.max(np.abs(gram)) <= 10 * sqrt_eps
 
 
+def test_reorth_passes_count_orthogonalizations():
+    op = Laplacian2D(10, 12)
+    u = np.random.default_rng(2).standard_normal(120)
+    passes = {mode: lanczos_run(op, u, 40, mode).reorth_passes
+              for mode in ("none", "partial", "full")}
+    # full mode makes one pass per step, plus a second when the first removes
+    # most of the vector; partial mode only when the omega estimate calls for it
+    assert passes["none"] == 0
+    assert 40 <= passes["full"] <= 80
+    assert 0 <= passes["partial"] < passes["full"]
+
+
 def test_partial_quadrature_tracks_full_on_covariance_testbed():
     # the criterion-9 testbed, where the plain recurrence stalls by two orders
     sites = sample_sites(90, 120, 0.1, seed=3)

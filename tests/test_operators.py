@@ -7,9 +7,12 @@ from slqcert.errors import ContractViolationError, UnsupportedParameterError
 from slqcert.operators import (
     DenseOperator,
     Laplacian2D,
+    PRECONDITIONER_RANK,
     MaternOperator,
+    PreconditionedMatern,
     build_matern_operator,
     matern_kernel,
+    pivoted_cholesky,
     sample_sites,
 )
 
@@ -198,6 +201,8 @@ def _symmetry_defect(op, pairs, rng):
     lambda: Laplacian2D(9, 14),
     lambda: build_matern_operator((12, 10), sample_sites(12, 10, 0.3, seed=2),
                                   4.0, 4.8, tau=1e-5),
+    lambda: PreconditionedMatern(build_matern_operator(
+        (12, 10), sample_sites(12, 10, 0.3, seed=2), 4.0, 4.8, tau=1e-5)),
 ])
 def test_operator_symmetry(make):
     op = make()
@@ -210,6 +215,8 @@ def test_operator_symmetry(make):
     lambda: Laplacian2D(9, 14),
     lambda: build_matern_operator((12, 10), sample_sites(12, 10, 0.3, seed=2),
                                   4.0, 4.8, tau=1e-5),
+    lambda: PreconditionedMatern(build_matern_operator(
+        (12, 10), sample_sites(12, 10, 0.3, seed=2), 4.0, 4.8, tau=1e-5)),
 ])
 def test_operator_positive_definite(make):
     op = make()
@@ -225,3 +232,62 @@ def test_dense_operator_wraps_matrix():
     np.testing.assert_allclose(op(np.array([1.0, 0.0])), [2.0, 1.0])
     with pytest.raises(ContractViolationError):
         DenseOperator(np.ones((2, 3)))
+
+
+def _dense_pivoted_cholesky(K, rank):
+    """Textbook greedy pivoted Cholesky on an assembled matrix (reference)."""
+    R = K.copy()
+    factor = []
+    for _ in range(rank):
+        p = int(np.argmax(np.diag(R)))
+        if R[p, p] <= 0:
+            break
+        col = R[:, p] / np.sqrt(R[p, p])
+        factor.append(col)
+        R = R - np.outer(col, col)
+    return np.array(factor).reshape(-1, len(K))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+def test_pivoted_cholesky_matches_dense_reference(nu):
+    sites = sample_sites(13, 17, 0.4, seed=8)
+    op = build_matern_operator((13, 17), sites, 0.4 * 17, 0.4 * 13, nu=nu, tau=1e-3)
+    kernel = op.dense_matrix() - 1e-3 * np.eye(op.dim)
+    factor = pivoted_cholesky(op, 20)
+    ref = _dense_pivoted_cholesky(kernel, 20)
+    np.testing.assert_allclose(factor.T @ factor, ref.T @ ref, atol=1e-12)
+    # the Schur complement left over is positive semidefinite
+    assert np.linalg.eigvalsh(kernel - factor.T @ factor)[0] >= -1e-12
+
+
+def test_pivoted_cholesky_stops_at_an_exhausted_residual():
+    # two sites: the second pivot exhausts the kernel, a third has nothing left
+    op = build_matern_operator((4, 4), [0, 15], 1.0, 1.0, tau=1e-3)
+    factor = pivoted_cholesky(op, 3)
+    assert factor.shape == (2, 2)
+    np.testing.assert_allclose(factor.T @ factor, op.dense_matrix() - 1e-3 * np.eye(2),
+                               atol=1e-15)
+
+
+def test_preconditioned_matern_rank_rule():
+    sites = sample_sites(90, 120, 0.1, seed=1)
+    op = build_matern_operator((90, 120), sites, 48.0, 36.0, tau=1e-5)
+    assert PreconditionedMatern(op).rank == min(PRECONDITIONER_RANK, op.dim // 4) == 256
+    small = build_matern_operator((6, 6), sample_sites(6, 6, 0.3, seed=1), 2.4, 2.4,
+                                  tau=1e-5)
+    assert PreconditionedMatern(small).rank == small.dim // 4 == 2
+
+
+def test_preconditioned_matern_rank_zero_is_scaled_matern():
+    op = build_matern_operator((5, 5), [3, 11, 20], 2.0, 2.0, tau=1e-2)
+    pre = PreconditionedMatern(op)
+    assert pre.rank == 0
+    x = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_allclose(pre(x), op(x) / 1e-2, rtol=1e-13)
+    assert pre.logdet == pytest.approx(3 * np.log(1e-2), rel=1e-15)
+
+
+def test_preconditioned_matern_needs_a_positive_nugget():
+    op = build_matern_operator((4, 4), [0, 5, 9, 12], 1.0, 1.0, tau=0.0)
+    with pytest.raises(ContractViolationError, match="tau"):
+        PreconditionedMatern(op)

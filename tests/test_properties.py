@@ -1,5 +1,5 @@
-"""Property tests: monitor prefix sums, JSON round-trips and the partial
-reorthogonalization bound."""
+"""Property tests: monitor prefix sums, JSON round-trips, the partial
+reorthogonalization bound and the identities of the Matern preconditioner."""
 
 import json
 import math
@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from slqcert.cli import CHOICES, ExperimentConfig
 from slqcert.error_estimator import ErrorMonitor, cumulative_error
 from slqcert.lanczos import lanczos_run
-from slqcert.operators import DenseOperator
+from slqcert.operators import (SUPPORTED_NU, DenseOperator, PreconditionedMatern,
+                               build_matern_operator, pivoted_cholesky)
+from slqcert.oracles import dense_logdet
 from slqcert.rational import KINDS, RationalApproximant
 
 EPS = np.finfo(float).eps
@@ -103,3 +105,38 @@ def test_partial_basis_gram_bound(seed, dim, log_cond):
                         dim - 10, "partial")
     V = state.basis()
     assert np.max(np.abs(V @ V.T - np.eye(len(V)))) <= 10 * math.sqrt(EPS)
+
+
+@st.composite
+def site_layouts(draw):
+    """(n1, n2, count): a small grid and how many of its sites to sample."""
+    n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return n1, n2, draw(st.integers(1, n1 * n2))
+
+
+@settings(max_examples=80)
+@given(layout=site_layouts(), site_seed=st.integers(0, 2**32 - 1),
+       log_tau=st.floats(-6.0, -2.0), nu=st.sampled_from(SUPPORTED_NU))
+# fewer than four sites give rank 0, where B = A / tau
+@example(layout=(2, 2, 3), site_seed=0, log_tau=-6.0, nu=2.5)
+def test_preconditioner_identities(layout, site_seed, log_tau, nu):
+    n1, n2, count = layout
+    sites = np.sort(np.random.default_rng(site_seed).choice(n1 * n2, count, replace=False))
+    tau = 10.0**log_tau
+    op = build_matern_operator((n1, n2), sites, 0.4 * n2, 0.4 * n1, nu=nu, tau=tau)
+    pre = PreconditionedMatern(op)
+    A = op.dense_matrix()
+    B = np.column_stack([pre(e) for e in np.eye(op.dim)])
+    B_sym = (B + B.T) / 2
+    # A - P is a Schur complement: the spectrum of B starts at 1
+    assert np.linalg.eigvalsh(B_sym)[0] >= 1 - 1e-9
+    # log det A = log det P + log det B, with log det P in closed form
+    logdet_B = dense_logdet(B_sym)
+    scale = abs(pre.logdet) + abs(logdet_B)
+    assert abs(pre.logdet + logdet_B - dense_logdet(A)) <= 1e-9 * scale
+    # B is P^{-1/2} A P^{-1/2} for P = L L^T + tau I from the pivoted factor;
+    # compared as P^{1/2} B P^{1/2} = A, the well-conditioned side
+    factor = pivoted_cholesky(op, pre.rank)
+    w, Q = np.linalg.eigh(factor.T @ factor + tau * np.eye(op.dim))
+    root = (Q * np.sqrt(w)) @ Q.T
+    assert np.linalg.norm(root @ B @ root - A, 2) <= 1e-9 * np.linalg.norm(A, 2)
