@@ -25,6 +25,7 @@ from .operators import (
     sample_sites,
 )
 from .lanczos import (
+    BasisBuffer,
     LanczosState,
     SymTridiagonal,
     TridiagEigen,

@@ -13,6 +13,14 @@ Reorthogonalization modes (each stores the whole basis):
 
 An orthogonalization is one pass, plus a second when the first removes most
 of the vector.
+
+A step allocates no vector of the operator's length: the operator writes
+A v_m straight into the next row of the basis, the three-term and
+orthogonalization updates run in place through BLAS (``daxpy``, ``dgemv``),
+and the row is normalized where it lies.  The basis rows live in a
+``BasisBuffer``, which grows by doubling.  A caller running many probes on
+one operator passes the same buffer to each run, so the later runs reuse
+memory that is already allocated and touched.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy, dgemv
 
 from .errors import (
     ContractViolationError,
@@ -32,6 +41,7 @@ from .operators import LinearOperator
 
 REORTH_MODES = ("none", "full", "partial")
 DEFAULT_REORTH = "partial"
+DEFAULT_M_MAX = 2000
 
 BREAKDOWN_REL_TOL = 1e-13
 
@@ -104,12 +114,45 @@ def quadrature_value(T: SymTridiagonal, f) -> float:
     return float(np.sum(eig.first_row**2 * values))
 
 
+class BasisBuffer:
+    """Rows for the Lanczos basis vectors of operators of one dimension.
+
+    A run writes its vectors into the leading rows.  The buffer grows by
+    doubling and keeps its size, so the next run on it pays no allocation or
+    first touch.  Rows past the current run's vectors hold stale vectors of
+    an earlier run; nothing reads them.
+    """
+
+    def __init__(self, dim: int):
+        self.rows = np.empty((16, dim))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def reserve(self, count: int, limit: int) -> np.ndarray:
+        """The rows, at least ``count`` of them.  A growth doubles the rows,
+        up to ``limit``; it happens only when the run fills every row, so all
+        of them are carried over."""
+        if count > len(self.rows):
+            grown = np.empty((min(max(2 * len(self.rows), count), limit), self.dim))
+            grown[: len(self.rows)] = self.rows
+            self.rows = grown
+        return self.rows
+
+
 class LanczosState:
     """State of one Lanczos run: stored basis, Jacobi coefficients, and the
-    loss-of-orthogonality recurrence (partial mode)."""
+    loss-of-orthogonality recurrence (partial mode).
+
+    The basis lives in the leading rows of ``buffer``, which the state
+    borrows: without one the state allocates its own.  A buffer shared by
+    several runs holds only the latest run's basis, so ``basis()`` of an
+    earlier state is overwritten once the next run on that buffer steps.
+    """
 
     def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
-                 m_max: int = 2000):
+                 m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None):
         if reorth_mode not in REORTH_MODES:
             raise ContractViolationError(f"unknown reorth mode {reorth_mode!r}")
         u = np.asarray(u, dtype=float)
@@ -119,6 +162,12 @@ class LanczosState:
         if u.shape != (op.dim,):
             raise ContractViolationError(
                 f"start vector shape {u.shape} does not match operator dim {op.dim}"
+            )
+        if buffer is None:
+            buffer = BasisBuffer(op.dim)
+        elif buffer.dim != op.dim:
+            raise ContractViolationError(
+                f"basis buffer of dim {buffer.dim} does not match operator dim {op.dim}"
             )
         self.op = op
         self.norm_sq = float(norm**2)
@@ -130,9 +179,8 @@ class LanczosState:
         self.breakdown = False
         self.reorth_passes = 0         # orthogonalization passes against the basis
         self._norm_estimate = 0.0
-        self._capacity = 16
-        self._basis = np.empty((self._capacity, op.dim))
-        self._basis[0] = u / norm
+        self._buffer = buffer
+        np.divide(u, norm, out=buffer.rows[0])
         self._nstored = 1
         # partial-mode state: omega rows for the two latest vectors
         self._omega_prev = np.zeros(0)
@@ -142,17 +190,7 @@ class LanczosState:
     # -- basis bookkeeping -------------------------------------------------
 
     def basis(self) -> np.ndarray:
-        return self._basis[: self._nstored]
-
-    def _append_vector(self, w, beta):
-        """Store w / beta as the next basis vector, written in place."""
-        if self._nstored == self._capacity:
-            self._capacity = min(max(2 * self._capacity, 16), max(self.m_max + 1, 16))
-            grown = np.empty((self._capacity, self.op.dim))
-            grown[: self._nstored] = self._basis[: self._nstored]
-            self._basis = grown
-        np.divide(w, beta, out=self._basis[self._nstored])
-        self._nstored += 1
+        return self._buffer.rows[: self._nstored]
 
     def tridiagonal(self, m: int | None = None) -> SymTridiagonal:
         m = self.m if m is None else m
@@ -163,10 +201,10 @@ class LanczosState:
     # -- reorthogonalization ----------------------------------------------
 
     def _orthogonalize(self, w, upto):
+        """w -= V^T (V w) in place over the first ``upto`` basis vectors."""
         self.reorth_passes += 1
-        V = self._basis[:upto]
-        w -= V.T @ (V @ w)
-        return w
+        Vt = self._buffer.rows[:upto].T    # Fortran-ordered: BLAS takes it as is
+        dgemv(-1.0, Vt, dgemv(1.0, Vt, w, trans=1), beta=1.0, y=w, overwrite_y=True)
 
     def _omega_advance(self, beta_next):
         """One row of the loss-of-orthogonality recurrence (partial mode)."""
@@ -197,14 +235,15 @@ class LanczosState:
         """max_{j<k} |v_j . v_k| against the newest vector (testing hook)."""
         if self._nstored < 2:
             return 0.0
-        V = self._basis[: self._nstored - 1]
-        return float(np.max(np.abs(V @ self._basis[self._nstored - 1])))
+        V = self.basis()
+        return float(np.max(np.abs(V[:-1] @ V[-1])))
 
 
 def lanczos_init(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
-                 m_max: int = 2000) -> LanczosState:
+                 m_max: int = DEFAULT_M_MAX,
+                 buffer: BasisBuffer | None = None) -> LanczosState:
     """Normalize the start vector; record ||u||^2 for the bilinear form."""
-    return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max)
+    return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
 
 
 def lanczos_step(state: LanczosState):
@@ -221,12 +260,13 @@ def lanczos_step(state: LanczosState):
     if state.m >= state.m_max:
         raise ContractViolationError(f"m_max={state.m_max} steps exhausted")
     k = state.m
-    v = state._basis[k]
-    w = state.op(v)
+    V = state._buffer.reserve(k + 2, limit=max(state.m_max + 1, 16))
+    v = V[k]
+    w = state.op.matvec(v, out=V[k + 1])
     alpha = float(v @ w)
-    w -= alpha * v
+    daxpy(v, w, a=-alpha)
     if k > 0:
-        w -= state.betas[k - 1] * state._basis[k - 1]
+        daxpy(V[k - 1], w, a=-state.betas[k - 1])
     state._norm_estimate = max(state._norm_estimate,
                                abs(alpha) + (state.betas[k - 1] if k > 0 else 0.0))
 
@@ -242,17 +282,18 @@ def lanczos_step(state: LanczosState):
             state._force_reorth = not state._force_reorth
             state._omega_cur[:-1] = _EPS
     if reorth:
-        w = state._orthogonalize(w, state.m)
+        state._orthogonalize(w, state.m)
         beta_before, beta = beta, float(np.linalg.norm(w))
         if beta < beta_before / math.sqrt(2.0):
-            w = state._orthogonalize(w, state.m)
+            state._orthogonalize(w, state.m)
             beta = float(np.linalg.norm(w))
 
     if beta <= BREAKDOWN_REL_TOL * max(state._norm_estimate, 1.0):
         state.breakdown = True
         return alpha, 0.0
     state.betas.append(beta)
-    state._append_vector(w, beta)
+    np.divide(w, beta, out=w)
+    state._nstored += 1
     return alpha, beta
 
 
@@ -264,16 +305,17 @@ def bilinear_estimate(state: LanczosState, f) -> float:
 
 
 def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
-                  m_max: int = 2000):
+                  m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None):
     """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
 
     beta_m is the off-diagonal above alpha_m (0 at m = 1), the pair that
     ``ErrorMonitor.advance`` takes.  The loop runs at most min(m_max, op.dim)
-    steps and ends after a breakdown step, whose quadrature is exact.
+    steps and ends after a breakdown step, whose quadrature is exact.  The
+    basis goes into ``buffer`` when one is given (see ``LanczosState``).
     """
     if m_max < 1:
         raise ContractViolationError(f"m_max must be >= 1, got {m_max}")
-    state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max)
+    state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
     beta = 0.0
     for _ in range(min(m_max, op.dim)):
         alpha, beta_next = lanczos_step(state)

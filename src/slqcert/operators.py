@@ -16,8 +16,9 @@ certified rather than estimated.  The rank is min(PRECONDITIONER_RANK,
 n // 4); the n // 4 cap keeps B away from the identity, whose probes
 would all return the same sample.
 
-Operators are immutable after construction; ``matvec`` only reads state and
-is safe to call concurrently on distinct input vectors.
+Operators are immutable after construction.  ``matvec(x, out=None)`` only
+reads operator state; with ``out`` it writes A x into that buffer and
+returns it, so concurrent calls are safe only on distinct ``out`` buffers.
 """
 
 from __future__ import annotations
@@ -32,8 +33,12 @@ from .errors import ContractViolationError, UnsupportedParameterError
 class LinearOperator:
     """Matrix-free symmetric operator: a dimension and an apply map.
 
-    Subclasses implement ``matvec``.  ``spd_hint`` asserts symmetric
-    positive-definiteness; the trace estimator requires it.
+    Subclasses implement ``matvec(x, out=None)``: A x in a fresh array, or
+    written into ``out`` and ``out`` returned.  ``out`` is a contiguous float
+    vector of length ``dim`` that does not overlap ``x``; every entry is
+    overwritten.  Calling the operator checks the shape of ``x`` and returns
+    a fresh array.  ``spd_hint`` asserts symmetric positive-definiteness; the
+    trace estimator requires it.
     """
 
     def __init__(self, dim: int, spd_hint: bool = True):
@@ -42,7 +47,7 @@ class LinearOperator:
         self.dim = int(dim)
         self.spd_hint = bool(spd_hint)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -64,8 +69,8 @@ class DenseOperator(LinearOperator):
         super().__init__(matrix.shape[0], spd_hint)
         self.matrix = matrix
 
-    def matvec(self, x):
-        return self.matrix @ x
+    def matvec(self, x, out=None):
+        return np.matmul(self.matrix, x, out=out)
 
 
 class Laplacian2D(LinearOperator):
@@ -84,14 +89,28 @@ class Laplacian2D(LinearOperator):
         self.n1 = int(n1)
         self.n2 = int(n2)
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
+        # One subtraction per neighbour over the flat vector: numpy ran these
+        # about 4x faster than over the (n2, n1 - 1) views a shift along a
+        # grid row needs (300 x 400 grid, one thread).  The flat shift by one
+        # also couples the last site of a grid row to the first of the next,
+        # so the first and last columns are recomputed after it.  Every entry
+        # gets 4 x - left - right - below - above in that order, which is the
+        # view form's result bit for bit.
+        if out is None:
+            out = np.empty(self.dim)
         X = x.reshape(self.n2, self.n1)
-        Y = 4.0 * X
-        Y[:, 1:] -= X[:, :-1]
-        Y[:, :-1] -= X[:, 1:]
-        Y[1:, :] -= X[:-1, :]
-        Y[:-1, :] -= X[1:, :]
-        return Y.reshape(-1)
+        Y = out.reshape(self.n2, self.n1)
+        np.multiply(x, 4.0, out=out)
+        out[1:] -= x[:-1]
+        np.multiply(X[1:, 0], 4.0, out=Y[1:, 0])
+        out[:-1] -= x[1:]
+        np.multiply(X[:-1, -1], 4.0, out=Y[:-1, -1])
+        if self.n1 > 1:
+            Y[:-1, -1] -= X[:-1, -2]
+        out[self.n1:] -= x[: -self.n1]
+        out[: -self.n1] -= x[self.n1:]
+        return out
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -185,8 +204,10 @@ class MaternOperator(LinearOperator):
         r = np.sqrt((d1[:, None] / ell2) ** 2 + (d2[None, :] / ell1) ** 2)
         block = matern_kernel(r, nu, tau)
         self.symbol = np.ascontiguousarray(scipy.fft.rfft2(block).real)
+        # flat positions of the sites in the (n1, 2 n2) inverse transform
+        self._gather = (sites // n2) * (2 * n2) + sites % n2
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         n1, n2 = self.grid
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[self.sites] = x
@@ -198,7 +219,8 @@ class MaternOperator(LinearOperator):
         # the 90 x 120 benchmark workload (one thread of 2 cores, scipy 1.17)
         spec = scipy.fft.ifft(spec, axis=0, overwrite_x=True)
         conv = scipy.fft.irfft(spec[:n1], n=2 * n2, axis=1)
-        return conv[:, :n2].reshape(-1)[self.sites]
+        # the indices are in range; mode "raise" would buffer a copy of out
+        return np.take(conv.reshape(-1), self._gather, out=out, mode="clip")
 
     def site_coordinates(self) -> np.ndarray:
         n2 = self.grid[1]
@@ -287,9 +309,11 @@ class PreconditionedMatern(LinearOperator):
         self.logdet = float(np.sum(np.log(s**2 + tau))
                             + (base.dim - self.rank) * np.log(tau))
 
-    def inv_sqrt(self, x: np.ndarray) -> np.ndarray:
-        """P^{-1/2} x in O(n k)."""
-        return self._inv_sqrt_tau * x + self._u @ (self._scale * (self._u.T @ x))
+    def inv_sqrt(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P^{-1/2} x in O(n k), into ``out`` when it is given."""
+        out = np.multiply(x, self._inv_sqrt_tau, out=out)
+        out += self._u @ (self._scale * (self._u.T @ x))
+        return out
 
-    def matvec(self, x):
-        return self.inv_sqrt(self.base.matvec(self.inv_sqrt(x)))
+    def matvec(self, x, out=None):
+        return self.inv_sqrt(self.base.matvec(self.inv_sqrt(x)), out=out)

@@ -22,15 +22,14 @@ import numpy as np
 from . import rational
 from .errors import CalibrationFailedError, ContractViolationError
 from .error_estimator import ErrorMonitor, lookback_check
-from .lanczos import (DEFAULT_REORTH, lanczos_run, lanczos_steps, quadrature_value,
-                      tridiag_eigen)
+from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, lanczos_run,
+                      lanczos_steps, quadrature_value, tridiag_eigen)
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_T = 0.1
-DEFAULT_M_MAX = 2000
 
 
 def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
@@ -168,7 +167,8 @@ class TraceEstimate:
 
 def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
                     delta: float, t: float = DEFAULT_T, m_max: int = DEFAULT_M_MAX,
-                    reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0):
+                    reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0,
+                    buffer: BasisBuffer | None = None):
     """Error-monitored Lanczos run for one probe vector.
 
     Returns (record, time_split); the record's value is taken at the retired
@@ -177,7 +177,8 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     quadrature is exact and the certificate is a zero error estimate.
     ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
     mode orthogonalizes only when the estimated loss of orthogonality calls
-    for it, ``full`` on every step.
+    for it, ``full`` on every step.  The basis goes into ``buffer`` when one
+    is given; the record does not depend on what the buffer held before.
     """
     u = np.asarray(u, dtype=float)
     norm_sq = float(u @ u)
@@ -188,7 +189,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     estimate = None
     converged = False
     tic = time.perf_counter()
-    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max):
+    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max, buffer):
         toc = time.perf_counter()
         t_lanczos += toc - tic
         monitor.advance(alpha, beta)
@@ -233,17 +234,20 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     Samples use deterministic per-index probe seeds, and the reduction order
     is fixed, so identical inputs reproduce the estimate bit for bit at a
     fixed BLAS thread count; the reductions inside the BLAS calls change
-    order with the thread count, which moves the last bits.
+    order with the thread count, which moves the last bits.  All samples
+    share one basis buffer, kept at the size of the longest run so far.
     """
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
+    buffer = BasisBuffer(op.dim)
     records = []
     t_approx = 0.0
     t_err = 0.0
     for i in range(N):
         u = rademacher_vector(op.dim, seed, index=i)
         rec, (ta, te) = sample_bilinear(op, f, r, u, delta, t=t, m_max=m_max,
-                                        reorth_mode=reorth_mode, index=i, seed=seed)
+                                        reorth_mode=reorth_mode, index=i, seed=seed,
+                                        buffer=buffer)
         records.append(rec)
         t_approx += ta
         t_err += te

@@ -235,7 +235,10 @@ def test_trace_matern_desk_scale(tmp_path, capsys):
     assert report["operator"]["testbed"] == "matern"
     assert report["operator"]["dim"] == round(0.2 * 16 * 12)
     assert "condition_estimate" in report["operator"]
-    assert "truth" in report  # dense logdet oracle at desk scale
+    # the truth of kind log is the Cholesky log det of the unpreconditioned A
+    sites = sample_sites(16, 12, 0.2, seed=5)
+    op = build_matern_operator((16, 12), sites, 0.4 * 12, 0.4 * 16, nu=1.5, tau=1e-4)
+    assert report["truth"] == oracles.dense_logdet(op.dense_matrix())
     # kind log runs on the preconditioned operator, whose spectrum starts at 1
     assert report["operator"]["preconditioner"]["rank"] == round(0.2 * 16 * 12) // 4
     assert report["interval"][0] == 1.0
@@ -254,6 +257,20 @@ def test_trace_matern_sqrt_is_not_preconditioned(capsys):
     report = json.loads(out)
     assert "preconditioner" not in report["operator"]
     assert report["interval"][0] == 1e-4
+
+
+@pytest.mark.parametrize("testbed,kind,source", [
+    ("laplacian", "log", {"a": "exact", "b": "exact"}),
+    ("matern", "log", {"a": "hint", "b": "ritz"}),
+    ("matern", "sqrt", {"a": "hint", "b": "ritz"}),
+])
+def test_trace_reports_where_the_interval_came_from(testbed, kind, source, capsys):
+    code, out, _ = run_cli(
+        ["trace", "--testbed", testbed, "--n1", "10", "--n2", "10",
+         "--sample-fraction", "0.3", "--kind", kind, "--n-samples", "2",
+         "--delta", "1.0", "--tau", "1e-3"], capsys)
+    assert code == 0
+    assert json.loads(out)["operator"]["interval_source"] == source
 
 
 @pytest.mark.parametrize("kind", ["log", "sqrt"])

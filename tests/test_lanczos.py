@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -318,3 +320,23 @@ def test_step_guards():
     lanczos_step(state2)
     with pytest.raises(ContractViolationError):
         lanczos_step(state2)  # m_max exhausted
+
+
+@pytest.mark.parametrize("mode", ["partial", "full"])
+def test_warm_steps_allocate_no_vector(mode):
+    # the operator writes into the next basis row and the updates run in
+    # place, so a step within the buffer's capacity allocates only O(m)
+    op = Laplacian2D(300, 400)
+    state = lanczos_init(op, rademacher_vector(op.dim, seed=4), reorth_mode=mode)
+    for _ in range(2):
+        lanczos_step(state)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in range(8):
+            lanczos_step(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.m == 10 and not state.breakdown
+    assert peak - start < op.dim * 8

@@ -16,7 +16,7 @@ from slqcert.operators import (
     sample_sites,
 )
 
-from helpers import dense_laplacian
+from helpers import dense_laplacian, random_spd
 
 
 def test_laplacian_2x2_basis_vector():
@@ -40,7 +40,18 @@ def test_laplacian_dimension_mismatch():
         Laplacian2D(3, 3)(np.ones(8))
 
 
-@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 5), (4, 4), (1, 6)])
+def _grid_view_stencil(x, n1, n2):
+    # reference: the neighbours as shifted views of the (n2, n1) grid
+    X = x.reshape(n2, n1)
+    Y = 4.0 * X
+    Y[:, 1:] -= X[:, :-1]
+    Y[:, :-1] -= X[:, 1:]
+    Y[1:, :] -= X[:-1, :]
+    Y[:-1, :] -= X[1:, :]
+    return Y.reshape(-1)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 5), (4, 4), (1, 6), (6, 1), (1, 1)])
 def test_laplacian_matches_dense_kron(n1, n2):
     op = Laplacian2D(n1, n2)
     A = dense_laplacian(n1, n2)
@@ -48,6 +59,7 @@ def test_laplacian_matches_dense_kron(n1, n2):
     for _ in range(5):
         x = rng.standard_normal(n1 * n2)
         np.testing.assert_allclose(op(x), A @ x, atol=1e-13)
+        np.testing.assert_array_equal(op(x), _grid_view_stencil(x, n1, n2))
 
 
 def test_laplacian_diagonal_is_four():
@@ -151,7 +163,7 @@ def test_matern_symbol_is_real():
 
 
 def test_matern_apply_returns_a_fresh_array():
-    # lanczos_step subtracts into the result in place
+    # without out, callers own the result and may write into it
     op = build_matern_operator((13, 17), sample_sites(13, 17, 1.0, seed=4), 6.8, 3.25)
     x = np.ones(op.dim)
     y = op(x)
@@ -185,6 +197,15 @@ def test_matern_contract_errors():
         op(np.ones(3))
 
 
+MAKERS = [
+    lambda: Laplacian2D(9, 14),
+    lambda: build_matern_operator((12, 10), sample_sites(12, 10, 0.3, seed=2),
+                                  4.0, 4.8, tau=1e-5),
+    lambda: PreconditionedMatern(build_matern_operator(
+        (12, 10), sample_sites(12, 10, 0.3, seed=2), 4.0, 4.8, tau=1e-5)),
+]
+
+
 def _symmetry_defect(op, pairs, rng):
     worst = 0.0
     scale = 0.0
@@ -197,13 +218,7 @@ def _symmetry_defect(op, pairs, rng):
     return worst, scale
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Laplacian2D(9, 14),
-    lambda: build_matern_operator((12, 10), sample_sites(12, 10, 0.3, seed=2),
-                                  4.0, 4.8, tau=1e-5),
-    lambda: PreconditionedMatern(build_matern_operator(
-        (12, 10), sample_sites(12, 10, 0.3, seed=2), 4.0, 4.8, tau=1e-5)),
-])
+@pytest.mark.parametrize("make", MAKERS)
 def test_operator_symmetry(make):
     op = make()
     rng = np.random.default_rng(17)
@@ -211,19 +226,25 @@ def test_operator_symmetry(make):
     assert worst <= 1e-10 * op.dim * max(scale, 1.0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Laplacian2D(9, 14),
-    lambda: build_matern_operator((12, 10), sample_sites(12, 10, 0.3, seed=2),
-                                  4.0, 4.8, tau=1e-5),
-    lambda: PreconditionedMatern(build_matern_operator(
-        (12, 10), sample_sites(12, 10, 0.3, seed=2), 4.0, 4.8, tau=1e-5)),
-])
+@pytest.mark.parametrize("make", MAKERS)
 def test_operator_positive_definite(make):
     op = make()
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = rng.standard_normal(op.dim)
         assert x @ op(x) > 0
+
+
+@pytest.mark.parametrize("make", MAKERS + [
+    lambda: DenseOperator(random_spd(7, np.random.default_rng(5)))])
+def test_matvec_writes_into_out(make):
+    op = make()
+    x = np.random.default_rng(29).standard_normal(op.dim)
+    x_before = x.copy()
+    out = np.full(op.dim, np.nan)
+    assert op.matvec(x, out=out) is out
+    np.testing.assert_array_equal(out, op(x))
+    np.testing.assert_array_equal(x, x_before)
 
 
 def test_dense_operator_wraps_matrix():

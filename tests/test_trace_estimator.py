@@ -248,3 +248,35 @@ def test_calibrate_delta_positive_on_laplacian():
     delta = calibrate_delta(op, "sqrt", n_pilot=8, production_n=50,
                             interval=interval, seed=4)
     assert delta > 0
+
+
+def _paired_operator(k, c=5.5):
+    # on (x + y) / sqrt 2 of each coordinate pair the operator is diag(lam), on
+    # (x - y) / sqrt 2 it is c: a Rademacher probe sees the lam of the pairs
+    # with x = y only, so its Lanczos run breaks down after a probe-dependent
+    # count of steps unless the monitor stops it first
+    lam = np.linspace(1.0, 10.0, k)
+    block = np.zeros((2 * k, 2 * k))
+    for i, mean, half in zip(range(0, 2 * k, 2), (lam + c) / 2, (lam - c) / 2):
+        block[i, i] = block[i + 1, i + 1] = mean
+        block[i, i + 1] = block[i + 1, i] = half
+    return DenseOperator(block)
+
+
+@pytest.mark.parametrize("mode", ["partial", "full"])
+def test_shared_basis_buffer_replays_fresh_runs(mode):
+    op = _paired_operator(30)
+    r = build("log", 8, (1.0, 10.0))
+    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2, reorth_mode=mode)
+    steps = [rec.steps_run for rec in est.records]
+    # a probe shorter than the one before it, a later probe that outgrows the
+    # buffer's first 16 rows, and a breakdown probe
+    assert any(b < a for a, b in zip(steps, steps[1:]))
+    assert steps[0] < 16 <= max(steps)
+    assert any(rec.error_estimate == 0.0 and rec.retired_step == rec.steps_run
+               for rec in est.records)
+    for i, rec in enumerate(est.records):
+        u = rademacher_vector(op.dim, 2, index=i)
+        fresh, _ = sample_bilinear(op, np.log, r, u, 1e-9, reorth_mode=mode,
+                                   index=i, seed=2)
+        assert fresh == rec
