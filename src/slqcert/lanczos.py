@@ -16,8 +16,11 @@ of the vector.
 
 A step allocates no vector of the operator's length: the operator writes
 A v_m straight into the next row of the basis, the three-term and
-orthogonalization updates run in place through BLAS (``daxpy``, ``dgemv``),
-and the row is normalized where it lies.  The basis rows live in a
+orthogonalization updates run in place through numpy's ``out=`` arguments
+and one work row of the buffer, and the row is normalized where it lies.
+Only numpy's BLAS is called: scipy ships its own threaded OpenBLAS, and the
+two thread pools, alternating once per update, stall each other by orders
+of magnitude when the thread count is not pinned.  The basis rows live in a
 ``BasisBuffer``, which grows by doubling.  A caller running many probes on
 one operator passes the same buffer to each run, so the later runs reuse
 memory that is already allocated and touched.
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import daxpy, dgemv
 
 from .errors import (
     ContractViolationError,
@@ -120,11 +122,12 @@ class BasisBuffer:
     A run writes its vectors into the leading rows.  The buffer grows by
     doubling and keeps its size, so the next run on it pays no allocation or
     first touch.  Rows past the current run's vectors hold stale vectors of
-    an earlier run; nothing reads them.
+    an earlier run; nothing reads them.  ``work`` is scratch for one update.
     """
 
     def __init__(self, dim: int):
         self.rows = np.empty((16, dim))
+        self.work = np.empty(dim)
 
     @property
     def dim(self) -> int:
@@ -203,8 +206,8 @@ class LanczosState:
     def _orthogonalize(self, w, upto):
         """w -= V^T (V w) in place over the first ``upto`` basis vectors."""
         self.reorth_passes += 1
-        Vt = self._buffer.rows[:upto].T    # Fortran-ordered: BLAS takes it as is
-        dgemv(-1.0, Vt, dgemv(1.0, Vt, w, trans=1), beta=1.0, y=w, overwrite_y=True)
+        V = self._buffer.rows[:upto]
+        np.subtract(w, np.matmul(V @ w, V, out=self._buffer.work), out=w)
 
     def _omega_advance(self, beta_next):
         """One row of the loss-of-orthogonality recurrence (partial mode)."""
@@ -263,10 +266,11 @@ def lanczos_step(state: LanczosState):
     V = state._buffer.reserve(k + 2, limit=max(state.m_max + 1, 16))
     v = V[k]
     w = state.op.matvec(v, out=V[k + 1])
+    work = state._buffer.work
     alpha = float(v @ w)
-    daxpy(v, w, a=-alpha)
+    np.subtract(w, np.multiply(v, alpha, out=work), out=w)
     if k > 0:
-        daxpy(V[k - 1], w, a=-state.betas[k - 1])
+        np.subtract(w, np.multiply(V[k - 1], state.betas[k - 1], out=work), out=w)
     state._norm_estimate = max(state._norm_estimate,
                                abs(alpha) + (state.betas[k - 1] if k > 0 else 0.0))
 
