@@ -295,6 +295,7 @@ def _format_table(report) -> str:
         ("half-width", f'{report["half_width"]:.4g}'),
         ("p_alpha", f'{report["p_alpha"]:.4%}'),
         ("certified", report["certified"]),
+        ("probe block size", report["block_size"]),
         ("time approximation (s)",
          f'{report["timings"]["approximation_seconds"]:.2f}'),
         ("time error estimate (s)",

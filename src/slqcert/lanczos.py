@@ -14,20 +14,37 @@ Reorthogonalization modes (each stores the whole basis):
 An orthogonalization is one pass, plus a second when the first removes most
 of the vector.
 
-A step allocates no vector of the operator's length: the operator writes
-A v_m straight into the next row of the basis, the three-term and
-orthogonalization updates run in place through numpy's ``out=`` arguments
-and one work row of the buffer, and the row is normalized where it lies.
-Only numpy's BLAS is called: scipy ships its own threaded OpenBLAS, and the
-two thread pools, alternating once per update, stall each other by orders
-of magnitude when the thread count is not pinned.  The basis rows live in a
-``BasisBuffer``, which grows by doubling.  A caller running many probes on
-one operator passes the same buffer to each run, so the later runs reuse
+A run steps one start vector, or a block of b start vectors as b columns
+that share one recurrence: each step applies the operator once to the
+(b, n) block of the active columns' newest vectors.  Vectorized over the
+block are the three-term updates, the normalization and the
+loss-of-orthogonality recurrence; elementwise, they give each column the
+numbers it would get alone.  Kept per column are the alpha inner product,
+the beta norm, the reorthogonalization (only for the columns whose estimate
+calls for it) and the breakdown test.  A column leaves the block when its
+caller clears it from ``LanczosState.active`` or it breaks down; the
+operator then sees only the active rows.  So a column's coefficients do
+not depend on the block it ran in whenever each row of the operator's
+block apply equals its vector apply.
+
+A step allocates no vector of the operator's length while the active
+columns are adjacent (a column retired from inside the block makes the
+step gather the others): the operator writes A v_m straight into the next
+row of the basis, the three-term and orthogonalization updates run in
+place through numpy's ``out=`` arguments and the work rows of the buffer,
+and the rows are normalized where they lie.  Only numpy's BLAS is called: scipy ships its
+own threaded OpenBLAS, and the two thread pools, alternating once per
+update, stall each other by orders of magnitude when the thread count is
+not pinned.  The basis lives in a ``BasisBuffer`` of chunks that never
+move: a growth appends a chunk instead of copying the basis, which keeps
+the copy off the peak memory.  A caller running many probes on one
+operator passes the same buffer to each run, so the later runs reuse
 memory that is already allocated and touched.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,6 +66,7 @@ BREAKDOWN_REL_TOL = 1e-13
 
 _EPS = np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
+_NOISE = _EPS * 0.3          # the rounding noise of one omega update, per unit beta
 
 
 @dataclass
@@ -117,41 +135,74 @@ def quadrature_value(T: SymTridiagonal, f) -> float:
 
 
 class BasisBuffer:
-    """Rows for the Lanczos basis vectors of operators of one dimension.
+    """Rows of Lanczos basis vectors for runs on operators of one dimension.
 
-    A run writes its vectors into the leading rows.  The buffer grows by
-    doubling and keeps its size, so the next run on it pays no allocation or
-    first touch.  Rows past the current run's vectors hold stale vectors of
-    an earlier run; nothing reads them.  ``work`` is scratch for one update.
+    Row k is a (width, dim) block: the k-th basis vector of each of up to
+    ``width`` columns.  The rows live in chunks that never move: the first
+    holds 16 rows and each later one as many as all before it, up to the
+    caller's limit, so row k lies in the same chunk for every run and a
+    growth copies nothing.  The buffer keeps its chunks, so the next run on
+    it pays no allocation or first touch.  Rows past the current run's
+    vectors hold stale vectors of an earlier run; nothing reads them.
+    ``work`` is scratch for one block update.
     """
 
-    def __init__(self, dim: int):
-        self.rows = np.empty((16, dim))
-        self.work = np.empty(dim)
+    FIRST_CHUNK = 16
+
+    def __init__(self, dim: int, width: int = 1):
+        self.chunks: list = []
+        self.starts: list = []          # the first row of each chunk
+        self.work = np.empty((width, dim))
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[1]
+        return self.work.shape[1]
 
-    def reserve(self, count: int, limit: int) -> np.ndarray:
-        """The rows, at least ``count`` of them.  A growth doubles the rows,
-        up to ``limit``; it happens only when the run fills every row, so all
-        of them are carried over."""
-        if count > len(self.rows):
-            grown = np.empty((min(max(2 * len(self.rows), count), limit), self.dim))
-            grown[: len(self.rows)] = self.rows
-            self.rows = grown
-        return self.rows
+    @property
+    def width(self) -> int:
+        return self.work.shape[0]
+
+    @property
+    def capacity(self) -> int:
+        return self.starts[-1] + len(self.chunks[-1]) if self.chunks else 0
+
+    def reserve(self, count: int, limit: int):
+        """Chunks for at least ``count`` rows; a new chunk stops at ``limit``
+        rows in all unless ``count`` needs more."""
+        while self.capacity < count:
+            have = self.capacity
+            size = min(max(have, self.FIRST_CHUNK), max(limit, count) - have)
+            self.starts.append(have)
+            self.chunks.append(np.empty((size, self.width, self.dim)))
+
+    def row(self, k: int) -> np.ndarray:
+        c = bisect.bisect_right(self.starts, k) - 1
+        return self.chunks[c][k - self.starts[c]]
+
+    def column(self, j: int, count: int) -> list:
+        """Views of rows 0 .. count - 1 of column j, one (rows, dim) view per chunk."""
+        return [chunk[: count - start, j]
+                for start, chunk in zip(self.starts, self.chunks) if start < count]
 
 
 class LanczosState:
-    """State of one Lanczos run: stored basis, Jacobi coefficients, and the
-    loss-of-orthogonality recurrence (partial mode).
+    """State of one Lanczos run of one or more columns: the stored basis, the
+    Jacobi coefficients and the loss-of-orthogonality recurrence (partial
+    mode).
 
-    The basis lives in the leading rows of ``buffer``, which the state
-    borrows: without one the state allocates its own.  A buffer shared by
-    several runs holds only the latest run's basis, so ``basis()`` of an
-    earlier state is overwritten once the next run on that buffer steps.
+    A 1-D start vector gives a single run: ``norm_sq``, ``breakdown`` and
+    ``reorth_passes`` are scalars, ``alphas``, ``betas`` and ``basis()`` are
+    those of the one column, and ``lanczos_step`` returns floats.  A (b, n)
+    block gives b columns: those attributes are arrays over the columns,
+    ``steps[j]`` counts the steps of column j and ``m`` the steps of the
+    block.  ``active`` marks the columns the next step advances; a caller
+    clears an entry to retire that column, and ``lanczos_steps`` clears it
+    after the column's breakdown step.
+
+    The basis lives in ``buffer``, which the state borrows: without one the
+    state allocates its own.  A buffer shared by several runs holds only the
+    latest run's basis, so ``basis()`` of an earlier state is overwritten
+    once the next run on that buffer steps.
     """
 
     def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
@@ -159,150 +210,219 @@ class LanczosState:
         if reorth_mode not in REORTH_MODES:
             raise ContractViolationError(f"unknown reorth mode {reorth_mode!r}")
         u = np.asarray(u, dtype=float)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            raise ContractViolationError("Lanczos start vector must be nonzero")
-        if u.shape != (op.dim,):
+        block = u.reshape(1, -1) if u.ndim == 1 else u
+        if block.ndim != 2 or block.shape[1] != op.dim or len(block) == 0:
             raise ContractViolationError(
                 f"start vector shape {u.shape} does not match operator dim {op.dim}"
             )
+        norms = [np.linalg.norm(row) for row in block]
+        if min(norms) == 0.0:
+            raise ContractViolationError("Lanczos start vector must be nonzero")
+        b = len(block)
         if buffer is None:
-            buffer = BasisBuffer(op.dim)
-        elif buffer.dim != op.dim:
+            buffer = BasisBuffer(op.dim, b)
+        elif buffer.dim != op.dim or buffer.width < b:
             raise ContractViolationError(
-                f"basis buffer of dim {buffer.dim} does not match operator dim {op.dim}"
+                f"basis buffer of dim {buffer.dim} and width {buffer.width} does not "
+                f"hold {b} columns of dim {op.dim}"
             )
         self.op = op
-        self.norm_sq = float(norm**2)
+        self.single = u.ndim == 1
         self.reorth_mode = reorth_mode
         self.m_max = int(m_max)
         self.m = 0
-        self.alphas: list = []
-        self.betas: list = []          # betas[j] = beta_{j+2}
-        self.breakdown = False
-        self.reorth_passes = 0         # orthogonalization passes against the basis
-        self._norm_estimate = 0.0
+        self.steps = np.zeros(b, dtype=int)
+        self.active = np.ones(b, dtype=bool)
+        cap = max(1, min(self.m_max, op.dim))
+        self._norm_sq = np.array([float(norm**2) for norm in norms])
+        self._alphas = np.zeros((b, cap))       # _alphas[:, j] = alpha_{j+1}
+        self._betas = np.zeros((b, cap + 1))    # _betas[:, j] = beta_{j+1}; beta_1 = 0
+        self._breakdown = np.zeros(b, dtype=bool)
+        self._reorth_passes = np.zeros(b, dtype=int)   # passes against the basis
+        self._norm_estimate = np.zeros(b)
         self._buffer = buffer
-        np.divide(u, norm, out=buffer.rows[0])
-        self._nstored = 1
-        # partial-mode state: omega rows for the two latest vectors
-        self._omega_prev = np.zeros(0)
-        self._omega_cur = np.ones(1)
-        self._force_reorth = False
+        self._row_limit = max(self.m_max + 1, BasisBuffer.FIRST_CHUNK)
+        buffer.reserve(1, self._row_limit)
+        np.divide(block, np.array(norms)[:, None], out=buffer.row(0)[:b])
+        # partial-mode state: omega rows of each column for its two latest
+        # vectors, entry j in column j + 1 behind a column of zeros
+        self._omega_prev = np.zeros((b, cap + 2))
+        self._omega_cur = np.zeros((b, cap + 2))
+        self._omega_cur[:, 1] = 1.0
+        self._force_reorth = np.zeros(b, dtype=bool)
+
+    # -- per-column views --------------------------------------------------
+
+    def _per_column(self, values):
+        return values[0].item() if self.single else values
+
+    @property
+    def norm_sq(self):
+        return self._per_column(self._norm_sq)
+
+    @property
+    def breakdown(self):
+        return self._per_column(self._breakdown)
+
+    @property
+    def reorth_passes(self):
+        return self._per_column(self._reorth_passes)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return self._alphas[0, : self.m] if self.single else self._alphas[:, : self.m]
+
+    @property
+    def betas(self) -> np.ndarray:
+        if self.single:
+            return self._betas[0, 1 : self.m + 1 - int(self._breakdown[0])]
+        return self._betas[:, 1 : self.m + 1]
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def basis(self) -> np.ndarray:
-        return self._buffer.rows[: self._nstored]
+    def basis(self, column: int = 0) -> np.ndarray:
+        """A copy of the column's stored basis vectors, one per row."""
+        stored = self.steps[column] + (not self._breakdown[column])
+        return np.concatenate(self._buffer.column(column, stored))
 
-    def tridiagonal(self, m: int | None = None) -> SymTridiagonal:
-        m = self.m if m is None else m
-        if not 1 <= m <= self.m:
+    def tridiagonal(self, m: int | None = None, column: int = 0) -> SymTridiagonal:
+        m = self.steps[column] if m is None else m
+        if not 1 <= m <= self.steps[column]:
             raise ContractViolationError(f"no Jacobi matrix of order {m} available")
-        return SymTridiagonal(np.array(self.alphas[:m]), np.array(self.betas[: m - 1]))
+        return SymTridiagonal(self._alphas[column, :m].copy(),
+                              self._betas[column, 1:m].copy())
 
     # -- reorthogonalization ----------------------------------------------
 
-    def _orthogonalize(self, w, upto):
-        """w -= V^T (V w) in place over the first ``upto`` basis vectors."""
-        self.reorth_passes += 1
-        V = self._buffer.rows[:upto]
-        np.subtract(w, np.matmul(V @ w, V, out=self._buffer.work), out=w)
+    def _orthogonalize(self, column: int, w):
+        """w -= V^T (V w) in place over the column's first m basis vectors,
+        with V taken chunk by chunk."""
+        self._reorth_passes[column] += 1
+        parts = self._buffer.column(column, self.m)
+        coeffs = [V @ w for V in parts]
+        work = self._buffer.work[0]
+        for V, c in zip(parts, coeffs):
+            np.subtract(w, np.matmul(c, V, out=work), out=w)
 
-    def _omega_advance(self, beta_next):
-        """One row of the loss-of-orthogonality recurrence (partial mode)."""
+    def _omega_advance(self, sel, beta_next) -> np.ndarray:
+        """One row of the loss-of-orthogonality recurrence (partial mode) for
+        the active columns, which ``sel`` selects; returns which of them to
+        reorthogonalize."""
         k = self.m            # just completed step k >= 1, have omega rows k-1, k
-        alphas, betas = self.alphas, self.betas
-        beta_next = max(beta_next, 1e-300)
-        omega_new = np.empty(k + 1)
-        omega_new[k] = 1.0
+        beta_next = np.maximum(beta_next, 1e-300)[:, None]
+        # the new row replaces row k-1; a gathered set is written back below
+        cur = self._omega_cur[sel, : k + 2]
+        new = self._omega_prev[sel, : k + 2]
+        if k >= 2:
+            alphas = self._alphas[sel, :k]
+            betas = self._betas[sel, :k]                 # beta_1 = 0, ..., beta_k
+            new[:, 1:k] = (
+                betas[:, 1:] * cur[:, 2:k + 1]
+                + (alphas[:, :-1] - alphas[:, -1:]) * cur[:, 1:k]
+                + betas[:, :-1] * cur[:, : k - 1]
+                - betas[:, -1:] * new[:, 1:k]
+            ) / beta_next + _NOISE * (betas[:, 1:] + beta_next)
         # local loss eps ||A|| / beta_{k+1}; beta_2 in place of ||A|| misses it
         # when the whole spectrum is narrow
-        omega_new[k - 1] = _EPS * self.op.dim * self._norm_estimate / beta_next
-        if k >= 2:
-            beta_j1 = np.array(betas[:k - 1])        # beta_{j+2} linking j+1,j+2
-            omega_down = np.concatenate([[0.0], self._omega_cur[: k - 2]])
-            beta_jm = np.concatenate([[0.0], betas[: k - 2]])
-            alpha_j = np.array(alphas[: k - 1])
-            noise = _EPS * 0.3 * (beta_j1 + beta_next)
-            omega_new[: k - 1] = (
-                beta_j1 * self._omega_cur[1:k]
-                + (alpha_j - alphas[k - 1]) * self._omega_cur[:k - 1]
-                + beta_jm * omega_down
-                - betas[k - 2] * self._omega_prev[: k - 1]
-            ) / beta_next + noise
-        self._omega_prev = self._omega_cur
-        self._omega_cur = omega_new
+        new[:, k] = _EPS * self.op.dim * self._norm_estimate[sel] / beta_next[:, 0]
+        new[:, k + 1] = 1.0
+        reorth = self._force_reorth[sel] | (np.abs(new[:, 1:k + 1]).max(axis=1) > _SQRT_EPS)
+        if np.count_nonzero(reorth):
+            self._force_reorth[sel] ^= reorth
+            new[reorth, 1:k + 1] = _EPS
+        if isinstance(sel, np.ndarray):
+            self._omega_prev[sel, : k + 2] = new
+        self._omega_prev, self._omega_cur = self._omega_cur, self._omega_prev
+        return reorth
 
     def max_basis_inner_product(self) -> float:
         """max_{j<k} |v_j . v_k| against the newest vector (testing hook)."""
-        if self._nstored < 2:
-            return 0.0
         V = self.basis()
+        if len(V) < 2:
+            return 0.0
         return float(np.max(np.abs(V[:-1] @ V[-1])))
 
 
 def lanczos_init(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
                  m_max: int = DEFAULT_M_MAX,
                  buffer: BasisBuffer | None = None) -> LanczosState:
-    """Normalize the start vector; record ||u||^2 for the bilinear form."""
+    """Normalize the start vector(s); record ||u||^2 for the bilinear form."""
     return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
 
 
 def lanczos_step(state: LanczosState):
-    """One Lanczos step: returns (alpha_m, beta_{m+1}).
+    """One Lanczos step of every active column: returns (alpha_m, beta_{m+1}).
 
-    On breakdown (beta below the scale-aware tolerance) the subspace is
-    invariant and the quadrature exact: the state is flagged, beta_{m+1} = 0
-    is returned, and no further step is allowed.
+    These are floats for a single run and arrays over the columns for a
+    block, 0 for the columns that did not step.  On breakdown (beta below
+    the scale-aware tolerance) the column's subspace is invariant and its
+    quadrature exact: the column is flagged, its beta_{m+1} is 0, and it
+    takes no further step.
     """
-    if state.breakdown:
+    idx = state.active.nonzero()[0]
+    if len(idx) == 0:
+        raise ContractViolationError("no active column to step")
+    if np.count_nonzero(state._breakdown[idx]):
         raise ContractViolationError("Lanczos run already terminated by breakdown")
-    if state.m >= state.op.dim:
-        raise ContractViolationError("cannot exceed the operator dimension")
-    if state.m >= state.m_max:
-        raise ContractViolationError(f"m_max={state.m_max} steps exhausted")
     k = state.m
-    V = state._buffer.reserve(k + 2, limit=max(state.m_max + 1, 16))
-    v = V[k]
-    w = state.op.matvec(v, out=V[k + 1])
-    work = state._buffer.work
-    alpha = float(v @ w)
-    np.subtract(w, np.multiply(v, alpha, out=work), out=w)
+    if k >= state.op.dim:
+        raise ContractViolationError("cannot exceed the operator dimension")
+    if k >= state.m_max:
+        raise ContractViolationError(f"m_max={state.m_max} steps exhausted")
+    # a contiguous run of active columns is a view of the rows; any other
+    # set is gathered, and its new vectors are scattered back at the end
+    contiguous = idx[-1] - idx[0] + 1 == len(idx)
+    sel = slice(idx[0], idx[-1] + 1) if contiguous else idx
+    buffer = state._buffer
+    if buffer.capacity < k + 2:
+        buffer.reserve(k + 2, state._row_limit)
+    V = buffer.row(k)[sel]
+    W = buffer.row(k + 1)[sel] if contiguous else np.empty_like(V)
+    state.op.matvec(V, out=W)
+    work = buffer.work[: len(idx)]
+    alpha = np.array([v @ w for v, w in zip(V, W)])
+    np.subtract(W, np.multiply(V, alpha[:, None], out=work), out=W)
+    beta_prev = state._betas[sel, k]
     if k > 0:
-        np.subtract(w, np.multiply(V[k - 1], state.betas[k - 1], out=work), out=w)
-    state._norm_estimate = max(state._norm_estimate,
-                               abs(alpha) + (state.betas[k - 1] if k > 0 else 0.0))
+        np.subtract(W, np.multiply(buffer.row(k - 1)[sel], beta_prev[:, None], out=work),
+                    out=W)
+    norm_estimate = np.maximum(state._norm_estimate[sel], np.abs(alpha) + beta_prev)
+    state._norm_estimate[sel] = norm_estimate
 
-    beta = float(np.linalg.norm(w))
-    state.alphas.append(alpha)
+    beta = np.array([np.linalg.norm(w) for w in W])
+    state._alphas[sel, k] = alpha
     state.m += 1
+    state.steps[sel] += 1
 
-    reorth = state.reorth_mode == "full"
     if state.reorth_mode == "partial":
-        state._omega_advance(beta)
-        reorth = state._force_reorth or np.max(np.abs(state._omega_cur[:-1])) > _SQRT_EPS
-        if reorth:
-            state._force_reorth = not state._force_reorth
-            state._omega_cur[:-1] = _EPS
-    if reorth:
-        state._orthogonalize(w, state.m)
-        beta_before, beta = beta, float(np.linalg.norm(w))
-        if beta < beta_before / math.sqrt(2.0):
-            state._orthogonalize(w, state.m)
-            beta = float(np.linalg.norm(w))
+        reorth = state._omega_advance(sel, beta)
+    else:
+        reorth = np.full(len(idx), state.reorth_mode == "full")
+    if np.count_nonzero(reorth):
+        for i in np.flatnonzero(reorth):
+            state._orthogonalize(idx[i], W[i])
+            beta_before, beta[i] = beta[i], np.linalg.norm(W[i])
+            if beta[i] < beta_before / math.sqrt(2.0):
+                state._orthogonalize(idx[i], W[i])
+                beta[i] = np.linalg.norm(W[i])
 
-    if beta <= BREAKDOWN_REL_TOL * max(state._norm_estimate, 1.0):
-        state.breakdown = True
-        return alpha, 0.0
-    state.betas.append(beta)
-    np.divide(w, beta, out=w)
-    state._nstored += 1
-    return alpha, beta
+    broke = beta <= BREAKDOWN_REL_TOL * np.maximum(norm_estimate, 1.0)
+    if np.count_nonzero(broke):
+        state._breakdown[idx[broke]] = True
+        beta[broke] = 0.0
+        np.divide(W, np.where(broke, 1.0, beta)[:, None], out=W)
+    else:
+        np.divide(W, beta[:, None], out=W)
+    state._betas[sel, k + 1] = beta
+    if not contiguous:
+        buffer.row(k + 1)[idx] = W
+    if state.single:
+        return float(alpha[0]), float(beta[0])
+    return state._alphas[:, k].copy(), state._betas[:, k + 1].copy()
 
 
 def bilinear_estimate(state: LanczosState, f) -> float:
-    """||u||^2 e1^T f(T_m) e1 for the current Jacobi matrix."""
+    """||u||^2 e1^T f(T_m) e1 for the current Jacobi matrix of a single run."""
     if state.m < 1:
         raise ContractViolationError("no Lanczos steps taken yet")
     return state.norm_sq * quadrature_value(state.tridiagonal(), f)
@@ -313,18 +433,22 @@ def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
     """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
 
     beta_m is the off-diagonal above alpha_m (0 at m = 1), the pair that
-    ``ErrorMonitor.advance`` takes.  The loop runs at most min(m_max, op.dim)
-    steps and ends after a breakdown step, whose quadrature is exact.  The
+    ``ErrorMonitor.advance`` takes; for a (b, n) block of start vectors both
+    are arrays over the columns.  The loop runs at most min(m_max, op.dim)
+    steps and retires a column after its breakdown step, whose quadrature is
+    exact; the caller may retire a column between steps by clearing its
+    ``state.active`` entry.  The loop ends when no column is active.  The
     basis goes into ``buffer`` when one is given (see ``LanczosState``).
     """
     if m_max < 1:
         raise ContractViolationError(f"m_max must be >= 1, got {m_max}")
     state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
-    beta = 0.0
+    beta = 0.0 if state.single else np.zeros(len(state.steps))
     for _ in range(min(m_max, op.dim)):
         alpha, beta_next = lanczos_step(state)
         yield state, alpha, beta
-        if state.breakdown:
+        state.active &= ~state._breakdown
+        if not np.count_nonzero(state.active):
             return
         beta = beta_next
 

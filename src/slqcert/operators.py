@@ -19,6 +19,7 @@ would all return the same sample.
 Operators are immutable after construction.  ``matvec(x, out=None)`` only
 reads operator state; with ``out`` it writes A x into that buffer and
 returns it, so concurrent calls are safe only on distinct ``out`` buffers.
+``x`` is one vector or a (b, n) block of b vectors, one per row.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ from .errors import ContractViolationError, UnsupportedParameterError
 class LinearOperator:
     """Matrix-free symmetric operator: a dimension and an apply map.
 
-    Subclasses implement ``matvec(x, out=None)``: A x in a fresh array, or
-    written into ``out`` and ``out`` returned.  ``out`` is a contiguous float
-    vector of length ``dim`` that does not overlap ``x``; every entry is
-    overwritten.  Calling the operator checks the shape of ``x`` and returns
-    a fresh array.  ``spd_hint`` asserts symmetric positive-definiteness; the
-    trace estimator requires it.
+    ``matvec(x, out=None)`` takes a vector of length ``dim`` or a (b, dim)
+    block whose rows are b vectors, and gives A x (row by row for a block)
+    in a fresh array, or written into ``out`` and ``out`` returned.  ``out``
+    has the shape of ``x``, its rows are contiguous, it does not overlap
+    ``x``, and every entry is overwritten.  Rows are independent: a row of
+    the result does not depend on the other rows of the block.
+
+    Subclasses implement either ``_apply(x, out)`` for one vector, and
+    inherit a ``matvec`` that applies it to each row of a block, or
+    ``matvec`` itself.  Calling the operator checks the shape of ``x`` and
+    returns a fresh array.  ``spd_hint`` asserts symmetric
+    positive-definiteness; the trace estimator requires it.
     """
 
     def __init__(self, dim: int, spd_hint: bool = True):
@@ -48,13 +55,22 @@ class LinearOperator:
         self.spd_hint = bool(spd_hint)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if x.ndim == 1:
+            return self._apply(x, out)
+        if out is None:
+            out = np.empty(x.shape)
+        for row, row_out in zip(x, out):
+            self._apply(row, row_out)
+        return out
+
+    def _apply(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ContractViolationError(
-                f"operator of dim {self.dim} applied to vector of shape {x.shape}"
+                f"operator of dim {self.dim} applied to an array of shape {x.shape}"
             )
         return self.matvec(x)
 
@@ -69,7 +85,7 @@ class DenseOperator(LinearOperator):
         super().__init__(matrix.shape[0], spd_hint)
         self.matrix = matrix
 
-    def matvec(self, x, out=None):
+    def _apply(self, x, out):
         return np.matmul(self.matrix, x, out=out)
 
 
@@ -96,20 +112,22 @@ class Laplacian2D(LinearOperator):
         # also couples the last site of a grid row to the first of the next,
         # so the first and last columns are recomputed after it.  Every entry
         # gets 4 x - left - right - below - above in that order, which is the
-        # view form's result bit for bit.
+        # view form's result bit for bit.  A block runs the same elementwise
+        # updates along its last axis, so each row equals its own apply.
         if out is None:
-            out = np.empty(self.dim)
-        X = x.reshape(self.n2, self.n1)
-        Y = out.reshape(self.n2, self.n1)
-        np.multiply(x, 4.0, out=out)
-        out[1:] -= x[:-1]
-        np.multiply(X[1:, 0], 4.0, out=Y[1:, 0])
-        out[:-1] -= x[1:]
-        np.multiply(X[:-1, -1], 4.0, out=Y[:-1, -1])
-        if self.n1 > 1:
-            Y[:-1, -1] -= X[:-1, -2]
-        out[self.n1:] -= x[: -self.n1]
-        out[: -self.n1] -= x[self.n1:]
+            out = np.empty(x.shape)
+        n1, n2 = self.n1, self.n2
+        x2, y2 = x.reshape(-1, self.dim), out.reshape(-1, self.dim)
+        X, Y = x.reshape(-1, n2, n1), out.reshape(-1, n2, n1)
+        np.multiply(x2, 4.0, out=y2)
+        y2[:, 1:] -= x2[:, :-1]
+        np.multiply(X[:, 1:, 0], 4.0, out=Y[:, 1:, 0])
+        y2[:, :-1] -= x2[:, 1:]
+        np.multiply(X[:, :-1, -1], 4.0, out=Y[:, :-1, -1])
+        if n1 > 1:
+            Y[:, :-1, -1] -= X[:, :-1, -2]
+        y2[:, n1:] -= x2[:, :-n1]
+        y2[:, :-n1] -= x2[:, n1:]
         return out
 
 
@@ -207,7 +225,7 @@ class MaternOperator(LinearOperator):
         # flat positions of the sites in the (n1, 2 n2) inverse transform
         self._gather = (sites // n2) * (2 * n2) + sites % n2
 
-    def matvec(self, x, out=None):
+    def _apply(self, x, out):
         n1, n2 = self.grid
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[self.sites] = x
@@ -288,7 +306,12 @@ class PreconditionedMatern(LinearOperator):
 
     both exact; only U and the k scale factors are kept.  Every eigenvalue
     of B is at least 1 (see the module docstring).  An apply costs one
-    Matern apply plus O(n k); at k = 0, B = A / tau.
+    Matern apply plus O(n k); at k = 0, B = A / tau.  On a (b, n) block
+    P^{-1/2} is one (b, n) (n, k) and one (b, k) (k, n) product, which
+    streams U once per block instead of once per vector; the Matern apply
+    stays row by row, since a block FFT along the leading axis was slower
+    per vector than one FFT at a time.  A block row agrees with the
+    vector apply to roundoff, not bit for bit.
     """
 
     def __init__(self, base: MaternOperator):
@@ -310,9 +333,9 @@ class PreconditionedMatern(LinearOperator):
                             + (base.dim - self.rank) * np.log(tau))
 
     def inv_sqrt(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P^{-1/2} x in O(n k), into ``out`` when it is given."""
+        """P^{-1/2} x in O(n k) per vector, into ``out`` when it is given."""
         out = np.multiply(x, self._inv_sqrt_tau, out=out)
-        out += self._u @ (self._scale * (self._u.T @ x))
+        out += (x @ self._u) * self._scale @ self._u.T
         return out
 
     def matvec(self, x, out=None):

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rational
-from .errors import CalibrationFailedError, ContractViolationError
+from .errors import (CalibrationFailedError, ContractViolationError,
+                     NumericalFailureError, QuadratureDomainError)
 from .error_estimator import ErrorMonitor, lookback_check
 from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, lanczos_run,
                       lanczos_steps, quadrature_value, tridiag_eigen)
@@ -30,6 +31,17 @@ from .rational import RationalApproximant, kind_function
 DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_T = 0.1
+
+# Probes run in blocks of b = min(N, max(1, PROBE_BLOCK_ELEMENTS // n)): the
+# four block rows a Lanczos step touches (v_{m-1}, v_m, A v_m and the work
+# rows) then take at most 1 MiB, half of a 2 MiB L2, and an operator of
+# dimension above 2^15, whose basis alone is tens of MB per probe, runs one
+# probe at a time.
+PROBE_BLOCK_ELEMENTS = 2**15
+
+# the errors that end one probe's run without ending the others'
+# (PivotBreakdownError is a NumericalFailureError)
+SAMPLE_FAILURES = (QuadratureDomainError, NumericalFailureError)
 
 
 def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
@@ -56,6 +68,11 @@ def confidence_half_width(s: float, N: int, delta: float, alpha: float) -> float
     if s < 0 or delta < 0:
         raise ContractViolationError("s and delta must be nonnegative")
     return (alpha / np.sqrt(N)) * (s + delta * np.sqrt(N / (N - 1.0))) + delta
+
+
+def probe_block_size(N: int, dim: int) -> int:
+    """The number of probes ``estimate_trace_with`` steps together."""
+    return min(N, max(1, PROBE_BLOCK_ELEMENTS // dim))
 
 
 def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = None,
@@ -88,7 +105,8 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = No
 @dataclass
 class SampleRecord:
     """One probe's outcome: the bilinear value at the retired step and the
-    certificate the monitor produced for it."""
+    certificate the monitor produced for it.  ``failure`` names the error
+    that ended a failed probe, whose value is NaN."""
 
     index: int
     value: float
@@ -99,6 +117,7 @@ class SampleRecord:
     converged: bool
     sign_flips: int = 0
     reorth_passes: int = 0
+    failure: str | None = None
 
 
 @dataclass
@@ -123,6 +142,7 @@ class TraceEstimate:
     certified: bool = True
     time_approx: float = 0.0
     time_error_estimate: float = 0.0
+    block_size: int = 1
 
     def to_json_dict(self):
         return {
@@ -140,6 +160,7 @@ class TraceEstimate:
             "seed": self.seed,
             "interval": list(self.interval),
             "reorth_mode": self.reorth_mode,
+            "block_size": self.block_size,
             "certified": self.certified,
             "average_steps": float(np.mean([r.steps_run for r in self.records])),
             "average_retired_step": float(np.mean([r.retired_step for r in self.records])),
@@ -148,79 +169,108 @@ class TraceEstimate:
                 "approximation_seconds": self.time_approx,
                 "error_estimate_seconds": self.time_error_estimate,
             },
-            "per_sample": [
-                {
-                    "index": r.index,
-                    "value": r.value,
-                    "steps_run": r.steps_run,
-                    "retired_step": r.retired_step,
-                    "error_estimate": r.error_estimate,
-                    "seed": r.seed,
-                    "converged": r.converged,
-                    "sign_flips": r.sign_flips,
-                    "reorth_passes": r.reorth_passes,
-                }
-                for r in self.records
-            ],
+            "per_sample": [_sample_json(r) for r in self.records],
         }
+
+
+def _sample_json(r: SampleRecord) -> dict:
+    sample = {
+        "index": r.index,
+        "value": r.value,
+        "steps_run": r.steps_run,
+        "retired_step": r.retired_step,
+        "error_estimate": r.error_estimate,
+        "seed": r.seed,
+        "converged": r.converged,
+        "sign_flips": r.sign_flips,
+        "reorth_passes": r.reorth_passes,
+    }
+    if r.failure is not None:
+        sample["failure"] = r.failure
+    return sample
 
 
 def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
                     delta: float, t: float = DEFAULT_T, m_max: int = DEFAULT_M_MAX,
                     reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0,
                     buffer: BasisBuffer | None = None):
-    """Error-monitored Lanczos run for one probe vector.
+    """Error-monitored Lanczos runs for one probe vector or a (b, n) block.
 
-    Returns (record, time_split); the record's value is taken at the retired
-    step with f itself (not r) on the Ritz values.  Hitting m_max yields a
-    flagged, unconverged record instead of an exception.  On breakdown the
-    quadrature is exact and the certificate is a zero error estimate.
-    ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
-    mode orthogonalizes only when the estimated loss of orthogonality calls
-    for it, ``full`` on every step.  The basis goes into ``buffer`` when one
-    is given; the record does not depend on what the buffer held before.
+    Returns (record, time_split) for one probe and (records, time_split)
+    for a block, whose row j gets index ``index + j``.  A block's probes
+    share one Lanczos recurrence, each with its own ErrorMonitor, and a
+    probe leaves the block when its monitor converges, its run breaks down
+    or it reaches m_max.  A record therefore equals the probe's own run: bit
+    for bit when each row of the operator's block apply equals its vector
+    apply (every operator here but ``PreconditionedMatern``), to roundoff
+    otherwise.  A record's value is taken at the retired step with f itself
+    (not r) on the Ritz values.  Hitting m_max yields a flagged, unconverged
+    record instead of an exception.  On breakdown the quadrature is exact
+    and the certificate is a zero error estimate.  A probe whose pole
+    recurrence, eigensolver or quadrature raises one of SAMPLE_FAILURES
+    retires unconverged, with a NaN value and the error in ``failure``; the
+    other probes go on.  ``reorth_mode`` is one of ``lanczos.REORTH_MODES``:
+    the default partial mode orthogonalizes only when the estimated loss of
+    orthogonality calls for it, ``full`` on every step.  The basis goes into
+    ``buffer`` when one is given; the records do not depend on what the
+    buffer held before.
     """
     u = np.asarray(u, dtype=float)
-    norm_sq = float(u @ u)
-    monitor = ErrorMonitor(r, delta / norm_sq, t)
+    block = np.atleast_2d(u)
+    norm_sq = [float(row @ row) for row in block]
+    monitors = [ErrorMonitor(r, delta / nsq, t) for nsq in norm_sq]
+    ends = {}                    # column -> (retired step, estimate, converged, failure)
     t_lanczos = 0.0
     t_monitor = 0.0
-    retired = None
-    estimate = None
-    converged = False
     tic = time.perf_counter()
-    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max, buffer):
+    for state, alpha, beta in lanczos_steps(op, block, reorth_mode, m_max, buffer):
         toc = time.perf_counter()
         t_lanczos += toc - tic
-        monitor.advance(alpha, beta)
-        result = lookback_check(monitor)
+        for j in state.active.nonzero()[0].tolist():
+            monitor = monitors[j]
+            try:
+                monitor.advance(float(alpha[j]), float(beta[j]))
+                result = lookback_check(monitor)
+            except SAMPLE_FAILURES as exc:
+                ends[j] = (state.steps[j], None, False, f"{type(exc).__name__}: {exc}")
+            else:
+                if state.breakdown[j]:
+                    # invariant subspace found: the quadrature at T_m is exact
+                    ends[j] = (state.steps[j], 0.0, True, None)
+                elif result.converged:
+                    ends[j] = (result.retired_step, result.estimate, True, None)
+                else:
+                    continue
+            state.active[j] = False
         tic = time.perf_counter()
         t_monitor += tic - toc
-        if state.breakdown:
-            # invariant subspace found: the quadrature at T_m is exact
-            retired, estimate, converged = state.m, 0.0, True
-            break
-        if result.converged:
-            retired, estimate, converged = result.retired_step, result.estimate, True
-            break
-    if retired is None:
-        retired = state.m
-        estimate = monitor.history[-1] if monitor.history else np.inf
     tic = time.perf_counter()
-    value = norm_sq * quadrature_value(state.tridiagonal(retired), f)
+    records = []
+    for j, monitor in enumerate(monitors):
+        retired, estimate, converged, failure = ends.get(j, (state.steps[j], None, False,
+                                                             None))
+        if estimate is None:
+            estimate = monitor.history[-1] if monitor.history else np.inf
+        value = math.nan
+        if failure is None:
+            try:
+                value = norm_sq[j] * quadrature_value(state.tridiagonal(retired, j), f)
+            except SAMPLE_FAILURES as exc:
+                converged, failure = False, f"{type(exc).__name__}: {exc}"
+        records.append(SampleRecord(
+            index=index + j,
+            value=float(value),
+            steps_run=int(state.steps[j]),
+            retired_step=int(retired),
+            error_estimate=float(abs(estimate) * norm_sq[j]),
+            seed=seed,
+            converged=converged,
+            sign_flips=monitor.sign_flips,
+            reorth_passes=int(state.reorth_passes[j]),
+            failure=failure,
+        ))
     t_lanczos += time.perf_counter() - tic
-    record = SampleRecord(
-        index=index,
-        value=float(value),
-        steps_run=state.m,
-        retired_step=retired,
-        error_estimate=float(abs(estimate) * norm_sq),
-        seed=seed,
-        converged=converged,
-        sign_flips=monitor.sign_flips,
-        reorth_passes=state.reorth_passes,
-    )
-    return record, (t_lanczos, t_monitor)
+    return (records if u.ndim == 2 else records[0]), (t_lanczos, t_monitor)
 
 
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
@@ -230,31 +280,42 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
                         kind: str = "") -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
-    Every sample runs with ``reorth_mode``, which the estimate reports.
-    Samples use deterministic per-index probe seeds, and the reduction order
-    is fixed, so identical inputs reproduce the estimate bit for bit at a
-    fixed BLAS thread count; the reductions inside the BLAS calls change
-    order with the thread count, which moves the last bits.  All samples
-    share one basis buffer, kept at the size of the longest run so far.
+    Probe i is ``rademacher_vector(n, seed, i)``.  The probes run through
+    ``sample_bilinear`` in blocks of ``probe_block_size(N, n)``, which the
+    estimate reports; all blocks share one basis buffer and one probe
+    buffer.  Every sample runs with ``reorth_mode``, which the estimate
+    reports.  The reduction order is fixed, so identical inputs reproduce
+    the estimate bit for bit at a fixed BLAS thread count; the reductions
+    inside the BLAS calls change order with the thread count, which moves
+    the last bits.  The mean, standard error and half-width are those of
+    the samples that did not fail (NaN when fewer than two did); a failed
+    sample leaves the run uncertified.
     """
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
-    buffer = BasisBuffer(op.dim)
+    b = probe_block_size(N, op.dim)
+    buffer = BasisBuffer(op.dim, b)
+    probes = np.empty((b, op.dim))
     records = []
     t_approx = 0.0
     t_err = 0.0
-    for i in range(N):
-        u = rademacher_vector(op.dim, seed, index=i)
-        rec, (ta, te) = sample_bilinear(op, f, r, u, delta, t=t, m_max=m_max,
-                                        reorth_mode=reorth_mode, index=i, seed=seed,
-                                        buffer=buffer)
-        records.append(rec)
+    for start in range(0, N, b):
+        block = probes[: min(b, N - start)]
+        for j, row in enumerate(block):
+            row[:] = rademacher_vector(op.dim, seed, index=start + j)
+        recs, (ta, te) = sample_bilinear(op, f, r, block, delta, t=t, m_max=m_max,
+                                         reorth_mode=reorth_mode, index=start,
+                                         seed=seed, buffer=buffer)
+        records += recs
         t_approx += ta
         t_err += te
-    values = np.array([rec.value for rec in records])
-    mean = float(np.sum(values) / N)
-    std_err = float(np.sqrt(np.sum((values - mean) ** 2) / (N - 1)))
-    half = confidence_half_width(std_err, N, delta, alpha)
+    values = np.array([rec.value for rec in records if rec.failure is None])
+    count = len(values)
+    mean = std_err = half = math.nan
+    if count >= 2:
+        mean = float(np.sum(values) / count)
+        std_err = float(np.sqrt(np.sum((values - mean) ** 2) / (count - 1)))
+        half = confidence_half_width(std_err, count, delta, alpha)
     return TraceEstimate(
         mean=mean,
         std_err=std_err,
@@ -274,6 +335,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         certified=all(rec.converged for rec in records),
         time_approx=t_approx,
         time_error_estimate=t_err,
+        block_size=b,
     )
 
 
@@ -323,9 +385,9 @@ def calibrate_delta(op: LinearOperator, kind: str, n_pilot: int = 30,
     pilot = estimate_trace(op, kind, n_pilot, delta_pilot, alpha=alpha,
                            seed=seed + 1, interval=interval, m_max=m_max,
                            reorth_mode=reorth_mode)
-    if pilot.std_err == 0.0:
+    if not pilot.std_err > 0.0:
         raise CalibrationFailedError(
-            "pilot standard error is zero; cannot calibrate a tolerance"
+            f"pilot standard error is {pilot.std_err}; cannot calibrate a tolerance"
         )
     return float(beta * alpha * pilot.std_err / np.sqrt(production_n))
 

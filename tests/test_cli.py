@@ -8,7 +8,7 @@ import pytest
 
 from slqcert import oracles, trace_estimator
 from slqcert.cli import ExperimentConfig, main
-from slqcert.errors import ContractViolationError
+from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState
 from slqcert.operators import build_matern_operator, sample_sites
 
@@ -164,12 +164,13 @@ def test_trace_reports_resolved_reorth_mode(capsys):
 
 def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
     # without --delta the command runs the spectrum probe, the two pilot
-    # samples and the two samples of the estimate
+    # samples and the two samples of the estimate; a block of probes is one
+    # state with a column per probe
     modes = []
     init = LanczosState.__init__
 
     def recording_init(self, op, u, reorth_mode=DEFAULT_REORTH, *args, **kwargs):
-        modes.append(reorth_mode)
+        modes.extend([reorth_mode] * len(np.atleast_2d(u)))
         init(self, op, u, reorth_mode, *args, **kwargs)
 
     monkeypatch.setattr(LanczosState, "__init__", recording_init)
@@ -205,6 +206,47 @@ def test_trace_table_format(capsys):
          "--n-samples", "3", "--delta", "1.0", "--format", "table"], capsys)
     assert code == 0
     assert "estimate" in out and "half-width" in out and "truth" in out
+
+
+@pytest.mark.parametrize("n1,n2,block", [(8, 8, 3), (200, 200, 1)])
+def test_trace_reports_the_probe_block_size(n1, n2, block, capsys):
+    # three probes of 64 entries share a block; 40000 entries exceed 2^15
+    args = ["trace", "--n1", str(n1), "--n2", str(n2), "--kind", "exp_neg",
+            "--n-samples", "3", "--delta", "50.0"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(out)["block_size"] == block
+    code, out, _ = run_cli(args + ["--format", "table"], capsys)
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines()
+            if line.startswith("probe block size")] == [str(block)]
+
+
+def test_trace_exits_2_when_one_probe_fails(monkeypatch, capsys):
+    # the quadrature of the second probe raises: its sample is flagged with
+    # the error, the other two finish, and the run is not certified
+    calls = []
+    quadrature_value = trace_estimator.quadrature_value
+
+    def failing_second(T, f):
+        calls.append(T.m)
+        if len(calls) == 2:
+            raise QuadratureDomainError("f undefined at quadrature node theta=-1.0")
+        return quadrature_value(T, f)
+
+    monkeypatch.setattr(trace_estimator, "quadrature_value", failing_second)
+    code, out, _ = run_cli(
+        ["trace", "--n1", "8", "--n2", "8", "--kind", "log",
+         "--n-samples", "3", "--delta", "1.0"], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert not report["certified"]
+    samples = report["per_sample"]
+    assert samples[1]["failure"] == ("QuadratureDomainError: "
+                                     "f undefined at quadrature node theta=-1.0")
+    assert [s["converged"] for s in samples] == [True, False, True]
+    assert "failure" not in samples[0] and "failure" not in samples[2]
+    assert report["mean"] == (samples[0]["value"] + samples[2]["value"]) / 2
 
 
 def test_trace_unreachable_accuracy_is_an_error(capsys):

@@ -7,6 +7,7 @@ import scipy.linalg
 from slqcert import oracles
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import (
+    BasisBuffer,
     SymTridiagonal,
     bilinear_estimate,
     lanczos_init,
@@ -322,6 +323,18 @@ def test_step_guards():
         lanczos_step(state2)  # m_max exhausted
 
 
+def _warm_step_allocation(state, steps):
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in range(steps):
+            lanczos_step(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
 @pytest.mark.parametrize("mode", ["partial", "full"])
 def test_warm_steps_allocate_no_vector(mode):
     # the operator writes into the next basis row and the updates run in
@@ -330,13 +343,54 @@ def test_warm_steps_allocate_no_vector(mode):
     state = lanczos_init(op, rademacher_vector(op.dim, seed=4), reorth_mode=mode)
     for _ in range(2):
         lanczos_step(state)
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        for _ in range(8):
-            lanczos_step(state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    assert _warm_step_allocation(state, 8) < op.dim * 8
     assert state.m == 10 and not state.breakdown
-    assert peak - start < op.dim * 8
+    # a block of probes steps in the same rows: less than one (b, n) block
+    op = Laplacian2D(100, 120)
+    probes = np.array([rademacher_vector(op.dim, seed=4, index=i) for i in range(4)])
+    state = lanczos_init(op, probes, reorth_mode=mode)
+    for _ in range(2):
+        lanczos_step(state)
+    assert _warm_step_allocation(state, 8) < probes.nbytes
+    assert state.m == 10 and not state.breakdown.any()
+
+
+def test_block_columns_replay_single_runs():
+    # each column of a block run, retired at its own step, has the Jacobi
+    # matrix and basis of its own run, bit for bit
+    op = Laplacian2D(9, 11)
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((3, op.dim))
+    stops = {0: 5, 2: 9}
+    for state, alpha, beta in lanczos_steps(op, U, m_max=14):
+        for j, stop in stops.items():
+            if state.steps[j] == stop:
+                state.active[j] = False
+    assert list(state.steps) == [5, 14, 9]
+    for j, u in enumerate(U):
+        single = lanczos_run(op, u, state.steps[j])
+        for part in ("alphas", "betas"):
+            np.testing.assert_array_equal(getattr(single.tridiagonal(), part),
+                                          getattr(state.tridiagonal(column=j), part))
+        np.testing.assert_array_equal(single.basis(), state.basis(j))
+
+
+def test_buffer_growth_keeps_earlier_rows_in_place():
+    # a growth appends a chunk: rows written before it keep their memory
+    op = Laplacian2D(6, 7)
+    buffer = BasisBuffer(op.dim, width=2)
+    state = lanczos_init(op, np.ones((2, op.dim)) + np.eye(2, op.dim), m_max=40,
+                         buffer=buffer)
+    first = buffer.chunks[0]
+    pointer = first.__array_interface__["data"][0]
+    for _ in range(40):
+        lanczos_step(state)
+    # chunks of 16, 16 and the 9 rows left up to the m_max + 1 limit
+    assert [len(chunk) for chunk in buffer.chunks] == [16, 16, 9]
+    assert buffer.chunks[0] is first
+    assert first.__array_interface__["data"][0] == pointer
+    assert buffer.row(3).__array_interface__["data"][0] == pointer + 3 * 2 * op.dim * 8
+    np.testing.assert_array_equal(state.basis(1)[:16], first[:, 1])
+    # the rows past the first chunk continue the basis, which stays orthonormal
+    V = state.basis(1)
+    assert np.max(np.abs(V @ V.T - np.eye(len(V)))) < 1e-6

@@ -245,6 +245,21 @@ def test_matvec_writes_into_out(make):
     assert op.matvec(x, out=out) is out
     np.testing.assert_array_equal(out, op(x))
     np.testing.assert_array_equal(x, x_before)
+    # a (b, n) block: each row is that row's own apply, bit for bit except for
+    # the preconditioned operator, whose block P^{-1/2} is a matrix product
+    for b in (1, 3):
+        block = np.random.default_rng(31 + b).standard_normal((b, op.dim))
+        block_before = block.copy()
+        out = np.full((b, op.dim), np.nan)
+        assert op.matvec(block, out=out) is out
+        rows = np.array([op(row) for row in block])
+        if isinstance(op, PreconditionedMatern):
+            np.testing.assert_allclose(out, rows, rtol=0,
+                                       atol=1e-12 * np.abs(rows).max())
+        else:
+            np.testing.assert_array_equal(out, rows)
+        np.testing.assert_array_equal(block, block_before)
+        np.testing.assert_array_equal(op(block), out)
 
 
 def test_dense_operator_wraps_matrix():

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from slqcert import oracles
-from slqcert.errors import CalibrationFailedError, ContractViolationError
-from slqcert.operators import DenseOperator, Laplacian2D
+from slqcert import oracles, trace_estimator
+from slqcert.error_estimator import ErrorMonitor
+from slqcert.errors import (CalibrationFailedError, ContractViolationError,
+                            PivotBreakdownError)
+from slqcert.operators import (DenseOperator, Laplacian2D, PreconditionedMatern,
+                               build_matern_operator, sample_sites)
 from slqcert.rational import RationalApproximant, build
 from slqcert.trace_estimator import (
+    PROBE_BLOCK_ELEMENTS,
     calibrate_delta,
     confidence_half_width,
     estimate_spectrum_interval,
     estimate_trace,
     estimate_trace_with,
     p_alpha,
+    probe_block_size,
     rademacher_vector,
     sample_bilinear,
 )
@@ -250,12 +255,12 @@ def test_calibrate_delta_positive_on_laplacian():
     assert delta > 0
 
 
-def _paired_operator(k, c=5.5):
+def _paired_operator(k, c=5.5, lam=None):
     # on (x + y) / sqrt 2 of each coordinate pair the operator is diag(lam), on
     # (x - y) / sqrt 2 it is c: a Rademacher probe sees the lam of the pairs
     # with x = y only, so its Lanczos run breaks down after a probe-dependent
     # count of steps unless the monitor stops it first
-    lam = np.linspace(1.0, 10.0, k)
+    lam = np.linspace(1.0, 10.0, k) if lam is None else lam
     block = np.zeros((2 * k, 2 * k))
     for i, mean, half in zip(range(0, 2 * k, 2), (lam + c) / 2, (lam - c) / 2):
         block[i, i] = block[i + 1, i + 1] = mean
@@ -280,3 +285,95 @@ def test_shared_basis_buffer_replays_fresh_runs(mode):
         fresh, _ = sample_bilinear(op, np.log, r, u, 1e-9, reorth_mode=mode,
                                    index=i, seed=2)
         assert fresh == rec
+
+
+def test_probe_block_size_rule():
+    # the three benchmark operators: 1080 Matern sites, the 90x120 and the
+    # 300x400 Laplacian
+    assert probe_block_size(30, 1080) == 30
+    assert probe_block_size(100, 90 * 120) == 3
+    assert probe_block_size(30, 300 * 400) == 1
+    assert probe_block_size(5, 64) == 5
+    assert probe_block_size(10**6, PROBE_BLOCK_ELEMENTS) == 1
+    assert probe_block_size(10**6, PROBE_BLOCK_ELEMENTS // 2) == 2
+
+
+def test_block_size_reported_on_both_sides_of_the_rule():
+    small = estimate_trace(Laplacian2D(8, 9), "exp_neg", N=5, delta=0.5,
+                           interval=(0.0, 8.0))
+    assert small.block_size == 5 and small.to_json_dict()["block_size"] == 5
+    big = Laplacian2D(200, 200)
+    assert big.dim > PROBE_BLOCK_ELEMENTS
+    large = estimate_trace(big, "exp_neg", N=2, delta=50.0, interval=(0.0, 8.0))
+    assert large.block_size == 1 and large.to_json_dict()["block_size"] == 1
+
+
+def test_preconditioned_block_matches_per_probe_runs():
+    # the block P^{-1/2} is a matrix product, so the block run agrees with
+    # the per-probe runs to roundoff rather than bit for bit; the gap grows
+    # with the condition of B, here about 2e3
+    sites = sample_sites(20, 15, 0.3, seed=2)
+    op = PreconditionedMatern(build_matern_operator((20, 15), sites, 6.0, 8.0,
+                                                    tau=1e-4))
+    a, b = estimate_spectrum_interval(op, lower_hint=1.0, seed=3)
+    r = build("log", 8, (a, b))
+    est = estimate_trace_with(op, np.log, r, N=6, delta=1e-6, seed=3)
+    assert est.block_size == 6
+    for i, rec in enumerate(est.records):
+        u = rademacher_vector(op.dim, 3, index=i)
+        fresh, _ = sample_bilinear(op, np.log, r, u, 1e-6, index=i, seed=3)
+        assert fresh.steps_run == rec.steps_run
+        assert fresh.retired_step == rec.retired_step
+        assert abs(fresh.value - rec.value) <= 1e-12 * abs(fresh.value)
+
+
+def test_a_failing_probe_retires_alone(monkeypatch):
+    # the monitor of probe 3 raises on its third step: that probe retires
+    # unconverged with the error, and the other seven finish as without it
+    op = _paired_operator(30)
+    r = build("log", 8, (1.0, 10.0))
+    clean = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
+    made = []
+
+    class FlakyMonitor(ErrorMonitor):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+        def advance(self, alpha, beta):
+            if self is made[3] and self.pole_state.m == 2:
+                raise PivotBreakdownError("pivot underflow at step 3", pole=0j)
+            return super().advance(alpha, beta)
+
+    monkeypatch.setattr(trace_estimator, "ErrorMonitor", FlakyMonitor)
+    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
+    failed = est.records[3]
+    assert failed.failure == "PivotBreakdownError: pivot underflow at step 3"
+    assert not failed.converged and failed.steps_run == 3 and math.isnan(failed.value)
+    assert not est.certified
+    for i in (0, 1, 2, 4, 5, 6, 7):
+        assert est.records[i] == clean.records[i]
+    values = [rec.value for i, rec in enumerate(clean.records) if i != 3]
+    assert est.mean == pytest.approx(np.mean(values), rel=1e-14)
+    assert est.half_width == confidence_half_width(est.std_err, 7, 1e-9, 3.0)
+    report = est.to_json_dict()
+    assert report["per_sample"][3]["failure"] == failed.failure
+    assert "failure" not in report["per_sample"][0]
+
+
+def test_quadrature_failure_is_flagged_per_probe():
+    # an eigenvalue -1 that only the probes equal on the first coordinate
+    # pair see: log is undefined at their Ritz value near -1
+    lam = np.linspace(1.0, 10.0, 6)
+    lam[0] = -1.0
+    op = _paired_operator(6, lam=lam)
+    r = build("log", 8, (1.0, 10.0))
+    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-6, seed=2)
+    failed = [rec for rec in est.records if rec.failure is not None]
+    sees_negative = [rademacher_vector(op.dim, 2, i)[0] == rademacher_vector(op.dim, 2, i)[1]
+                     for i in range(8)]
+    assert [rec.failure is not None for rec in est.records] == sees_negative
+    assert 0 < len(failed) < 8
+    assert all(rec.failure.startswith("QuadratureDomainError: f undefined")
+               and not rec.converged and math.isnan(rec.value) for rec in failed)
+    assert not est.certified and math.isfinite(est.mean)
