@@ -29,8 +29,6 @@ from .lanczos import (
     LanczosState,
     SymTridiagonal,
     TridiagEigen,
-    bilinear_estimate,
-    lanczos_init,
     lanczos_run,
     lanczos_step,
     lanczos_steps,

@@ -106,6 +106,8 @@ def _checked(key, value, hint):
     if key in CHOICES and value not in CHOICES[key]:
         raise ContractViolationError(
             f"config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
+    if key == "delta" and not (value is None or value > 0):
+        raise ContractViolationError(f"config key 'delta' must be positive, got {value!r}")
     return value
 
 
@@ -188,7 +190,7 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     if config.K is not None:
         r = rational.build(config.kind, config.K, interval)
     else:
-        target = (config.delta / (2.0 * op.dim)) if config.delta else 1e-10
+        target = 1e-10 if config.delta is None else config.delta / (2.0 * op.dim)
         try:
             r = rational.choose_K(config.kind, interval, target)
         except UnreachableAccuracyError as exc:
@@ -198,8 +200,8 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
                                              u / np.linalg.norm(u))
     monitor = ErrorMonitor(r, tol=0.0, t=config.t)
     quad_values = []
-    for state, alpha, beta in lanczos_steps(op, u, config.reorth, config.m_max):
-        monitor.advance(alpha, beta)
+    for state, alpha, beta in lanczos_steps(op, u[None], config.reorth, config.m_max):
+        monitor.advance(float(alpha[0]), float(beta[0]))
         quad_values.append(quadrature_value(state.tridiagonal(), f))
     d = monitor.history
     buf = io.StringIO()
@@ -365,17 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    base = {}
+    """The config file's keys overridden by the flags given, checked as one."""
+    values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            base = json.load(fh)
-    config = ExperimentConfig.from_dict(base) if base else ExperimentConfig()
-    config.command = args.command
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ContractViolationError("a config file must hold a JSON object")
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
-        if value is not None and f.name != "command":
-            setattr(config, f.name, value)
-    return config
+        if value is not None:
+            values[f.name] = value
+    return ExperimentConfig.from_dict(values)
 
 
 def main(argv=None) -> int:

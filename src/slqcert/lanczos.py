@@ -14,18 +14,20 @@ Reorthogonalization modes (each stores the whole basis):
 An orthogonalization is one pass, plus a second when the first removes most
 of the vector.
 
-A run steps one start vector, or a block of b start vectors as b columns
-that share one recurrence: each step applies the operator once to the
-(b, n) block of the active columns' newest vectors.  Vectorized over the
-block are the three-term updates, the normalization and the
-loss-of-orthogonality recurrence; elementwise, they give each column the
+A run steps a (b, n) block of b start vectors as b columns that share one
+recurrence; a single probe is a block of one.  Each step applies the
+operator once to the block of the active columns' newest vectors.
+Vectorized over the block are the three-term updates, the normalization and
+the loss-of-orthogonality recurrence; elementwise, they give each column the
 numbers it would get alone.  Kept per column are the alpha inner product,
 the beta norm, the reorthogonalization (only for the columns whose estimate
 calls for it) and the breakdown test.  A column leaves the block when its
 caller clears it from ``LanczosState.active`` or it breaks down; the
 operator then sees only the active rows.  So a column's coefficients do
 not depend on the block it ran in whenever each row of the operator's
-block apply equals its vector apply.
+block apply equals its vector apply.  The coefficients of a step come back
+as arrays over the columns, and ``LanczosState.tridiagonal(m, column)``
+reads one column's Jacobi matrix.
 
 A step allocates no vector of the operator's length while the active
 columns are adjacent (a column retired from inside the block makes the
@@ -186,18 +188,17 @@ class BasisBuffer:
 
 
 class LanczosState:
-    """State of one Lanczos run of one or more columns: the stored basis, the
+    """State of one Lanczos run of a block of columns: the stored basis, the
     Jacobi coefficients and the loss-of-orthogonality recurrence (partial
     mode).
 
-    A 1-D start vector gives a single run: ``norm_sq``, ``breakdown`` and
-    ``reorth_passes`` are scalars, ``alphas``, ``betas`` and ``basis()`` are
-    those of the one column, and ``lanczos_step`` returns floats.  A (b, n)
-    block gives b columns: those attributes are arrays over the columns,
-    ``steps[j]`` counts the steps of column j and ``m`` the steps of the
-    block.  ``active`` marks the columns the next step advances; a caller
-    clears an entry to retire that column, and ``lanczos_steps`` clears it
-    after the column's breakdown step.
+    The start is a (b, n) block of b nonzero vectors; a single probe is a
+    block of one.  ``steps[j]`` counts the steps of column j and ``m`` the
+    steps of the block; ``breakdown`` and ``reorth_passes`` are arrays over
+    the columns, and ``tridiagonal(m, column)`` and ``basis(column)`` read
+    one column.  ``active`` marks the columns the next step advances; a
+    caller clears an entry to retire that column, and ``lanczos_steps``
+    clears it after the column's breakdown step.
 
     The basis lives in ``buffer``, which the state borrows: without one the
     state allocates its own.  A buffer shared by several runs holds only the
@@ -209,11 +210,11 @@ class LanczosState:
                  m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None):
         if reorth_mode not in REORTH_MODES:
             raise ContractViolationError(f"unknown reorth mode {reorth_mode!r}")
-        u = np.asarray(u, dtype=float)
-        block = u.reshape(1, -1) if u.ndim == 1 else u
+        block = np.asarray(u, dtype=float)
         if block.ndim != 2 or block.shape[1] != op.dim or len(block) == 0:
             raise ContractViolationError(
-                f"start vector shape {u.shape} does not match operator dim {op.dim}"
+                f"start block of shape {block.shape} is not (b, n) with b >= 1 and "
+                f"n = {op.dim}"
             )
         norms = [np.linalg.norm(row) for row in block]
         if min(norms) == 0.0:
@@ -227,18 +228,16 @@ class LanczosState:
                 f"hold {b} columns of dim {op.dim}"
             )
         self.op = op
-        self.single = u.ndim == 1
         self.reorth_mode = reorth_mode
         self.m_max = int(m_max)
         self.m = 0
         self.steps = np.zeros(b, dtype=int)
         self.active = np.ones(b, dtype=bool)
+        self.breakdown = np.zeros(b, dtype=bool)
+        self.reorth_passes = np.zeros(b, dtype=int)    # passes against the basis
         cap = max(1, min(self.m_max, op.dim))
-        self._norm_sq = np.array([float(norm**2) for norm in norms])
         self._alphas = np.zeros((b, cap))       # _alphas[:, j] = alpha_{j+1}
         self._betas = np.zeros((b, cap + 1))    # _betas[:, j] = beta_{j+1}; beta_1 = 0
-        self._breakdown = np.zeros(b, dtype=bool)
-        self._reorth_passes = np.zeros(b, dtype=int)   # passes against the basis
         self._norm_estimate = np.zeros(b)
         self._buffer = buffer
         self._row_limit = max(self.m_max + 1, BasisBuffer.FIRST_CHUNK)
@@ -251,38 +250,11 @@ class LanczosState:
         self._omega_cur[:, 1] = 1.0
         self._force_reorth = np.zeros(b, dtype=bool)
 
-    # -- per-column views --------------------------------------------------
-
-    def _per_column(self, values):
-        return values[0].item() if self.single else values
-
-    @property
-    def norm_sq(self):
-        return self._per_column(self._norm_sq)
-
-    @property
-    def breakdown(self):
-        return self._per_column(self._breakdown)
-
-    @property
-    def reorth_passes(self):
-        return self._per_column(self._reorth_passes)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return self._alphas[0, : self.m] if self.single else self._alphas[:, : self.m]
-
-    @property
-    def betas(self) -> np.ndarray:
-        if self.single:
-            return self._betas[0, 1 : self.m + 1 - int(self._breakdown[0])]
-        return self._betas[:, 1 : self.m + 1]
-
     # -- basis bookkeeping -------------------------------------------------
 
     def basis(self, column: int = 0) -> np.ndarray:
         """A copy of the column's stored basis vectors, one per row."""
-        stored = self.steps[column] + (not self._breakdown[column])
+        stored = self.steps[column] + (not self.breakdown[column])
         return np.concatenate(self._buffer.column(column, stored))
 
     def tridiagonal(self, m: int | None = None, column: int = 0) -> SymTridiagonal:
@@ -297,7 +269,7 @@ class LanczosState:
     def _orthogonalize(self, column: int, w):
         """w -= V^T (V w) in place over the column's first m basis vectors,
         with V taken chunk by chunk."""
-        self._reorth_passes[column] += 1
+        self.reorth_passes[column] += 1
         parts = self._buffer.column(column, self.m)
         coeffs = [V @ w for V in parts]
         work = self._buffer.work[0]
@@ -335,34 +307,19 @@ class LanczosState:
         self._omega_prev, self._omega_cur = self._omega_cur, self._omega_prev
         return reorth
 
-    def max_basis_inner_product(self) -> float:
-        """max_{j<k} |v_j . v_k| against the newest vector (testing hook)."""
-        V = self.basis()
-        if len(V) < 2:
-            return 0.0
-        return float(np.max(np.abs(V[:-1] @ V[-1])))
-
-
-def lanczos_init(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
-                 m_max: int = DEFAULT_M_MAX,
-                 buffer: BasisBuffer | None = None) -> LanczosState:
-    """Normalize the start vector(s); record ||u||^2 for the bilinear form."""
-    return LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
-
 
 def lanczos_step(state: LanczosState):
-    """One Lanczos step of every active column: returns (alpha_m, beta_{m+1}).
+    """One Lanczos step of every active column: returns (alpha_m, beta_{m+1}),
+    arrays over the columns, 0 for the columns that did not step.
 
-    These are floats for a single run and arrays over the columns for a
-    block, 0 for the columns that did not step.  On breakdown (beta below
-    the scale-aware tolerance) the column's subspace is invariant and its
-    quadrature exact: the column is flagged, its beta_{m+1} is 0, and it
-    takes no further step.
+    On breakdown (beta below the scale-aware tolerance) the column's
+    subspace is invariant and its quadrature exact: the column is flagged,
+    its beta_{m+1} is 0, and it takes no further step.
     """
     idx = state.active.nonzero()[0]
     if len(idx) == 0:
         raise ContractViolationError("no active column to step")
-    if np.count_nonzero(state._breakdown[idx]):
+    if np.count_nonzero(state.breakdown[idx]):
         raise ContractViolationError("Lanczos run already terminated by breakdown")
     k = state.m
     if k >= state.op.dim:
@@ -408,7 +365,7 @@ def lanczos_step(state: LanczosState):
 
     broke = beta <= BREAKDOWN_REL_TOL * np.maximum(norm_estimate, 1.0)
     if np.count_nonzero(broke):
-        state._breakdown[idx[broke]] = True
+        state.breakdown[idx[broke]] = True
         beta[broke] = 0.0
         np.divide(W, np.where(broke, 1.0, beta)[:, None], out=W)
     else:
@@ -416,38 +373,30 @@ def lanczos_step(state: LanczosState):
     state._betas[sel, k + 1] = beta
     if not contiguous:
         buffer.row(k + 1)[idx] = W
-    if state.single:
-        return float(alpha[0]), float(beta[0])
     return state._alphas[:, k].copy(), state._betas[:, k + 1].copy()
-
-
-def bilinear_estimate(state: LanczosState, f) -> float:
-    """||u||^2 e1^T f(T_m) e1 for the current Jacobi matrix of a single run."""
-    if state.m < 1:
-        raise ContractViolationError("no Lanczos steps taken yet")
-    return state.norm_sq * quadrature_value(state.tridiagonal(), f)
 
 
 def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
                   m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None):
     """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
 
-    beta_m is the off-diagonal above alpha_m (0 at m = 1), the pair that
-    ``ErrorMonitor.advance`` takes; for a (b, n) block of start vectors both
-    are arrays over the columns.  The loop runs at most min(m_max, op.dim)
-    steps and retires a column after its breakdown step, whose quadrature is
-    exact; the caller may retire a column between steps by clearing its
-    ``state.active`` entry.  The loop ends when no column is active.  The
-    basis goes into ``buffer`` when one is given (see ``LanczosState``).
+    ``u`` is a (b, n) block of start vectors.  alpha_m and beta_m, the
+    off-diagonal above alpha_m (0 at m = 1), are arrays over the columns;
+    column j's pair is the one ``ErrorMonitor.advance`` takes.  The loop
+    runs at most min(m_max, op.dim) steps and retires a column after its
+    breakdown step, whose quadrature is exact; the caller may retire a
+    column between steps by clearing its ``state.active`` entry.  The loop
+    ends when no column is active.  The basis goes into ``buffer`` when one
+    is given (see ``LanczosState``).
     """
     if m_max < 1:
         raise ContractViolationError(f"m_max must be >= 1, got {m_max}")
-    state = lanczos_init(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
-    beta = 0.0 if state.single else np.zeros(len(state.steps))
+    state = LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
+    beta = np.zeros(len(state.steps))
     for _ in range(min(m_max, op.dim)):
         alpha, beta_next = lanczos_step(state)
         yield state, alpha, beta
-        state.active &= ~state._breakdown
+        state.active &= ~state.breakdown
         if not np.count_nonzero(state.active):
             return
         beta = beta_next
@@ -455,7 +404,8 @@ def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
 
 def lanczos_run(op: LinearOperator, u, steps: int,
                 reorth_mode: str = DEFAULT_REORTH) -> LanczosState:
-    """Run up to min(steps, op.dim) Lanczos steps (stops early on breakdown)."""
+    """Run up to min(steps, op.dim) Lanczos steps of the (b, n) block ``u``;
+    a column stops early on breakdown."""
     for state, _, _ in lanczos_steps(op, u, reorth_mode, steps):
         pass
     return state

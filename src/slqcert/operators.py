@@ -168,6 +168,8 @@ def sample_sites(n1: int, n2: int, fraction: float, seed: int) -> np.ndarray:
     The 64-bit seed fully determines the sample (counter-based generator),
     so site sets are reproducible across runs and platforms.
     """
+    if not 0 <= seed < 2**64:
+        raise ContractViolationError(f"site seed must lie in [0, 2^64), got {seed}")
     total = n1 * n2
     count = max(1, int(round(fraction * total)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -49,6 +49,9 @@ def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
     (seed, index); identical across runs and platforms."""
     if n < 1:
         raise ContractViolationError("vector length must be >= 1")
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ContractViolationError(
+            f"seed and index must lie in [0, 2^64), got {seed} and {index}")
     key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return 2.0 * rng.integers(0, 2, size=n) - 1.0
@@ -87,7 +90,7 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = No
     if not op.spd_hint:
         raise ContractViolationError("spectrum estimation requires an SPD operator")
     u = rademacher_vector(op.dim, seed, index=2**32 - 1)
-    state = lanczos_run(op, u, probe_steps, reorth_mode)
+    state = lanczos_run(op, u[None], probe_steps, reorth_mode)
     eig = tridiag_eigen(state.tridiagonal())
     b = float(eig.thetas[-1]) * safety
     if lower_hint is not None:
@@ -194,36 +197,36 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
                     delta: float, t: float = DEFAULT_T, m_max: int = DEFAULT_M_MAX,
                     reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0,
                     buffer: BasisBuffer | None = None):
-    """Error-monitored Lanczos runs for one probe vector or a (b, n) block.
+    """Error-monitored Lanczos runs for a (b, n) block of probes.
 
-    Returns (record, time_split) for one probe and (records, time_split)
-    for a block, whose row j gets index ``index + j``.  A block's probes
-    share one Lanczos recurrence, each with its own ErrorMonitor, and a
-    probe leaves the block when its monitor converges, its run breaks down
-    or it reaches m_max.  A record therefore equals the probe's own run: bit
-    for bit when each row of the operator's block apply equals its vector
-    apply (every operator here but ``PreconditionedMatern``), to roundoff
-    otherwise.  A record's value is taken at the retired step with f itself
-    (not r) on the Ritz values.  Hitting m_max yields a flagged, unconverged
-    record instead of an exception.  On breakdown the quadrature is exact
-    and the certificate is a zero error estimate.  A probe whose pole
-    recurrence, eigensolver or quadrature raises one of SAMPLE_FAILURES
-    retires unconverged, with a NaN value and the error in ``failure``; the
-    other probes go on.  ``reorth_mode`` is one of ``lanczos.REORTH_MODES``:
-    the default partial mode orthogonalizes only when the estimated loss of
-    orthogonality calls for it, ``full`` on every step.  The basis goes into
-    ``buffer`` when one is given; the records do not depend on what the
-    buffer held before.
+    Returns (records, time_split): row j of ``u`` gets the record with index
+    ``index + j``.  The probes share one Lanczos recurrence, each with its
+    own ErrorMonitor, and a probe leaves the block when its monitor
+    converges, its run breaks down or it reaches m_max.  A record therefore
+    equals the probe's own run as a block of one: bit for bit when each row
+    of the operator's block apply equals its vector apply (every operator
+    here but ``PreconditionedMatern``), to roundoff otherwise.  A record's
+    value is taken at the retired step with f itself (not r) on the Ritz
+    values.  Hitting m_max yields a flagged, unconverged record instead of
+    an exception.  On breakdown the quadrature is exact and the certificate
+    is a zero error estimate.  A probe whose pole recurrence, eigensolver or
+    quadrature raises one of SAMPLE_FAILURES retires unconverged, with a NaN
+    value and the error in ``failure``; the other probes go on.
+    ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
+    mode orthogonalizes only when the estimated loss of orthogonality calls
+    for it, ``full`` on every step.  The basis goes into ``buffer`` when one
+    is given; the records do not depend on what the buffer held before.
     """
     u = np.asarray(u, dtype=float)
-    block = np.atleast_2d(u)
-    norm_sq = [float(row @ row) for row in block]
+    if u.ndim != 2:
+        raise ContractViolationError(f"probe block of shape {u.shape} is not (b, n)")
+    norm_sq = [float(row @ row) for row in u]
     monitors = [ErrorMonitor(r, delta / nsq, t) for nsq in norm_sq]
     ends = {}                    # column -> (retired step, estimate, converged, failure)
     t_lanczos = 0.0
     t_monitor = 0.0
     tic = time.perf_counter()
-    for state, alpha, beta in lanczos_steps(op, block, reorth_mode, m_max, buffer):
+    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max, buffer):
         toc = time.perf_counter()
         t_lanczos += toc - tic
         for j in state.active.nonzero()[0].tolist():
@@ -270,7 +273,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
             failure=failure,
         ))
     t_lanczos += time.perf_counter() - tic
-    return (records if u.ndim == 2 else records[0]), (t_lanczos, t_monitor)
+    return records, (t_lanczos, t_monitor)
 
 
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
@@ -293,6 +296,8 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     """
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
+    if not delta > 0:
+        raise ContractViolationError(f"tolerance delta must be positive, got {delta}")
     b = probe_block_size(N, op.dim)
     buffer = BasisBuffer(op.dim, b)
     probes = np.empty((b, op.dim))
@@ -350,6 +355,8 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float,
     half the scaled tolerance delta / (2 ||u||^2) with ||u||^2 = n for
     Rademacher probes, unless K is forced explicitly.
     """
+    if not delta > 0:
+        raise ContractViolationError(f"tolerance delta must be positive, got {delta}")
     if interval is None:
         interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed,
                                               reorth_mode=reorth_mode)

@@ -19,3 +19,11 @@ FUNCTIONS = {
 def random_spd(dim, rng, shift=0.5):
     X = rng.standard_normal((dim, dim))
     return X @ X.T / dim + shift * np.eye(dim)
+
+
+def max_basis_inner_product(state, column=0):
+    """max_{j<k} |v_j . v_k| of the column's stored basis against its newest vector."""
+    V = state.basis(column)
+    if len(V) < 2:
+        return 0.0
+    return float(np.max(np.abs(V[:-1] @ V[-1])))

@@ -9,7 +9,7 @@ import pytest
 
 from slqcert import oracles
 from slqcert.error_estimator import ErrorMonitor
-from slqcert.lanczos import lanczos_init, lanczos_step, quadrature_value, tridiag_eigen
+from slqcert.lanczos import LanczosState, lanczos_step, quadrature_value, tridiag_eigen
 from slqcert.operators import (
     DenseOperator,
     Laplacian2D,
@@ -70,12 +70,12 @@ def test_criterion_2_recurrence_matches_eigen_route():
         interval = _interval(kind, iv)
         r = choose_K(kind, interval, TABLE_DELTAS_90[kind] / (2.0 * op.dim))
         u = rademacher_vector(op.dim, seed=7, index=0)
-        state = lanczos_init(op, u, m_max=60)
+        state = LanczosState(op, u[None], m_max=60)
         monitor = ErrorMonitor(r, tol=0.0, t=0.1)
         quad = []
         prev_beta = 0.0
         for m in range(1, 51):
-            alpha, beta_next = lanczos_step(state)
+            (alpha,), (beta_next,) = lanczos_step(state)
             monitor.advance(alpha, prev_beta)
             eig = tridiag_eigen(state.tridiagonal())
             quad.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
@@ -100,16 +100,16 @@ def test_criterion_3_rational_window_bound():
             r = build(kind, 8, interval)
             f = kind_function(kind)
             u = rng.standard_normal(30)
-            state = lanczos_init(op, u, m_max=30)
+            state = LanczosState(op, u[None], m_max=30)
             monitor = ErrorMonitor(r, tol=0.0, t=0.1)
             quad_f = []
             prev_beta = 0.0
             steps = 25
             for m in range(1, steps + 1):
-                alpha, beta_next = lanczos_step(state)
+                (alpha,), (beta_next,) = lanczos_step(state)
                 monitor.advance(alpha, prev_beta)
                 quad_f.append(quadrature_value(state.tridiagonal(), f))
-                if state.breakdown:
+                if state.breakdown[0]:
                     steps = m
                     break
                 prev_beta = beta_next
@@ -302,10 +302,10 @@ def test_criterion_9_reorthogonalization_study():
     checkpoint = 200
     errs = {}
     for mode in ("full", "none"):
-        state = lanczos_init(op, u, reorth_mode=mode, m_max=checkpoint + 1)
+        state = LanczosState(op, u[None], reorth_mode=mode, m_max=checkpoint + 1)
         for _ in range(checkpoint):
             lanczos_step(state)
-            if state.breakdown:
+            if state.breakdown[0]:
                 break
         q = quadrature_value(state.tridiagonal(), np.log)
         errs[mode] = abs(truth - q)
@@ -325,10 +325,10 @@ def test_appendix_laplacian_unaffected_by_orthogonality_loss():
                                              u / np.linalg.norm(u))
     errs = {}
     for mode in ("full", "none"):
-        state = lanczos_init(op, u, reorth_mode=mode, m_max=160)
+        state = LanczosState(op, u[None], reorth_mode=mode, m_max=160)
         for _ in range(150):
             lanczos_step(state)
-            if state.breakdown:
+            if state.breakdown[0]:
                 break
         errs[mode] = abs(truth - quadrature_value(state.tridiagonal(), np.log))
     assert errs["none"] <= 10 * errs["full"] + 1e-12

@@ -35,6 +35,8 @@ def test_config_rejects_unknown_keys():
     {"n1": "90"}, {"n1": 9.5},
     # values outside the parser's choices, such as a stale reorth mode
     {"format": "tabel"}, {"reorth": "auto"}, {"testbed": "grid"}, {"kind": "cos"},
+    # a tolerance that is not positive
+    {"delta": 0}, {"delta": -1.0},
 ])
 def test_config_type_mismatch_is_usage_error(bad, tmp_path, capsys):
     cfg_file = tmp_path / "config.json"
@@ -170,7 +172,7 @@ def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
     init = LanczosState.__init__
 
     def recording_init(self, op, u, reorth_mode=DEFAULT_REORTH, *args, **kwargs):
-        modes.extend([reorth_mode] * len(np.atleast_2d(u)))
+        modes.extend([reorth_mode] * len(u))
         init(self, op, u, reorth_mode, *args, **kwargs)
 
     monkeypatch.setattr(LanczosState, "__init__", recording_init)
@@ -247,6 +249,40 @@ def test_trace_exits_2_when_one_probe_fails(monkeypatch, capsys):
     assert [s["converged"] for s in samples] == [True, False, True]
     assert "failure" not in samples[0] and "failure" not in samples[2]
     assert report["mean"] == (samples[0]["value"] + samples[2]["value"]) / 2
+
+
+@pytest.mark.parametrize("args", [
+    ["trace", "--n1", "8", "--n2", "8", "--kind", "log", "--delta", "0"],
+    # a negative delta used to run every probe to the cap first
+    ["trace", "--n1", "8", "--n2", "8", "--kind", "log", "--K", "5", "--delta", "-1",
+     "--n-samples", "5"],
+    # a zero delta used to pick the K of a 1e-10 target silently
+    ["bilinear-curve", "--n1", "8", "--n2", "8", "--kind", "log", "--delta", "0"],
+], ids=["trace-zero", "trace-negative", "bilinear-curve-zero"])
+def test_nonpositive_delta_is_a_usage_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'delta' must be positive" in err
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+@pytest.mark.parametrize("flag,testbed", [("--seed", "laplacian"),
+                                          ("--site-seed", "matern")])
+def test_seed_outside_64_bits_is_a_usage_error(flag, testbed, value, capsys):
+    code, out, err = run_cli(
+        ["trace", "--testbed", testbed, "--n1", "8", "--n2", "8", "--kind", "log",
+         "--n-samples", "2", "--delta", "1.0", flag, value], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "[0, 2^64)" in err
+
+
+def test_calibration_pilot_seed_past_64_bits_is_a_usage_error(capsys):
+    # the pilot draws its probes with seed + 1
+    code, _, err = run_cli(
+        ["calibrate-delta", "--n1", "8", "--n2", "8", "--kind", "log",
+         "--seed", str(2**64 - 1)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "[0, 2^64)" in err
 
 
 def test_trace_unreachable_accuracy_is_an_error(capsys):

@@ -94,8 +94,8 @@ def test_increments_match_eigen_route_differences():
     op = DenseOperator(A)
     monitor = ErrorMonitor(r, tol=0.0, t=0.1)
     quad = []
-    for state, alpha, beta in lanczos_steps(op, rng.standard_normal(40), m_max=30):
-        monitor.advance(alpha, beta)
+    for state, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 40)), m_max=30):
+        monitor.advance(alpha[0], beta[0])
         eig = tridiag_eigen(state.tridiagonal())
         quad.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
     assert state.m == 30
@@ -190,8 +190,8 @@ def test_cumulative_telescopes_to_eigen_route():
     f = lambda x: np.exp(-x)
     monitor = ErrorMonitor(r, tol=0.0, t=0.1)
     quad_r = []
-    for state, alpha, beta in lanczos_steps(op, rng.standard_normal(42), m_max=20):
-        monitor.advance(alpha, beta)
+    for state, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 42)), m_max=20):
+        monitor.advance(alpha[0], beta[0])
         eig = tridiag_eigen(state.tridiagonal())
         quad_r.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
     assert state.m == 20
@@ -219,8 +219,9 @@ def test_constant_sign_on_laplacian_runs():
         iv = (0.0, interval[1]) if kind == "exp_neg" else interval
         r = build(kind, 10, iv)
         monitor = ErrorMonitor(r, tol=0.0, t=0.1)
-        for _, alpha, beta in lanczos_steps(op, rng.standard_normal(110), m_max=30):
-            monitor.advance(alpha, beta)
+        for _, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 110)),
+                                            m_max=30):
+            monitor.advance(alpha[0], beta[0])
         d = np.array(monitor.history)
         big = d[np.abs(d) > 10 * r.eps]
         assert len(big) > 3

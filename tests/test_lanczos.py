@@ -8,9 +8,8 @@ from slqcert import oracles
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import (
     BasisBuffer,
+    LanczosState,
     SymTridiagonal,
-    bilinear_estimate,
-    lanczos_init,
     lanczos_run,
     lanczos_step,
     lanczos_steps,
@@ -23,16 +22,22 @@ from slqcert.operators import (
     build_matern_operator,
     sample_sites,
 )
-from slqcert.trace_estimator import rademacher_vector
+from slqcert.rational import build
+from slqcert.trace_estimator import rademacher_vector, sample_bilinear
 
-from helpers import random_spd
+from helpers import max_basis_inner_product, random_spd
+
+
+def bilinear(state, u, f):
+    """||u||^2 e1^T f(T_m) e1 for column 0 of the state's current Jacobi matrix."""
+    return float(u @ u) * quadrature_value(state.tridiagonal(), f)
 
 
 def test_init_normalizes():
     op = DenseOperator(np.eye(3))
     u = np.array([0.0, 2.0, 0.0])
-    state = lanczos_init(op, u)
-    assert state.norm_sq == pytest.approx(4.0)
+    state = LanczosState(op, u[None])
+    np.testing.assert_allclose(state.basis()[0], u / 2.0)
     assert np.linalg.norm(state.basis()[0]) == pytest.approx(1.0, abs=1e-12)
     assert state.m == 0
 
@@ -40,38 +45,50 @@ def test_init_normalizes():
 def test_init_rademacher_norm():
     op = DenseOperator(np.eye(64))
     u = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
-    assert lanczos_init(op, u).norm_sq == pytest.approx(64.0)
+    np.testing.assert_array_equal(LanczosState(op, u[None]).basis()[0], u / 8.0)
 
 
 def test_init_unit_basis_vector():
     op = DenseOperator(np.eye(4))
     e1 = np.array([1.0, 0, 0, 0])
-    state = lanczos_init(op, e1)
+    state = LanczosState(op, e1[None])
     np.testing.assert_allclose(state.basis()[0], e1)
-    assert state.norm_sq == 1.0
 
 
 def test_init_rejects_zero():
     with pytest.raises(ContractViolationError):
-        lanczos_init(DenseOperator(np.eye(3)), np.zeros(3))
+        LanczosState(DenseOperator(np.eye(3)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("start", [
+    lambda op, u: LanczosState(op, u),
+    lambda op, u: next(lanczos_steps(op, u)),
+    lambda op, u: sample_bilinear(op, np.log, build("log", 4, (1.0, 2.0)), u, 1e-3),
+], ids=["LanczosState", "lanczos_steps", "sample_bilinear"])
+def test_one_dimensional_start_is_rejected(start):
+    # a single probe is a block of one, u[None]; a bare vector names the shape
+    op = DenseOperator(np.diag([1.0, 1.5, 2.0]))
+    with pytest.raises(ContractViolationError, match=r"\(b, n\)"):
+        start(op, np.ones(3))
 
 
 def test_identity_breaks_down_immediately():
     op = DenseOperator(np.eye(5))
-    state = lanczos_init(op, np.ones(5))
-    alpha, beta = lanczos_step(state)
+    state = LanczosState(op, np.ones((1, 5)))
+    (alpha,), (beta,) = lanczos_step(state)
     assert alpha == pytest.approx(1.0)
     assert beta == 0.0
-    assert state.breakdown
+    assert state.breakdown[0]
 
 
 def test_steps_yield_the_beta_above_each_alpha():
     op = Laplacian2D(6, 7)
-    u = np.random.default_rng(3).standard_normal(42)
+    u = np.random.default_rng(3).standard_normal((1, 42))
     for count, (state, alpha, beta) in enumerate(lanczos_steps(op, u, m_max=12), 1):
         m = state.m
-        assert m == count and alpha == state.alphas[m - 1]
-        assert beta == (state.betas[m - 2] if m > 1 else 0.0)
+        T = state.tridiagonal()
+        assert m == count and alpha[0] == T.alphas[m - 1]
+        assert beta[0] == (T.betas[m - 2] if m > 1 else 0.0)
     assert count == 12
 
 
@@ -79,30 +96,30 @@ def test_steps_yield_the_beta_above_each_alpha():
 def test_steps_stop_at_min_of_m_max_and_dim(m_max, dim, expect):
     rng = np.random.default_rng(dim)
     op = DenseOperator(random_spd(dim, rng))
-    steps = list(lanczos_steps(op, rng.standard_normal(dim), m_max=m_max))
+    steps = list(lanczos_steps(op, rng.standard_normal((1, dim)), m_max=m_max))
     assert len(steps) == expect and steps[-1][0].m == expect
 
 
 def test_steps_end_after_breakdown_step():
-    steps = list(lanczos_steps(DenseOperator(np.eye(5)), np.ones(5)))
+    steps = list(lanczos_steps(DenseOperator(np.eye(5)), np.ones((1, 5))))
     assert len(steps) == 1
     state, alpha, beta = steps[0]
-    assert state.breakdown and state.m == 1
-    assert alpha == pytest.approx(1.0) and beta == 0.0
+    assert state.breakdown[0] and state.m == 1
+    assert alpha[0] == pytest.approx(1.0) and beta[0] == 0.0
 
 
 def test_steps_need_one_step():
     with pytest.raises(ContractViolationError):
-        next(lanczos_steps(DenseOperator(np.eye(3)), np.ones(3), m_max=0))
+        next(lanczos_steps(DenseOperator(np.eye(3)), np.ones((1, 3)), m_max=0))
 
 
 def test_two_by_two_hand_run():
     op = DenseOperator(np.diag([1.0, 3.0]))
-    state = lanczos_init(op, np.array([1.0, 1.0]) / np.sqrt(2))
-    a1, b2 = lanczos_step(state)
+    state = LanczosState(op, np.array([[1.0, 1.0]]) / np.sqrt(2))
+    (a1,), (b2,) = lanczos_step(state)
     assert a1 == pytest.approx(2.0, abs=1e-14)
     assert b2 == pytest.approx(1.0, abs=1e-14)
-    a2, b3 = lanczos_step(state)
+    (a2,), _ = lanczos_step(state)
     assert a2 == pytest.approx(2.0, abs=1e-13)
     eig = tridiag_eigen(state.tridiagonal())
     np.testing.assert_allclose(eig.thetas, [1.0, 3.0], atol=1e-12)
@@ -110,32 +127,32 @@ def test_two_by_two_hand_run():
 
 def test_laplacian_first_alpha_is_diagonal():
     op = Laplacian2D(2, 2)
-    state = lanczos_init(op, np.array([1.0, 0, 0, 0]))
-    alpha, _ = lanczos_step(state)
+    state = LanczosState(op, np.array([[1.0, 0, 0, 0]]))
+    (alpha,), _ = lanczos_step(state)
     assert alpha == pytest.approx(4.0)
 
 
 def test_basis_stays_orthonormal_full():
     op = Laplacian2D(10, 12)
     rng = np.random.default_rng(0)
-    state = lanczos_init(op, rng.standard_normal(120), reorth_mode="full")
+    state = LanczosState(op, rng.standard_normal((1, 120)), reorth_mode="full")
     sqrt_eps = np.sqrt(np.finfo(float).eps)
     for _ in range(60):
         lanczos_step(state)
-        if state.breakdown:
+        if state.breakdown[0]:
             break
         assert np.linalg.norm(state.basis()[-1]) == pytest.approx(1.0, abs=1e-12)
-        assert state.max_basis_inner_product() <= sqrt_eps
+        assert max_basis_inner_product(state) <= sqrt_eps
 
 
 def test_basis_stays_orthonormal_partial():
     op = Laplacian2D(10, 12)
     rng = np.random.default_rng(1)
-    state = lanczos_init(op, rng.standard_normal(120), reorth_mode="partial")
+    state = LanczosState(op, rng.standard_normal((1, 120)), reorth_mode="partial")
     sqrt_eps = np.sqrt(np.finfo(float).eps)
     for _ in range(80):
         lanczos_step(state)
-        if state.breakdown:
+        if state.breakdown[0]:
             break
     V = state.basis()
     gram = V @ V.T - np.eye(len(V))
@@ -144,8 +161,8 @@ def test_basis_stays_orthonormal_partial():
 
 def test_reorth_passes_count_orthogonalizations():
     op = Laplacian2D(10, 12)
-    u = np.random.default_rng(2).standard_normal(120)
-    passes = {mode: lanczos_run(op, u, 40, mode).reorth_passes
+    u = np.random.default_rng(2).standard_normal((1, 120))
+    passes = {mode: lanczos_run(op, u, 40, mode).reorth_passes[0]
               for mode in ("none", "partial", "full")}
     # full mode makes one pass per step, plus a second when the first removes
     # most of the vector; partial mode only when the omega estimate calls for it
@@ -163,7 +180,7 @@ def test_partial_quadrature_tracks_full_on_covariance_testbed():
     truth = oracles.dense_f_oracle(op.dense_matrix(), np.log).bilinear(
         u / np.linalg.norm(u))
     errs = {mode: abs(truth - quadrature_value(
-                lanczos_run(op, u, 200, mode).tridiagonal(), np.log))
+                lanczos_run(op, u[None], 200, mode).tridiagonal(), np.log))
             for mode in ("full", "partial")}
     assert errs["partial"] <= 10 * errs["full"]
 
@@ -184,7 +201,8 @@ def _lanczos_jacobi():
     # 150 steps on the 20x24 Laplacian: the extreme Ritz values have
     # converged to eigenvalues of A, and some weights are near 1e-7
     rng = np.random.default_rng(6)
-    return lanczos_run(Laplacian2D(20, 24), rng.standard_normal(480), 150).tridiagonal()
+    return lanczos_run(Laplacian2D(20, 24), rng.standard_normal((1, 480)),
+                       150).tridiagonal()
 
 
 @pytest.mark.parametrize("m", [2, 3, 8, 25, 60, 1000, "lanczos"])
@@ -232,20 +250,20 @@ def test_quadrature_domain_error_names_theta():
 
 def test_bilinear_trivial_exp_zero():
     op = DenseOperator(np.zeros((3, 3)), spd_hint=False)
-    state = lanczos_init(op, np.array([2.0, 0.0, 0.0]))
+    u = np.array([2.0, 0.0, 0.0])
+    state = LanczosState(op, u[None])
     lanczos_step(state)
-    assert state.norm_sq == 4.0
-    assert bilinear_estimate(state, lambda x: np.exp(-x)) == pytest.approx(4.0)
+    assert bilinear(state, u, lambda x: np.exp(-x)) == pytest.approx(4.0)
 
 
 def test_bilinear_identity_exact_after_one_step():
     n = 17
     op = DenseOperator(np.eye(n))
     u = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
-    state = lanczos_init(op, u)
+    state = LanczosState(op, u[None])
     lanczos_step(state)
     f = lambda x: np.exp(-x)
-    assert bilinear_estimate(state, f) == pytest.approx(n * f(1.0), rel=1e-13)
+    assert bilinear(state, u, f) == pytest.approx(n * f(1.0), rel=1e-13)
 
 
 def test_exactness_at_distinct_eigenvalue_count():
@@ -255,12 +273,12 @@ def test_exactness_at_distinct_eigenvalue_count():
     diag = np.concatenate([eigs, eigs, eigs])
     op = DenseOperator(np.diag(diag))
     u = rng.standard_normal(len(diag))
-    for state, _, _ in lanczos_steps(op, u):
+    for state, _, _ in lanczos_steps(op, u[None]):
         pass
-    assert state.breakdown and state.m <= len(eigs)
+    assert state.breakdown[0] and state.m <= len(eigs)
     f = lambda x: np.exp(-x)
     exact = float(np.sum(f(diag) * (u**2)))
-    assert bilinear_estimate(state, f) == pytest.approx(exact, rel=1e-10)
+    assert bilinear(state, u, f) == pytest.approx(exact, rel=1e-10)
 
 
 @pytest.mark.parametrize("degree,steps", [(1, 1), (3, 2), (5, 3), (9, 5)])
@@ -271,21 +289,21 @@ def test_gauss_quadrature_degree(degree, steps):
     coeffs = rng.standard_normal(degree + 1)
     f = lambda x: np.polyval(coeffs, x)
     u = rng.standard_normal(11)
-    state = lanczos_run(DenseOperator(A), u, steps)
+    state = lanczos_run(DenseOperator(A), u[None], steps)
     lam, Q = np.linalg.eigh(A)
     w = Q.T @ u
     exact = float(np.sum(w**2 * f(lam)))
-    assert bilinear_estimate(state, f) == pytest.approx(exact, rel=1e-10)
+    assert bilinear(state, u, f) == pytest.approx(exact, rel=1e-10)
 
 
 def test_ritz_values_interlace_along_run():
     op = Laplacian2D(8, 9)
     rng = np.random.default_rng(2)
-    state = lanczos_init(op, rng.standard_normal(72))
+    state = LanczosState(op, rng.standard_normal((1, 72)))
     prev_max, prev_min = -np.inf, np.inf
     for _ in range(40):
         lanczos_step(state)
-        if state.breakdown:
+        if state.breakdown[0]:
             break
         eig = tridiag_eigen(state.tridiagonal())
         assert eig.thetas[-1] >= prev_max - 1e-12
@@ -299,12 +317,12 @@ def test_quadrature_monotone_for_exp_neg():
     # all even derivatives of exp(-x) are positive, so the Gauss value increases
     op = Laplacian2D(12, 15)
     rng = np.random.default_rng(3)
-    state = lanczos_init(op, rng.standard_normal(180))
+    state = LanczosState(op, rng.standard_normal((1, 180)))
     f = lambda x: np.exp(-x)
     values = []
     for _ in range(25):
         lanczos_step(state)
-        if state.breakdown:
+        if state.breakdown[0]:
             break
         values.append(quadrature_value(state.tridiagonal(), f))
     diffs = np.diff(values)
@@ -313,11 +331,11 @@ def test_quadrature_monotone_for_exp_neg():
 
 def test_step_guards():
     op = DenseOperator(np.eye(2))
-    state = lanczos_init(op, np.ones(2))
+    state = LanczosState(op, np.ones((1, 2)))
     lanczos_step(state)
     with pytest.raises(ContractViolationError):
         lanczos_step(state)  # already broken down
-    state2 = lanczos_init(op, np.array([1.0, 0.1]), m_max=1)
+    state2 = LanczosState(op, np.array([[1.0, 0.1]]), m_max=1)
     lanczos_step(state2)
     with pytest.raises(ContractViolationError):
         lanczos_step(state2)  # m_max exhausted
@@ -340,15 +358,15 @@ def test_warm_steps_allocate_no_vector(mode):
     # the operator writes into the next basis row and the updates run in
     # place, so a step within the buffer's capacity allocates only O(m)
     op = Laplacian2D(300, 400)
-    state = lanczos_init(op, rademacher_vector(op.dim, seed=4), reorth_mode=mode)
+    state = LanczosState(op, rademacher_vector(op.dim, seed=4)[None], reorth_mode=mode)
     for _ in range(2):
         lanczos_step(state)
     assert _warm_step_allocation(state, 8) < op.dim * 8
-    assert state.m == 10 and not state.breakdown
+    assert state.m == 10 and not state.breakdown[0]
     # a block of probes steps in the same rows: less than one (b, n) block
     op = Laplacian2D(100, 120)
     probes = np.array([rademacher_vector(op.dim, seed=4, index=i) for i in range(4)])
-    state = lanczos_init(op, probes, reorth_mode=mode)
+    state = LanczosState(op, probes, reorth_mode=mode)
     for _ in range(2):
         lanczos_step(state)
     assert _warm_step_allocation(state, 8) < probes.nbytes
@@ -356,8 +374,9 @@ def test_warm_steps_allocate_no_vector(mode):
 
 
 def test_block_columns_replay_single_runs():
-    # each column of a block run, retired at its own step, has the Jacobi
-    # matrix and basis of its own run, bit for bit
+    # each column of a block of three, retired at its own step, has the
+    # Jacobi matrix, basis and reorthogonalization count of its own run as a
+    # block of one, bit for bit
     op = Laplacian2D(9, 11)
     rng = np.random.default_rng(8)
     U = rng.standard_normal((3, op.dim))
@@ -368,18 +387,20 @@ def test_block_columns_replay_single_runs():
                 state.active[j] = False
     assert list(state.steps) == [5, 14, 9]
     for j, u in enumerate(U):
-        single = lanczos_run(op, u, state.steps[j])
+        single = lanczos_run(op, u[None], state.steps[j])
+        assert single.m == state.steps[j]
         for part in ("alphas", "betas"):
             np.testing.assert_array_equal(getattr(single.tridiagonal(), part),
                                           getattr(state.tridiagonal(column=j), part))
         np.testing.assert_array_equal(single.basis(), state.basis(j))
+        assert single.reorth_passes[0] == state.reorth_passes[j]
 
 
 def test_buffer_growth_keeps_earlier_rows_in_place():
     # a growth appends a chunk: rows written before it keep their memory
     op = Laplacian2D(6, 7)
     buffer = BasisBuffer(op.dim, width=2)
-    state = lanczos_init(op, np.ones((2, op.dim)) + np.eye(2, op.dim), m_max=40,
+    state = LanczosState(op, np.ones((2, op.dim)) + np.eye(2, op.dim), m_max=40,
                          buffer=buffer)
     first = buffer.chunks[0]
     pointer = first.__array_interface__["data"][0]

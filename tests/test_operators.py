@@ -123,6 +123,12 @@ def test_build_matern_paper_sizing():
     np.testing.assert_array_equal(sites, again)
 
 
+def test_site_seed_outside_64_bits_is_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ContractViolationError, match=r"\[0, 2\^64\)"):
+            sample_sites(8, 8, 0.5, seed)
+
+
 def test_matern_2x2_dense_unit_diagonal():
     op = build_matern_operator((2, 2), [0, 1, 2, 3], 1.0, 1.0, tau=0.0)
     M = op.dense_matrix()

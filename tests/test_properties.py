@@ -77,6 +77,8 @@ _SCALARS = {
 def _field_values(name, hint):
     if name in CHOICES:
         return st.sampled_from(CHOICES[name])
+    if name == "delta":       # a tolerance is positive, or None to calibrate one
+        return st.none() | FINITE.filter(lambda x: x > 0)
     return st.one_of(*(_SCALARS[t] for t in typing.get_args(hint) or (hint,)))
 
 
@@ -101,7 +103,7 @@ def test_partial_basis_gram_bound(seed, dim, log_cond):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     A = (Q * np.logspace(0.0, log_cond, dim)) @ Q.T
-    state = lanczos_run(DenseOperator((A + A.T) / 2), rng.standard_normal(dim),
+    state = lanczos_run(DenseOperator((A + A.T) / 2), rng.standard_normal((1, dim)),
                         dim - 10, "partial")
     V = state.basis()
     assert np.max(np.abs(V @ V.T - np.eye(len(V)))) <= 10 * math.sqrt(EPS)

@@ -41,6 +41,14 @@ def test_rademacher_deterministic_and_keyed():
     np.testing.assert_array_equal(rademacher_vector(16, seed=1, index=0)[:16], expected)
 
 
+@pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_rademacher_key_outside_64_bits_is_rejected(seed, index):
+    with pytest.raises(ContractViolationError, match=r"\[0, 2\^64\)"):
+        rademacher_vector(8, seed=seed, index=index)
+    # the ends of the range are keys
+    rademacher_vector(8, seed=2**64 - 1, index=2**64 - 1)
+
+
 def test_rademacher_mean_concentrates():
     n = 100_000
     draws = 30
@@ -136,7 +144,7 @@ def test_sample_bilinear_identity_breakdown():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 2, (0.0, 2.0))
     u = rademacher_vector(n, seed=2)
-    rec, (t_lan, t_mon) = sample_bilinear(op, f, r, u, delta=1e-3)
+    (rec,), (t_lan, t_mon) = sample_bilinear(op, f, r, u[None], delta=1e-3)
     assert rec.converged
     assert rec.steps_run == 1 and rec.retired_step == 1
     assert rec.value == pytest.approx(n * f(1.0), rel=1e-12)
@@ -149,7 +157,7 @@ def test_sample_bilinear_laplacian_retires_early():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 3, (0.0, interval[1]))
     u = rademacher_vector(op.dim, seed=0, index=0)
-    rec, _ = sample_bilinear(op, f, r, u, delta=0.5)
+    (rec,), _ = sample_bilinear(op, f, r, u[None], delta=0.5)
     assert rec.converged
     assert rec.retired_step < rec.steps_run <= 12
     # certificate honest against the sine-transform oracle
@@ -162,7 +170,7 @@ def test_sample_bilinear_flags_unconverged_at_cap():
     interval = oracles.laplacian_extreme_eigenvalues(12, 12)
     r = build("log", 12, interval)
     u = rademacher_vector(op.dim, seed=1)
-    rec, _ = sample_bilinear(op, np.log, r, u, delta=1e-10, m_max=4)
+    (rec,), _ = sample_bilinear(op, np.log, r, u[None], delta=1e-10, m_max=4)
     assert not rec.converged
     assert rec.steps_run == 4
 
@@ -206,6 +214,16 @@ def test_estimate_trace_requires_two_samples():
     with pytest.raises(ContractViolationError):
         estimate_trace(Laplacian2D(4, 4), "sqrt", N=1, delta=0.1,
                        interval=(0.1, 8.0))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_estimate_trace_rejects_a_nonpositive_delta(delta):
+    # named by delta, before the interval, the K rule or any probe runs
+    op = Laplacian2D(4, 4)
+    with pytest.raises(ContractViolationError, match="delta must be positive"):
+        estimate_trace(op, "log", N=2, delta=delta)
+    with pytest.raises(ContractViolationError, match="delta must be positive"):
+        estimate_trace_with(op, np.log, build("log", 4, (0.1, 8.0)), N=2, delta=delta)
 
 
 def test_estimate_trace_uncertified_on_cap():
@@ -282,8 +300,8 @@ def test_shared_basis_buffer_replays_fresh_runs(mode):
                for rec in est.records)
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 2, index=i)
-        fresh, _ = sample_bilinear(op, np.log, r, u, 1e-9, reorth_mode=mode,
-                                   index=i, seed=2)
+        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-9, reorth_mode=mode,
+                                      index=i, seed=2)
         assert fresh == rec
 
 
@@ -321,7 +339,7 @@ def test_preconditioned_block_matches_per_probe_runs():
     assert est.block_size == 6
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 3, index=i)
-        fresh, _ = sample_bilinear(op, np.log, r, u, 1e-6, index=i, seed=3)
+        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-6, index=i, seed=3)
         assert fresh.steps_run == rec.steps_run
         assert fresh.retired_step == rec.retired_step
         assert abs(fresh.value - rec.value) <= 1e-12 * abs(fresh.value)
