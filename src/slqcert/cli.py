@@ -52,6 +52,9 @@ CHOICES = {
     "format": ("json", "table"),
 }
 
+# the keys whose value, when set, must be positive
+POSITIVE = ("alpha", "beta", "delta")
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,8 +109,8 @@ def _checked(key, value, hint):
     if key in CHOICES and value not in CHOICES[key]:
         raise ContractViolationError(
             f"config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
-    if key == "delta" and not (value is None or value > 0):
-        raise ContractViolationError(f"config key 'delta' must be positive, got {value!r}")
+    if key in POSITIVE and not (value is None or value > 0):
+        raise ContractViolationError(f"config key {key!r} must be positive, got {value!r}")
     return value
 
 
@@ -190,7 +193,8 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     if config.K is not None:
         r = rational.build(config.kind, config.K, interval)
     else:
-        target = 1e-10 if config.delta is None else config.delta / (2.0 * op.dim)
+        target = (1e-10 if config.delta is None
+                  else trace_estimator.rational_target(config.delta, op.dim))
         try:
             r = rational.choose_K(config.kind, interval, target)
         except UnreachableAccuracyError as exc:
@@ -251,16 +255,11 @@ def cmd_trace(config: ExperimentConfig) -> int:
     f = kind_function(config.kind)
     delta = config.delta
     if delta is None:
-        beta = config.beta if config.beta is not None else 0.1
-        delta = trace_estimator.calibrate_delta(
-            op, config.kind, n_pilot=config.pilot_n, beta=beta,
-            alpha=config.alpha, production_n=config.n_samples,
-            seed=config.seed, interval=interval, m_max=config.m_max,
-            reorth_mode=config.reorth)
+        delta, _ = _calibrated_delta(config, op, interval)
     estimate = trace_estimator.estimate_trace(
-        op, config.kind, config.n_samples, delta, alpha=config.alpha,
-        t=config.t, seed=config.seed, interval=interval, K=config.K,
-        m_max=config.m_max, reorth_mode=config.reorth)
+        op, config.kind, config.n_samples, delta, interval, alpha=config.alpha,
+        t=config.t, seed=config.seed, K=config.K, m_max=config.m_max,
+        reorth_mode=config.reorth)
     report = estimate.to_json_dict()
     if isinstance(op, PreconditionedMatern):
         # log det A = log det P + tr log B, so each sample of tr log B shifts
@@ -309,13 +308,20 @@ def _format_table(report) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
+def _calibrated_delta(config: ExperimentConfig, op, interval):
+    """(delta, beta): delta from the pilot run at the config's beta, or at
+    ``trace_estimator.DEFAULT_BETA`` when it sets none."""
+    beta = trace_estimator.DEFAULT_BETA if config.beta is None else config.beta
+    delta = trace_estimator.calibrate_delta(
+        op, config.kind, interval, n_pilot=config.pilot_n, beta=beta,
+        alpha=config.alpha, production_n=config.n_samples, seed=config.seed,
+        m_max=config.m_max, reorth_mode=config.reorth)
+    return delta, beta
+
+
 def cmd_calibrate_delta(config: ExperimentConfig) -> int:
     op, interval, descriptor = make_operator(config)
-    beta = config.beta if config.beta is not None else 0.1
-    delta = trace_estimator.calibrate_delta(
-        op, config.kind, n_pilot=config.pilot_n, beta=beta, alpha=config.alpha,
-        production_n=config.n_samples, seed=config.seed, interval=interval,
-        m_max=config.m_max, reorth_mode=config.reorth)
+    delta, beta = _calibrated_delta(config, op, interval)
     out = {"delta": delta, "beta": beta, "pilot_n": config.pilot_n,
            "production_n": config.n_samples, "operator": descriptor,
            "config": config.to_dict()}
@@ -331,38 +337,30 @@ _COMMANDS = {
 }
 
 
+def _add_flag(parser, key, hint):
+    """--key-with-dashes for a config key: its choices from CHOICES, else the
+    type of the key's annotation with None left out."""
+    flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
+    if key in CHOICES:
+        parser.add_argument(*flags, choices=CHOICES[key])
+    else:
+        types = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+        parser.add_argument(*flags, type=types[0])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slqcert",
         description="Matrix-free trace estimation with error certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(ExperimentConfig)
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--testbed", choices=CHOICES["testbed"])
-        p.add_argument("--n1", type=int)
-        p.add_argument("--n2", type=int)
-        p.add_argument("--kind", choices=CHOICES["kind"])
-        p.add_argument("--n-samples", type=int, dest="n_samples")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--t", type=float)
-        p.add_argument("--reorth", choices=CHOICES["reorth"])
-        p.add_argument("--m-max", type=int, dest="m_max")
-        p.add_argument("--K", type=int)
-        p.add_argument("--k-min", type=int, dest="k_min")
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--sample-fraction", type=float, dest="sample_fraction")
-        p.add_argument("--ell-rule", type=float, dest="ell_rule")
-        p.add_argument("--nu", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--site-seed", type=int, dest="site_seed")
-        p.add_argument("--pilot-n", type=int, dest="pilot_n")
-        p.add_argument("--output", "-o")
-        p.add_argument("--format", choices=CHOICES["format"])
+        for key, hint in hints.items():
+            if key != "command":
+                _add_flag(p, key, hint)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Jacobi elliptic functions at complex argument, plus complete integrals.
+"""Jacobi elliptic functions at complex argument.
 
 The conformal-map quadratures in :mod:`slqcert.rational` need sn/cn/dn on
 horizontal lines ``Im(u) = K'/2`` inside the fundamental rectangle.  SciPy
@@ -10,20 +10,7 @@ is assembled here from the real values via the addition theorem
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ellipj, ellipk, ellipkm1
-
-
-def complete_k(m: float) -> float:
-    """Complete elliptic integral K for parameter m = k^2, 0 <= m < 1.
-
-    Switches to the ``ellipkm1`` evaluation near m = 1, where the integral
-    diverges logarithmically and the direct series loses digits.
-    """
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"parameter m must lie in [0, 1), got {m}")
-    if m <= 0.5:
-        return float(ellipk(m))
-    return float(ellipkm1(1.0 - m))
+from scipy.special import ellipj
 
 
 def jacobi_cplx(u, m: float):

@@ -21,14 +21,13 @@ part of a K-term sum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import hankel
-from scipy.special import ellipj
+from scipy.special import ellipj, ellipk
 
-from .elliptic import complete_k, jacobi_cplx
+from .elliptic import jacobi_cplx
 from .errors import (
     ContractViolationError,
     PoleEvaluationError,
@@ -75,44 +74,6 @@ class RationalApproximant:
     K: int
     eps: float = field(default=np.nan)
     method: str = ""
-
-    def __call__(self, x):
-        return evaluate(self, x)
-
-    def function(self):
-        return kind_function(self.kind)
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "interval": [float(self.interval[0]), float(self.interval[1])],
-            "K": int(self.K),
-            "poles": [[z.real, z.imag] for z in self.poles],
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            "constant": float(self.constant),
-            "eps": float(self.eps),
-            "method": self.method,
-        }
-
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            kind=d["kind"],
-            interval=(d["interval"][0], d["interval"][1]),
-            poles=np.array([complex(re, im) for re, im in d["poles"]]),
-            coeffs=np.array([complex(re, im) for re, im in d["coeffs"]]),
-            constant=d["constant"],
-            K=d["K"],
-            eps=d["eps"],
-            method=d.get("method", ""),
-        )
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 def evaluate(r: RationalApproximant, x):
@@ -274,7 +235,7 @@ def build_sqrt(K, interval):
     if K not in K_SCHEDULE:
         raise UnsupportedParameterError(f"sqrt supports K in [1, 40], got {K}")
     m = a / b
-    Kp = complete_k(1.0 - m)
+    Kp = ellipk(1.0 - m)
     y = (np.arange(K) + 0.5) * Kp / K
     s1, c1, d1, _ = ellipj(y, 1.0 - m)
     t = np.sqrt(a) * s1 / c1
@@ -296,8 +257,8 @@ def _slit_map_nodes(a, b, K, quarter_power):
     ratio = (b / a) ** (0.25 if quarter_power else 0.5)
     k = (ratio - 1) / (ratio + 1)
     m = k * k
-    Kv = complete_k(m)
-    Kp = complete_k(1.0 - m)
+    Kv = ellipk(m)
+    Kp = ellipk(1.0 - m)
     u = -Kv + (np.arange(K) + 0.5) * 2.0 * Kv / K + 0.5j * Kp
     sn, cn, dn = jacobi_cplx(u, m)
     mid = (a * b) ** (0.25 if quarter_power else 0.5)

@@ -31,6 +31,7 @@ from .rational import RationalApproximant, kind_function
 DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_T = 0.1
+DEFAULT_BETA = 0.1
 
 # Probes run in blocks of b = min(N, max(1, PROBE_BLOCK_ELEMENTS // n)): the
 # four block rows a Lanczos step touches (v_{m-1}, v_m, A v_m and the work
@@ -38,6 +39,11 @@ DEFAULT_T = 0.1
 # dimension above 2^15, whose basis alone is tens of MB per probe, runs one
 # probe at a time.
 PROBE_BLOCK_ELEMENTS = 2**15
+
+# the upper end of an estimated spectrum interval: the largest Ritz value
+# after this many Lanczos steps, times this factor
+SPECTRUM_PROBE_STEPS = 80
+SPECTRUM_SAFETY = 1.005
 
 # the errors that end one probe's run without ending the others'
 # (PivotBreakdownError is a NumericalFailureError)
@@ -55,6 +61,19 @@ def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
     key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return 2.0 * rng.integers(0, 2, size=n) - 1.0
+
+
+def _require_positive(name: str, value: float):
+    if not value > 0:
+        raise ContractViolationError(f"{name} must be positive, got {value}")
+
+
+def _check_run(N: int, delta: float, alpha: float):
+    """The arguments of a trace estimate, checked before any probe runs."""
+    if N < 2:
+        raise ContractViolationError("estimate_trace needs N >= 2")
+    _require_positive("tolerance delta", delta)
+    _require_positive("alpha", alpha)
 
 
 def p_alpha(alpha: float) -> float:
@@ -78,28 +97,22 @@ def probe_block_size(N: int, dim: int) -> int:
     return min(N, max(1, PROBE_BLOCK_ELEMENTS // dim))
 
 
-def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = None,
-                               probe_steps: int = 80, safety: float = 1.005,
-                               seed: int = 0, reorth_mode: str = DEFAULT_REORTH):
-    """[a, b] from a fixed-budget Lanczos run on a random probe.
+def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int = 0,
+                               reorth_mode: str = DEFAULT_REORTH):
+    """[a, b] for an SPD operator whose spectrum is bounded below by
+    ``lower_hint``, a bound known in advance (the nugget tau, or 1 for the
+    preconditioned Matern operator).
 
-    b inflates the largest Ritz value by the safety factor; a is the hint
-    when provided (e.g. the nugget), otherwise the smallest positive Ritz
-    value deflated by the same factor.
+    a is that bound; b is the largest Ritz value of a SPECTRUM_PROBE_STEPS
+    Lanczos run on a Rademacher probe, inflated by SPECTRUM_SAFETY.
     """
     if not op.spd_hint:
         raise ContractViolationError("spectrum estimation requires an SPD operator")
     u = rademacher_vector(op.dim, seed, index=2**32 - 1)
-    state = lanczos_run(op, u[None], probe_steps, reorth_mode)
+    state = lanczos_run(op, u[None], SPECTRUM_PROBE_STEPS, reorth_mode)
     eig = tridiag_eigen(state.tridiagonal())
-    b = float(eig.thetas[-1]) * safety
-    if lower_hint is not None:
-        a = float(lower_hint)
-    else:
-        positive = eig.thetas[eig.thetas > 0]
-        if len(positive) == 0:
-            raise ContractViolationError("no positive Ritz values; operator not SPD")
-        a = float(positive[0]) / safety
+    a = float(lower_hint)
+    b = float(eig.thetas[-1]) * SPECTRUM_SAFETY
     if not 0 < a < b:
         raise ContractViolationError(f"estimated interval [{a}, {b}] is not usable")
     return a, b
@@ -107,9 +120,9 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float | None = No
 
 @dataclass
 class SampleRecord:
-    """One probe's outcome: the bilinear value at the retired step and the
-    certificate the monitor produced for it.  ``failure`` names the error
-    that ended a failed probe, whose value is NaN."""
+    """One probe's outcome: the bilinear value at the last step and the
+    certificate the monitor produced at the retired step.  ``failure``
+    names the error that ended a failed probe, whose value is NaN."""
 
     index: int
     value: float
@@ -135,7 +148,7 @@ class TraceEstimate:
     half_width: float
     p_alpha: float
     records: list
-    kind: str = ""
+    kind: str
     K: int = 0
     rational_eps: float = float("nan")
     t: float = DEFAULT_T
@@ -206,12 +219,19 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     equals the probe's own run as a block of one: bit for bit when each row
     of the operator's block apply equals its vector apply (every operator
     here but ``PreconditionedMatern``), to roundoff otherwise.  A record's
-    value is taken at the retired step with f itself (not r) on the Ritz
-    values.  Hitting m_max yields a flagged, unconverged record instead of
-    an exception.  On breakdown the quadrature is exact and the certificate
-    is a zero error estimate.  A probe whose pole recurrence, eigensolver or
-    quadrature raises one of SAMPLE_FAILURES retires unconverged, with a NaN
-    value and the error in ``failure``; the other probes go on.
+    value is taken at the last step J = ``steps_run`` with f itself (not r)
+    on the Ritz values; ``retired_step`` m and ``error_estimate`` are the
+    step the monitor certified and its estimate there.  For log, sqrt and
+    exp(-x), whose even derivatives keep one sign on [a, b], the Gauss
+    quadrature error keeps its sign and shrinks as the step grows (Golub &
+    Meurant, Matrices, Moments and Quadrature, 2010), so the error at J is
+    at most the error at m; for tanh(sqrt(x)) the derivatives change sign
+    and the gain is only measured.  Hitting m_max yields a flagged,
+    unconverged record instead of an exception.  On breakdown the quadrature
+    is exact and the certificate is a zero error estimate.  A probe whose
+    pole recurrence, eigensolver or quadrature raises one of SAMPLE_FAILURES
+    retires unconverged, with a NaN value and the error in ``failure``; the
+    other probes go on.
     ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
     mode orthogonalizes only when the estimated loss of orthogonality calls
     for it, ``full`` on every step.  The basis goes into ``buffer`` when one
@@ -257,7 +277,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
         value = math.nan
         if failure is None:
             try:
-                value = norm_sq[j] * quadrature_value(state.tridiagonal(retired, j), f)
+                value = norm_sq[j] * quadrature_value(state.tridiagonal(column=j), f)
             except SAMPLE_FAILURES as exc:
                 converged, failure = False, f"{type(exc).__name__}: {exc}"
         records.append(SampleRecord(
@@ -279,8 +299,8 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
                         delta: float, alpha: float = DEFAULT_ALPHA,
                         t: float = DEFAULT_T, seed: int = 0,
-                        m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH,
-                        kind: str = "") -> TraceEstimate:
+                        m_max: int = DEFAULT_M_MAX,
+                        reorth_mode: str = DEFAULT_REORTH) -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
     Probe i is ``rademacher_vector(n, seed, i)``.  The probes run through
@@ -294,10 +314,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     the samples that did not fail (NaN when fewer than two did); a failed
     sample leaves the run uncertified.
     """
-    if N < 2:
-        raise ContractViolationError("estimate_trace needs N >= 2")
-    if not delta > 0:
-        raise ContractViolationError(f"tolerance delta must be positive, got {delta}")
+    _check_run(N, delta, alpha)
     b = probe_block_size(N, op.dim)
     buffer = BasisBuffer(op.dim, b)
     probes = np.empty((b, op.dim))
@@ -330,7 +347,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         half_width=float(half),
         p_alpha=p_alpha(alpha),
         records=records,
-        kind=kind or r.kind,
+        kind=r.kind,
         K=r.K,
         rational_eps=r.eps,
         t=t,
@@ -344,57 +361,55 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     )
 
 
-def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float,
+def rational_target(delta: float, dim: int) -> float:
+    """The uniform error allowed to r_K: half the scaled tolerance
+    delta / ||u||^2, with ||u||^2 = dim for Rademacher probes."""
+    return delta / (2.0 * dim)
+
+
+def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float, interval,
                    alpha: float = DEFAULT_ALPHA, t: float = DEFAULT_T,
-                   seed: int = 0, interval=None, K: int | None = None,
-                   m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH,
-                   lower_hint: float | None = None) -> TraceEstimate:
+                   seed: int = 0, K: int | None = None, m_max: int = DEFAULT_M_MAX,
+                   reorth_mode: str = DEFAULT_REORTH) -> TraceEstimate:
     """Algorithm driver for the four built-in function kinds.
 
-    The pole count follows the rule that the rational error must stay below
-    half the scaled tolerance delta / (2 ||u||^2) with ||u||^2 = n for
-    Rademacher probes, unless K is forced explicitly.
+    ``interval`` is the [a, b] the approximant is built on; the certificate
+    holds only when it contains the spectrum.  The pole count is the
+    smallest whose uniform error is at most ``rational_target(delta, n)``,
+    unless K is forced explicitly.
     """
-    if not delta > 0:
-        raise ContractViolationError(f"tolerance delta must be positive, got {delta}")
-    if interval is None:
-        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed,
-                                              reorth_mode=reorth_mode)
+    _check_run(N, delta, alpha)
     f = kind_function(kind)
     if K is not None:
         r = rational.build(kind, K, interval)
     else:
-        r = rational.choose_K(kind, interval, target=delta / (2.0 * op.dim))
+        r = rational.choose_K(kind, interval, target=rational_target(delta, op.dim))
     return estimate_trace_with(op, f, r, N, delta, alpha=alpha, t=t, seed=seed,
-                               m_max=m_max, reorth_mode=reorth_mode, kind=kind)
+                               m_max=m_max, reorth_mode=reorth_mode)
 
 
-def calibrate_delta(op: LinearOperator, kind: str, n_pilot: int = 30,
-                    beta: float = 0.1, alpha: float = DEFAULT_ALPHA,
+def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = 30,
+                    beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
                     production_n: int = DEFAULT_N, seed: int = 0,
-                    interval=None, lower_hint: float | None = None,
                     m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH) -> float:
     """Pilot run -> delta = beta alpha s / sqrt(N) for the production run.
 
-    The pilot uses a loose internal tolerance (1e-2 of the rough trace scale
-    n f(midpoint)) and no certification; only its sample standard error is
-    kept.
+    The pilot runs on ``interval``, as ``estimate_trace`` does, with a loose
+    internal tolerance (1e-2 of the rough trace scale n f(midpoint)) and no
+    certification; only its sample standard error is kept.
     """
     if n_pilot < 2:
         raise ContractViolationError("pilot needs at least 2 samples")
-    if interval is None:
-        interval = estimate_spectrum_interval(op, lower_hint=lower_hint, seed=seed,
-                                              reorth_mode=reorth_mode)
+    _require_positive("beta", beta)
+    _require_positive("alpha", alpha)
     f = kind_function(kind)
     mid = 0.5 * (interval[0] + interval[1])
     scale = max(abs(float(np.asarray(f(mid)))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
-    pilot = estimate_trace(op, kind, n_pilot, delta_pilot, alpha=alpha,
-                           seed=seed + 1, interval=interval, m_max=m_max,
-                           reorth_mode=reorth_mode)
+    pilot = estimate_trace(op, kind, n_pilot, delta_pilot, interval, alpha=alpha,
+                           seed=seed + 1, m_max=m_max, reorth_mode=reorth_mode)
     if not pilot.std_err > 0.0:
         raise CalibrationFailedError(
             f"pilot standard error is {pilot.std_err}; cannot calibrate a tolerance"
         )
     return float(beta * alpha * pilot.std_err / np.sqrt(production_n))
-

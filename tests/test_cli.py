@@ -1,13 +1,15 @@
+import argparse
 import csv
 import io
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from slqcert import oracles, trace_estimator
-from slqcert.cli import ExperimentConfig, main
+from slqcert.cli import ExperimentConfig, build_parser, main
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState
 from slqcert.operators import build_matern_operator, sample_sites
@@ -263,6 +265,39 @@ def test_nonpositive_delta_is_a_usage_error(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "'delta' must be positive" in err
+
+
+@pytest.mark.parametrize("args", [
+    # a negative beta used to print a negative delta and exit 0
+    ["calibrate-delta", "--beta", "-1"],
+    ["trace", "--beta", "0"],
+    # a zero alpha used to fail only after every probe had run
+    ["trace", "--alpha", "0", "--delta", "1.0"],
+], ids=["calibrate-delta-beta", "trace-beta", "trace-alpha"])
+def test_nonpositive_alpha_or_beta_fails_before_any_probe(args, capsys, monkeypatch):
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a Lanczos run started")
+
+    monkeypatch.setattr(LanczosState, "__init__", no_probe)
+    code, out, err = run_cli([*args, "--n1", "8", "--n2", "8", "--kind", "log"], capsys)
+    assert code == 1 and out == ""
+    key = args[1].lstrip("-")
+    assert err.startswith("error:") and f"'{key}' must be positive" in err
+
+
+def test_each_subcommand_has_one_flag_per_config_key():
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    keys = {f.name for f in fields(ExperimentConfig)} - {"command"}
+    for name, sub in commands.items():
+        assert {action.dest for action in sub._actions} - {"help", "config"} == keys, name
+    args = parser.parse_args(["trace", "--K", "3", "--tau", "1e-3", "--beta", "2",
+                              "--reorth", "full", "-o", "out.json"])
+    assert (args.K, args.tau, args.beta, args.reorth, args.output) == (
+        3, 1e-3, 2.0, "full", "out.json")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["trace", "--kind", "cosh"])
 
 
 @pytest.mark.parametrize("value", ["-1", str(2**64)])

@@ -2,30 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from slqcert.elliptic import complete_k, jacobi_cplx
-
-
-def test_complete_k_matches_scipy():
-    for m in (0.0, 0.1, 0.5, 0.9, 0.99):
-        assert complete_k(m) == pytest.approx(float(ellipk(m)), rel=1e-12)
-
-
-def test_complete_k_near_one():
-    # ellipkm1 branch: still finite and increasing
-    assert complete_k(1 - 1e-12) > complete_k(0.999) > complete_k(0.99)
-
-
-def test_complete_k_domain():
-    with pytest.raises(ValueError):
-        complete_k(1.0)
-    with pytest.raises(ValueError):
-        complete_k(-0.1)
+from slqcert.elliptic import jacobi_cplx
 
 
 @pytest.mark.parametrize("m", [0.04, 0.3, 0.64, 0.95])
 def test_jacobi_identities_complex(m):
-    K = complete_k(m)
-    Kp = complete_k(1 - m)
+    K = ellipk(m)
+    Kp = ellipk(1 - m)
     x = np.linspace(-0.9 * K, 0.9 * K, 13)
     for y_frac in (0.25, 0.5, 0.75):
         u = x + 1j * y_frac * Kp

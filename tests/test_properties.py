@@ -1,5 +1,6 @@
-"""Property tests: monitor prefix sums, JSON round-trips, the partial
-reorthogonalization bound and the identities of the Matern preconditioner."""
+"""Property tests: monitor prefix sums, the config's JSON round-trip, the
+partial reorthogonalization bound and the identities of the Matern
+preconditioner."""
 
 import json
 import math
@@ -9,13 +10,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slqcert.cli import CHOICES, ExperimentConfig
+from slqcert.cli import CHOICES, POSITIVE, ExperimentConfig
 from slqcert.error_estimator import ErrorMonitor, cumulative_error
 from slqcert.lanczos import lanczos_run
 from slqcert.operators import (SUPPORTED_NU, DenseOperator, PreconditionedMatern,
                                build_matern_operator, pivoted_cholesky)
 from slqcert.oracles import dense_logdet
-from slqcert.rational import KINDS, RationalApproximant
+from slqcert.rational import RationalApproximant
 
 EPS = np.finfo(float).eps
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -40,32 +41,6 @@ def test_cumulative_error_is_the_direct_sum(alphas, betas):
             assert abs(cumulative_error(monitor, m, m_prime) - direct) <= scale
 
 
-@st.composite
-def approximants(draw):
-    K = draw(st.integers(1, 8))
-    complexes = st.lists(st.builds(complex, FINITE, FINITE), min_size=K, max_size=K)
-    a = draw(st.floats(1e-8, 1e3))
-    return RationalApproximant(
-        kind=draw(st.sampled_from(KINDS)),
-        interval=(a, a + draw(st.floats(1e-6, 1e6))),
-        poles=np.array(draw(complexes), dtype=complex),
-        coeffs=np.array(draw(complexes), dtype=complex),
-        constant=draw(FINITE),
-        K=K,
-        eps=draw(st.floats(0.0, 1.0)),
-        method=draw(st.sampled_from(["", "cf", "zolotarev"])),
-    )
-
-
-@given(approximants())
-def test_rational_approximant_json_round_trip(r):
-    clone = RationalApproximant.loads(r.dumps())
-    assert (clone.kind, clone.interval, clone.constant, clone.K, clone.eps,
-            clone.method) == (r.kind, r.interval, r.constant, r.K, r.eps, r.method)
-    np.testing.assert_array_equal(clone.poles, r.poles)
-    np.testing.assert_array_equal(clone.coeffs, r.coeffs)
-
-
 _SCALARS = {
     int: st.integers(),
     float: FINITE,
@@ -77,9 +52,10 @@ _SCALARS = {
 def _field_values(name, hint):
     if name in CHOICES:
         return st.sampled_from(CHOICES[name])
-    if name == "delta":       # a tolerance is positive, or None to calibrate one
-        return st.none() | FINITE.filter(lambda x: x > 0)
-    return st.one_of(*(_SCALARS[t] for t in typing.get_args(hint) or (hint,)))
+    scalars = dict(_SCALARS)
+    if name in POSITIVE:      # alpha, beta and delta are positive when set
+        scalars[float] = FINITE.filter(lambda x: x > 0)
+    return st.one_of(*(scalars[t] for t in typing.get_args(hint) or (hint,)))
 
 
 CONFIGS = st.builds(ExperimentConfig, **{

@@ -239,17 +239,6 @@ def test_conjugate_halving_identity(kind):
                                atol=1e-13 * (1 + np.abs(full.real).max()))
 
 
-def test_json_round_trip():
-    r = build_log(9, INTERVAL_90x120)
-    r2 = RationalApproximant.loads(r.dumps())
-    assert r2.kind == r.kind and r2.K == r.K
-    np.testing.assert_array_equal(r2.poles, r.poles)
-    np.testing.assert_array_equal(r2.coeffs, r.coeffs)
-    assert r2.constant == r.constant and r2.eps == r.eps
-    x = np.linspace(*r.interval, 50)
-    np.testing.assert_array_equal(evaluate(r, x), evaluate(r2, x))
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedParameterError):
         build("cosh", 3, (0.5, 2.0))

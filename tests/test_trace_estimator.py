@@ -9,7 +9,7 @@ from slqcert.errors import (CalibrationFailedError, ContractViolationError,
                             PivotBreakdownError)
 from slqcert.operators import (DenseOperator, Laplacian2D, PreconditionedMatern,
                                build_matern_operator, sample_sites)
-from slqcert.rational import RationalApproximant, build
+from slqcert.rational import RationalApproximant, build, kind_function
 from slqcert.trace_estimator import (
     PROBE_BLOCK_ELEMENTS,
     calibrate_delta,
@@ -121,16 +121,17 @@ def test_spectrum_interval_laplacian_top_within_one_percent():
 
 
 def test_spectrum_interval_identity_like():
+    # a is the bound given; b the largest Ritz value inflated by the safety factor
     op = DenseOperator(np.eye(40))
-    a, b = estimate_spectrum_interval(op)
-    assert a == pytest.approx(1.0, rel=0.02)
-    assert b == pytest.approx(1.0, rel=0.02)
+    a, b = estimate_spectrum_interval(op, lower_hint=0.5)
+    assert a == 0.5
+    assert b == pytest.approx(trace_estimator.SPECTRUM_SAFETY, rel=1e-12)
 
 
 def test_spectrum_interval_requires_spd():
     op = DenseOperator(np.diag([1.0, -2.0]), spd_hint=False)
     with pytest.raises(ContractViolationError):
-        estimate_spectrum_interval(op)
+        estimate_spectrum_interval(op, lower_hint=1.0)
 
 
 def constant_approximant(c, interval=(0.5, 2.0)):
@@ -201,6 +202,23 @@ def test_estimate_trace_deterministic_replay():
     assert [r.retired_step for r in one.records] == [r.retired_step for r in two.records]
 
 
+@pytest.mark.parametrize("kind,delta", [("log", 1.0), ("sqrt", 0.3),
+                                        ("tanh_sqrt", 0.2), ("exp_neg", 0.2)])
+def test_sample_values_lie_within_delta_of_the_exact_bilinear_form(kind, delta):
+    # each sample's value, not only the trace, is certified to delta
+    n1, n2 = 40, 50
+    op = Laplacian2D(n1, n2)
+    f = kind_function(kind)
+    est = estimate_trace(op, kind, N=40, delta=delta, seed=5,
+                         interval=oracles.laplacian_extreme_eigenvalues(n1, n2))
+    assert est.certified
+    within = 0
+    for rec in est.records:
+        u = rademacher_vector(op.dim, 5, rec.index)
+        within += abs(oracles.exact_bilinear_laplacian(f, n1, n2, u) - rec.value) <= delta
+    assert within >= 0.95 * len(est.records), f"{within}/40 samples within delta"
+
+
 def test_estimate_trace_covers_truth_small_grid():
     op = Laplacian2D(20, 25)
     interval = oracles.laplacian_extreme_eigenvalues(20, 25)
@@ -221,9 +239,27 @@ def test_estimate_trace_rejects_a_nonpositive_delta(delta):
     # named by delta, before the interval, the K rule or any probe runs
     op = Laplacian2D(4, 4)
     with pytest.raises(ContractViolationError, match="delta must be positive"):
-        estimate_trace(op, "log", N=2, delta=delta)
+        estimate_trace(op, "log", N=2, delta=delta, interval=(0.1, 8.0))
     with pytest.raises(ContractViolationError, match="delta must be positive"):
         estimate_trace_with(op, np.log, build("log", 4, (0.1, 8.0)), N=2, delta=delta)
+
+
+def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(trace_estimator, "sample_bilinear", no_probe)
+    op = Laplacian2D(4, 4)
+    interval = (0.1, 8.0)
+    with pytest.raises(ContractViolationError, match="alpha must be positive"):
+        estimate_trace(op, "log", N=2, delta=1.0, interval=interval, alpha=0.0)
+    with pytest.raises(ContractViolationError, match="alpha must be positive"):
+        estimate_trace_with(op, np.log, build("log", 4, interval), N=2, delta=1.0,
+                            alpha=-1.0)
+    with pytest.raises(ContractViolationError, match="alpha must be positive"):
+        calibrate_delta(op, "log", interval, alpha=0.0)
+    with pytest.raises(ContractViolationError, match="beta must be positive"):
+        calibrate_delta(op, "log", interval, beta=-1.0)
 
 
 def test_estimate_trace_uncertified_on_cap():
