@@ -249,17 +249,17 @@ def cmd_trace(config: ExperimentConfig) -> int:
 
     ``timings.wall_seconds`` spans the whole command: the operator and its
     spectrum interval, calibration, the estimate and the truth oracle.
+    Without a delta in the config, the pilot that sets it runs on the
+    estimate's first probes (``trace_estimator.estimate_trace``), and the
+    report's ``calibration`` describes it.
     """
     tic = time.perf_counter()
     op, interval, descriptor = make_operator(config)
     f = kind_function(config.kind)
-    delta = config.delta
-    if delta is None:
-        delta, _ = _calibrated_delta(config, op, interval)
     estimate = trace_estimator.estimate_trace(
-        op, config.kind, config.n_samples, delta, interval, alpha=config.alpha,
+        op, config.kind, config.n_samples, config.delta, interval, alpha=config.alpha,
         t=config.t, seed=config.seed, K=config.K, m_max=config.m_max,
-        reorth_mode=config.reorth)
+        reorth_mode=config.reorth, n_pilot=config.pilot_n, beta=_beta(config))
     report = estimate.to_json_dict()
     if isinstance(op, PreconditionedMatern):
         # log det A = log det P + tr log B, so each sample of tr log B shifts
@@ -301,6 +301,8 @@ def _format_table(report) -> str:
          f'{report["timings"]["approximation_seconds"]:.2f}'),
         ("time error estimate (s)",
          f'{report["timings"]["error_estimate_seconds"]:.2f}'),
+        ("time calibration (s)",
+         f'{report["timings"]["calibration_seconds"]:.2f}'),
     ]
     if "truth" in report:
         rows.insert(9, ("truth", f'{report["truth"]:.6g}'))
@@ -308,20 +310,19 @@ def _format_table(report) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
-def _calibrated_delta(config: ExperimentConfig, op, interval):
-    """(delta, beta): delta from the pilot run at the config's beta, or at
+def _beta(config: ExperimentConfig) -> float:
+    """The calibration pilot's beta: the config's, or
     ``trace_estimator.DEFAULT_BETA`` when it sets none."""
-    beta = trace_estimator.DEFAULT_BETA if config.beta is None else config.beta
-    delta = trace_estimator.calibrate_delta(
-        op, config.kind, interval, n_pilot=config.pilot_n, beta=beta,
-        alpha=config.alpha, production_n=config.n_samples, seed=config.seed,
-        m_max=config.m_max, reorth_mode=config.reorth)
-    return delta, beta
+    return trace_estimator.DEFAULT_BETA if config.beta is None else config.beta
 
 
 def cmd_calibrate_delta(config: ExperimentConfig) -> int:
     op, interval, descriptor = make_operator(config)
-    delta, beta = _calibrated_delta(config, op, interval)
+    beta = _beta(config)
+    delta = trace_estimator.calibrate_delta(
+        op, config.kind, interval, n_pilot=config.pilot_n, beta=beta,
+        alpha=config.alpha, production_n=config.n_samples, seed=config.seed,
+        m_max=config.m_max, reorth_mode=config.reorth)
     out = {"delta": delta, "beta": beta, "pilot_n": config.pilot_n,
            "production_n": config.n_samples, "operator": descriptor,
            "config": config.to_dict()}

@@ -136,6 +136,17 @@ def quadrature_value(T: SymTridiagonal, f) -> float:
     return float(np.sum(eig.first_row**2 * values))
 
 
+def ritz_extremes(T: SymTridiagonal) -> tuple:
+    """(theta_min, theta_max): the extreme eigenvalues of T, without the
+    eigenvectors ``quadrature_value`` needs.  A solver that does not converge
+    raises NumericalFailureError."""
+    try:
+        thetas = scipy.linalg.eigvalsh_tridiagonal(T.alphas, T.betas)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return float(thetas[0]), float(thetas[-1])
+
+
 class BasisBuffer:
     """Rows of Lanczos basis vectors for runs on operators of one dimension.
 

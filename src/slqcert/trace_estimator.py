@@ -9,6 +9,24 @@ interval half-width
 
 covers the trace with probability about erf(alpha / sqrt(2)) provided the
 per-sample bias stays below delta, which is what the monitor tests.
+
+Probe i of a run is ``rademacher_vector(n, seed, i)``.  When delta is not
+given, a pilot sets it to beta alpha s_pilot / sqrt(N) from the spread of
+the first ``n_pilot`` probes, each stopped at a loose tolerance.  The pilot
+and the estimate are two phases on one Lanczos run of those probes: the
+pilot's monitors watch the block until each has stopped its column, while
+every column keeps stepping; then a fresh monitor per column at delta
+replays the stored coefficients and the same run steps on until those
+monitors retire their columns.  Each sample therefore equals the probe's
+own run at delta, and its value is the one a run with that delta given
+would report.  The bias bound holds for any delta, one taken from the same
+probes' loose values included: the monitor certifies each probe's run
+against the delta it is given, whatever that delta depends on, so every
+sample is within delta of its probe's exact bilinear form.  The
+statistical part of the half-width is the spread of those exact forms,
+which no choice of delta moves; s, the spread of the computed samples,
+differs from it by at most delta sqrt(N / (N - 1)), the term the
+half-width adds.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ from .errors import (CalibrationFailedError, ContractViolationError,
                      NumericalFailureError, QuadratureDomainError)
 from .error_estimator import ErrorMonitor, lookback_check
 from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, lanczos_run,
-                      lanczos_steps, quadrature_value, tridiag_eigen)
+                      lanczos_steps, quadrature_value, ritz_extremes, tridiag_eigen)
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
@@ -32,6 +50,7 @@ DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_T = 0.1
 DEFAULT_BETA = 0.1
+DEFAULT_PILOT_N = 30
 
 # Probes run in blocks of b = min(N, max(1, PROBE_BLOCK_ELEMENTS // n)): the
 # four block rows a Lanczos step touches (v_{m-1}, v_m, A v_m and the work
@@ -44,6 +63,10 @@ PROBE_BLOCK_ELEMENTS = 2**15
 # after this many Lanczos steps, times this factor
 SPECTRUM_PROBE_STEPS = 80
 SPECTRUM_SAFETY = 1.005
+
+# a sample's Ritz values may leave the approximant's interval [a, b] by this
+# share of b, the roundoff of the eigensolve, before the sample is flagged
+RITZ_SLACK = 1e-12
 
 # the errors that end one probe's run without ending the others'
 # (PivotBreakdownError is a NumericalFailureError)
@@ -68,11 +91,13 @@ def _require_positive(name: str, value: float):
         raise ContractViolationError(f"{name} must be positive, got {value}")
 
 
-def _check_run(N: int, delta: float, alpha: float):
-    """The arguments of a trace estimate, checked before any probe runs."""
+def _check_run(N: int, delta: float | None, alpha: float):
+    """The arguments of a trace estimate, checked before any probe runs;
+    delta None is one a pilot will set."""
     if N < 2:
         raise ContractViolationError("estimate_trace needs N >= 2")
-    _require_positive("tolerance delta", delta)
+    if delta is not None:
+        _require_positive("tolerance delta", delta)
     _require_positive("alpha", alpha)
 
 
@@ -121,8 +146,11 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int 
 @dataclass
 class SampleRecord:
     """One probe's outcome: the bilinear value at the last step and the
-    certificate the monitor produced at the retired step.  ``failure``
-    names the error that ended a failed probe, whose value is NaN."""
+    certificate the monitor produced at the retired step.  ``theta_min`` and
+    ``theta_max`` are the extreme Ritz values at the last step.  ``failure``
+    names the error that ended a failed probe, whose value is NaN, or the
+    premise of the certificate a probe with a value broke: Ritz values
+    outside the approximant's interval."""
 
     index: int
     value: float
@@ -134,11 +162,14 @@ class SampleRecord:
     sign_flips: int = 0
     reorth_passes: int = 0
     failure: str | None = None
+    theta_min: float = math.nan
+    theta_max: float = math.nan
 
 
 @dataclass
 class TraceEstimate:
-    """Sample mean with the bias-aware confidence interval of the run."""
+    """Sample mean with the bias-aware confidence interval of the run.
+    ``calibration`` describes the pilot that set delta, when one did."""
 
     mean: float
     std_err: float
@@ -158,10 +189,12 @@ class TraceEstimate:
     certified: bool = True
     time_approx: float = 0.0
     time_error_estimate: float = 0.0
+    time_calibration: float = 0.0
     block_size: int = 1
+    calibration: dict | None = None
 
     def to_json_dict(self):
-        return {
+        report = {
             "function": self.kind,
             "N": self.N,
             "alpha": self.alpha,
@@ -184,9 +217,13 @@ class TraceEstimate:
             "timings": {
                 "approximation_seconds": self.time_approx,
                 "error_estimate_seconds": self.time_error_estimate,
+                "calibration_seconds": self.time_calibration,
             },
             "per_sample": [_sample_json(r) for r in self.records],
         }
+        if self.calibration is not None:
+            report["calibration"] = self.calibration
+        return report
 
 
 def _sample_json(r: SampleRecord) -> dict:
@@ -200,10 +237,167 @@ def _sample_json(r: SampleRecord) -> dict:
         "converged": r.converged,
         "sign_flips": r.sign_flips,
         "reorth_passes": r.reorth_passes,
+        "theta_min": r.theta_min,
+        "theta_max": r.theta_max,
     }
     if r.failure is not None:
         sample["failure"] = r.failure
     return sample
+
+
+def _watch(monitor: ErrorMonitor, alpha: float, beta: float, step: int, broke: bool):
+    """Feed Lanczos step ``step`` of one column to its monitor: the column's
+    end (retired step, estimate, converged, failure) or None while it runs on."""
+    try:
+        monitor.advance(alpha, beta)
+        result = lookback_check(monitor)
+    except SAMPLE_FAILURES as exc:
+        return step, None, False, f"{type(exc).__name__}: {exc}"
+    if broke:
+        # invariant subspace found: the quadrature at T_m is exact
+        return step, 0.0, True, None
+    if result.converged:
+        return result.retired_step, result.estimate, True, None
+    return None
+
+
+def _ritz_outside(theta_min: float, theta_max: float, interval) -> str | None:
+    """Why the extreme Ritz values break the certificate's premise, or None."""
+    a, b = interval
+    slack = RITZ_SLACK * b
+    if a - slack <= theta_min and theta_max <= b + slack:
+        return None
+    return (f"Ritz values [{theta_min!r}, {theta_max!r}] leave the interval "
+            f"[{a!r}, {b!r}] of the approximant")
+
+
+class ProbeBlock:
+    """A (b, n) block of probes on one Lanczos run that outlives the monitors
+    watching it.
+
+    Row j of ``u`` is the probe with index ``index + j``.  ``watch`` attaches
+    one ErrorMonitor per column and steps the run until each has ended its
+    column.  A held watch keeps every column in the run, so one later watch
+    with other monitors can go on from where it stopped; that watch first
+    replays its monitors over the stored coefficients, which costs no
+    operator apply.  The basis goes into ``buffer`` when one is given (see
+    ``lanczos.LanczosState``).
+    """
+
+    def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
+                 m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None,
+                 index: int = 0, seed: int = 0):
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2:
+            raise ContractViolationError(f"probe block of shape {u.shape} is not (b, n)")
+        self.norm_sq = [float(row @ row) for row in u]
+        self.index = index
+        self.seed = seed
+        self.buffer = buffer
+        self.state = None
+        self._steps = lanczos_steps(op, u, reorth_mode, m_max, buffer)
+        self._passes = []          # each column's reorth passes after each held step
+
+    def watch(self, f, r: RationalApproximant, delta: float, t: float = DEFAULT_T,
+              count: int | None = None, hold: bool = False):
+        """(records, (lanczos seconds, monitor seconds)) of the first
+        ``count`` columns (all by default), each from a monitor at tolerance
+        delta.
+
+        A column ends when its monitor converges, its run breaks down or it
+        reaches m_max; its record is taken at that step.  Without ``hold`` a
+        column leaves the run when it ends, and the columns not watched
+        leave it at once.
+        """
+        b = len(self.norm_sq)
+        count = b if count is None else count
+        monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j], t) for j in range(count)}
+        ends = {}              # column -> (step, reorth passes, retired, estimate, converged, failure)
+        watching = np.zeros(b, dtype=bool)
+        watching[:count] = True
+        t_lanczos = 0.0
+        tic = time.perf_counter()
+        if self.state is not None:
+            for j, monitor in monitors.items():
+                end = self._replay(j, monitor)
+                if end is not None:
+                    ends[j] = end
+                    watching[j] = False
+            if not hold:
+                self.state.active &= watching
+        toc = time.perf_counter()
+        t_monitor = toc - tic
+        tic = toc
+        if watching.any():
+            for state, alpha, beta in self._steps:
+                toc = time.perf_counter()
+                t_lanczos += toc - tic
+                self.state = state
+                if hold:
+                    self._passes.append(state.reorth_passes.copy())
+                live = watching if hold else state.active
+                for j in live.nonzero()[0].tolist():
+                    end = _watch(monitors[j], float(alpha[j]), float(beta[j]),
+                                 int(state.steps[j]), state.breakdown[j])
+                    if end is not None:
+                        ends[j] = (state.steps[j], state.reorth_passes[j], *end)
+                        live[j] = False
+                tic = time.perf_counter()
+                t_monitor += tic - toc
+                if not live.any():
+                    break
+        tic = time.perf_counter()
+        records = [self._record(j, monitor, ends.get(j), f, r.interval)
+                   for j, monitor in monitors.items()]
+        t_lanczos += time.perf_counter() - tic
+        return records, (t_lanczos, t_monitor)
+
+    def _replay(self, j: int, monitor: ErrorMonitor):
+        """Feed column j's stored steps to a fresh monitor: the column's end,
+        as ``watch`` keeps it, or None when the monitor has not ended it."""
+        state = self.state
+        steps = int(state.steps[j])
+        T = state.tridiagonal(column=j)
+        betas = np.concatenate(([0.0], T.betas))
+        for m in range(1, steps + 1):
+            end = _watch(monitor, float(T.alphas[m - 1]), float(betas[m - 1]), m,
+                         state.breakdown[j] and m == steps)
+            if end is not None:
+                return (m, self._passes[m - 1][j], *end)
+        return None
+
+    def _record(self, j: int, monitor: ErrorMonitor, end, f, interval) -> SampleRecord:
+        """Column j's record; ``end`` is None for a column stopped by m_max."""
+        state = self.state
+        if end is None:
+            end = (state.steps[j], state.reorth_passes[j], state.steps[j], None, False, None)
+        steps, passes, retired, estimate, converged, failure = end
+        if estimate is None:
+            estimate = monitor.history[-1] if monitor.history else np.inf
+        value = theta_min = theta_max = math.nan
+        if failure is None:
+            T = state.tridiagonal(int(steps), column=j)
+            try:
+                theta_min, theta_max = ritz_extremes(T)
+                value = self.norm_sq[j] * quadrature_value(T, f)
+            except SAMPLE_FAILURES as exc:
+                converged, failure = False, f"{type(exc).__name__}: {exc}"
+            else:
+                failure = _ritz_outside(theta_min, theta_max, interval)
+        return SampleRecord(
+            index=self.index + j,
+            value=float(value),
+            steps_run=int(steps),
+            retired_step=int(retired),
+            error_estimate=float(abs(estimate) * self.norm_sq[j]),
+            seed=self.seed,
+            converged=converged,
+            sign_flips=monitor.sign_flips,
+            reorth_passes=int(passes),
+            failure=failure,
+            theta_min=theta_min,
+            theta_max=theta_max,
+        )
 
 
 def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
@@ -218,126 +412,104 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     converges, its run breaks down or it reaches m_max.  A record therefore
     equals the probe's own run as a block of one: bit for bit when each row
     of the operator's block apply equals its vector apply (every operator
-    here but ``PreconditionedMatern``), to roundoff otherwise.  A record's
-    value is taken at the last step J = ``steps_run`` with f itself (not r)
-    on the Ritz values; ``retired_step`` m and ``error_estimate`` are the
+    here but ``PreconditionedMatern``), to roundoff otherwise.  The same
+    holds for the probes of a calibration pilot's last block, which one
+    ``ProbeBlock`` run carries through two sets of monitors: the pilot's,
+    which hold every column until each has stopped, then the estimate's,
+    which replay the stored steps and go on from there.  A record's value
+    is taken at the last step J = ``steps_run`` with f itself (not r) on
+    the Ritz values; ``retired_step`` m and ``error_estimate`` are the
     step the monitor certified and its estimate there.  For log, sqrt and
     exp(-x), whose even derivatives keep one sign on [a, b], the Gauss
     quadrature error keeps its sign and shrinks as the step grows (Golub &
     Meurant, Matrices, Moments and Quadrature, 2010), so the error at J is
     at most the error at m; for tanh(sqrt(x)) the derivatives change sign
-    and the gain is only measured.  Hitting m_max yields a flagged,
-    unconverged record instead of an exception.  On breakdown the quadrature
-    is exact and the certificate is a zero error estimate.  A probe whose
-    pole recurrence, eigensolver or quadrature raises one of SAMPLE_FAILURES
-    retires unconverged, with a NaN value and the error in ``failure``; the
-    other probes go on.
+    and the gain is only measured.  That argument needs the Ritz values of
+    T_J inside the interval [a, b] of r: a record whose extreme Ritz values
+    leave it by more than RITZ_SLACK b keeps its value and names the breach
+    in ``failure``.  Hitting m_max yields a flagged, unconverged record
+    instead of an exception.  On breakdown the quadrature is exact and the
+    certificate is a zero error estimate.  A probe whose pole recurrence,
+    eigensolver or quadrature raises one of SAMPLE_FAILURES retires
+    unconverged, with a NaN value and the error in ``failure``; the other
+    probes go on.
     ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
     mode orthogonalizes only when the estimated loss of orthogonality calls
     for it, ``full`` on every step.  The basis goes into ``buffer`` when one
     is given; the records do not depend on what the buffer held before.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ContractViolationError(f"probe block of shape {u.shape} is not (b, n)")
-    norm_sq = [float(row @ row) for row in u]
-    monitors = [ErrorMonitor(r, delta / nsq, t) for nsq in norm_sq]
-    ends = {}                    # column -> (retired step, estimate, converged, failure)
-    t_lanczos = 0.0
-    t_monitor = 0.0
-    tic = time.perf_counter()
-    for state, alpha, beta in lanczos_steps(op, u, reorth_mode, m_max, buffer):
-        toc = time.perf_counter()
-        t_lanczos += toc - tic
-        for j in state.active.nonzero()[0].tolist():
-            monitor = monitors[j]
-            try:
-                monitor.advance(float(alpha[j]), float(beta[j]))
-                result = lookback_check(monitor)
-            except SAMPLE_FAILURES as exc:
-                ends[j] = (state.steps[j], None, False, f"{type(exc).__name__}: {exc}")
-            else:
-                if state.breakdown[j]:
-                    # invariant subspace found: the quadrature at T_m is exact
-                    ends[j] = (state.steps[j], 0.0, True, None)
-                elif result.converged:
-                    ends[j] = (result.retired_step, result.estimate, True, None)
-                else:
-                    continue
-            state.active[j] = False
-        tic = time.perf_counter()
-        t_monitor += tic - toc
-    tic = time.perf_counter()
-    records = []
-    for j, monitor in enumerate(monitors):
-        retired, estimate, converged, failure = ends.get(j, (state.steps[j], None, False,
-                                                             None))
-        if estimate is None:
-            estimate = monitor.history[-1] if monitor.history else np.inf
-        value = math.nan
-        if failure is None:
-            try:
-                value = norm_sq[j] * quadrature_value(state.tridiagonal(column=j), f)
-            except SAMPLE_FAILURES as exc:
-                converged, failure = False, f"{type(exc).__name__}: {exc}"
-        records.append(SampleRecord(
-            index=index + j,
-            value=float(value),
-            steps_run=int(state.steps[j]),
-            retired_step=int(retired),
-            error_estimate=float(abs(estimate) * norm_sq[j]),
-            seed=seed,
-            converged=converged,
-            sign_flips=monitor.sign_flips,
-            reorth_passes=int(state.reorth_passes[j]),
-            failure=failure,
-        ))
-    t_lanczos += time.perf_counter() - tic
-    return records, (t_lanczos, t_monitor)
+    block = ProbeBlock(op, u, reorth_mode, m_max, buffer, index=index, seed=seed)
+    return block.watch(f, r, delta, t)
+
+
+def _statistics(records):
+    """(count, mean, standard error) of the records that have a value."""
+    values = np.array([rec.value for rec in records if not math.isnan(rec.value)])
+    count = len(values)
+    if count < 2:
+        return count, math.nan, math.nan
+    mean = float(np.sum(values) / count)
+    return count, mean, float(np.sqrt(np.sum((values - mean) ** 2) / (count - 1)))
+
+
+def _fill(probes: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
+    """Probes start .. start + count - 1 in the first rows of ``probes``."""
+    block = probes[:count]
+    for j, row in enumerate(block):
+        row[:] = rademacher_vector(probes.shape[1], seed, index=start + j)
+    return block
 
 
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
                         delta: float, alpha: float = DEFAULT_ALPHA,
                         t: float = DEFAULT_T, seed: int = 0,
                         m_max: int = DEFAULT_M_MAX,
-                        reorth_mode: str = DEFAULT_REORTH) -> TraceEstimate:
+                        reorth_mode: str = DEFAULT_REORTH,
+                        pilot: ProbeBlock | None = None) -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
     Probe i is ``rademacher_vector(n, seed, i)``.  The probes run through
     ``sample_bilinear`` in blocks of ``probe_block_size(N, n)``, which the
     estimate reports; all blocks share one basis buffer and one probe
-    buffer.  Every sample runs with ``reorth_mode``, which the estimate
-    reports.  The reduction order is fixed, so identical inputs reproduce
-    the estimate bit for bit at a fixed BLAS thread count; the reductions
-    inside the BLAS calls change order with the thread count, which moves
-    the last bits.  The mean, standard error and half-width are those of
-    the samples that did not fail (NaN when fewer than two did); a failed
-    sample leaves the run uncertified.
+    buffer.  ``pilot`` is the live last block of a calibration pilot on the
+    same probes: its columns with an index below N go on in its run (see
+    ``calibrate_delta``), the others stop, and the blocks of the remaining
+    probes reuse its buffer.  Every sample runs with ``reorth_mode``, which
+    the estimate reports.  The reduction order is fixed, so identical inputs
+    reproduce the estimate bit for bit at a fixed BLAS thread count; the
+    reductions inside the BLAS calls change order with the thread count,
+    which moves the last bits.  The mean, standard error and half-width are
+    those of the samples that have a value (NaN when fewer than two do); a
+    flagged sample leaves the run uncertified.
     """
     _check_run(N, delta, alpha)
     b = probe_block_size(N, op.dim)
-    buffer = BasisBuffer(op.dim, b)
-    probes = np.empty((b, op.dim))
     records = []
     t_approx = 0.0
     t_err = 0.0
-    for start in range(0, N, b):
-        block = probes[: min(b, N - start)]
-        for j, row in enumerate(block):
-            row[:] = rademacher_vector(op.dim, seed, index=start + j)
-        recs, (ta, te) = sample_bilinear(op, f, r, block, delta, t=t, m_max=m_max,
-                                         reorth_mode=reorth_mode, index=start,
-                                         seed=seed, buffer=buffer)
-        records += recs
-        t_approx += ta
-        t_err += te
-    values = np.array([rec.value for rec in records if rec.failure is None])
-    count = len(values)
-    mean = std_err = half = math.nan
-    if count >= 2:
-        mean = float(np.sum(values) / count)
-        std_err = float(np.sqrt(np.sum((values - mean) ** 2) / (count - 1)))
-        half = confidence_half_width(std_err, count, delta, alpha)
+    fresh = [(0, N)]
+    if pilot is None:
+        buffer = BasisBuffer(op.dim, b)
+    else:
+        buffer = pilot.buffer
+        start = pilot.index
+        stop = max(start, min(N, start + len(pilot.norm_sq)))
+        fresh = [(0, min(N, start)), (stop, N)]
+        if stop > start:
+            records, (t_approx, t_err) = pilot.watch(f, r, delta, t, count=stop - start)
+    probes = np.empty((b, op.dim))
+    for lo, hi in fresh:
+        for start in range(lo, hi, b):
+            block = _fill(probes, seed, start, min(b, hi - start))
+            recs, (ta, te) = sample_bilinear(op, f, r, block, delta, t=t, m_max=m_max,
+                                             reorth_mode=reorth_mode, index=start,
+                                             seed=seed, buffer=buffer)
+            records += recs
+            t_approx += ta
+            t_err += te
+    records.sort(key=lambda rec: rec.index)
+    count, mean, std_err = _statistics(records)
+    half = confidence_half_width(std_err, count, delta, alpha) if count >= 2 else math.nan
     return TraceEstimate(
         mean=mean,
         std_err=std_err,
@@ -354,7 +526,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         seed=seed,
         interval=tuple(r.interval),
         reorth_mode=reorth_mode,
-        certified=all(rec.converged for rec in records),
+        certified=all(rec.converged and rec.failure is None for rec in records),
         time_approx=t_approx,
         time_error_estimate=t_err,
         block_size=b,
@@ -367,37 +539,47 @@ def rational_target(delta: float, dim: int) -> float:
     return delta / (2.0 * dim)
 
 
-def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float, interval,
+def _approximant(kind: str, interval, delta: float, dim: int, K: int | None):
+    if K is not None:
+        return rational.build(kind, K, interval)
+    return rational.choose_K(kind, interval, target=rational_target(delta, dim))
+
+
+def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, interval,
                    alpha: float = DEFAULT_ALPHA, t: float = DEFAULT_T,
                    seed: int = 0, K: int | None = None, m_max: int = DEFAULT_M_MAX,
-                   reorth_mode: str = DEFAULT_REORTH) -> TraceEstimate:
+                   reorth_mode: str = DEFAULT_REORTH, n_pilot: int = DEFAULT_PILOT_N,
+                   beta: float = DEFAULT_BETA) -> TraceEstimate:
     """Algorithm driver for the four built-in function kinds.
 
     ``interval`` is the [a, b] the approximant is built on; the certificate
     holds only when it contains the spectrum.  The pole count is the
     smallest whose uniform error is at most ``rational_target(delta, n)``,
-    unless K is forced explicitly.
+    unless K is forced explicitly.  With delta None, a pilot of ``n_pilot``
+    probes at ``beta`` sets it (``calibrate_delta``), and the pilot's last
+    block of probes goes on into the estimate; the estimate then reports the
+    pilot in ``calibration`` and its time in ``time_calibration``.
     """
     _check_run(N, delta, alpha)
-    f = kind_function(kind)
-    if K is not None:
-        r = rational.build(kind, K, interval)
-    else:
-        r = rational.choose_K(kind, interval, target=rational_target(delta, op.dim))
-    return estimate_trace_with(op, f, r, N, delta, alpha=alpha, t=t, seed=seed,
-                               m_max=m_max, reorth_mode=reorth_mode)
+    pilot = calibration = None
+    time_calibration = 0.0
+    if delta is None:
+        tic = time.perf_counter()
+        delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
+                                               N, seed, m_max, reorth_mode)
+        time_calibration = time.perf_counter() - tic
+    r = _approximant(kind, interval, delta, op.dim, K)
+    estimate = estimate_trace_with(op, kind_function(kind), r, N, delta, alpha=alpha, t=t,
+                                   seed=seed, m_max=m_max, reorth_mode=reorth_mode,
+                                   pilot=pilot)
+    estimate.calibration = calibration
+    estimate.time_calibration = time_calibration
+    return estimate
 
 
-def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = 30,
-                    beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
-                    production_n: int = DEFAULT_N, seed: int = 0,
-                    m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH) -> float:
-    """Pilot run -> delta = beta alpha s / sqrt(N) for the production run.
-
-    The pilot runs on ``interval``, as ``estimate_trace`` does, with a loose
-    internal tolerance (1e-2 of the rough trace scale n f(midpoint)) and no
-    certification; only its sample standard error is kept.
-    """
+def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
+               alpha: float, production_n: int, seed: int, m_max: int, reorth_mode: str):
+    """The pilot phase: (delta, the pilot's report, its live last block)."""
     if n_pilot < 2:
         raise ContractViolationError("pilot needs at least 2 samples")
     _require_positive("beta", beta)
@@ -406,10 +588,47 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = 30,
     mid = 0.5 * (interval[0] + interval[1])
     scale = max(abs(float(np.asarray(f(mid)))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
-    pilot = estimate_trace(op, kind, n_pilot, delta_pilot, interval, alpha=alpha,
-                           seed=seed + 1, m_max=m_max, reorth_mode=reorth_mode)
-    if not pilot.std_err > 0.0:
+    r = _approximant(kind, interval, delta_pilot, op.dim, None)
+    b = probe_block_size(n_pilot, op.dim)
+    # one buffer for the pilot blocks and, after them, the estimate's blocks
+    buffer = BasisBuffer(op.dim, max(b, probe_block_size(production_n, op.dim)))
+    probes = np.empty((b, op.dim))
+    records = []
+    for start in range(0, n_pilot, b):
+        block = ProbeBlock(op, _fill(probes, seed, start, min(b, n_pilot - start)),
+                           reorth_mode, m_max, buffer, index=start, seed=seed)
+        recs, _ = block.watch(f, r, delta_pilot, DEFAULT_T, hold=True)
+        records += recs
+    _, _, std_err = _statistics(records)
+    if not std_err > 0.0:
         raise CalibrationFailedError(
-            f"pilot standard error is {pilot.std_err}; cannot calibrate a tolerance"
+            f"pilot standard error is {std_err}; cannot calibrate a tolerance"
         )
-    return float(beta * alpha * pilot.std_err / np.sqrt(production_n))
+    calibration = {
+        "pilot_n": n_pilot,
+        "beta": beta,
+        "pilot_delta": delta_pilot,
+        "pilot_K": r.K,
+        "pilot_std_err": std_err,
+        "pilot_average_steps": float(np.mean([rec.steps_run for rec in records])),
+        "reused_probes": max(0, min(production_n, n_pilot) - block.index),
+    }
+    return float(beta * alpha * std_err / np.sqrt(production_n)), calibration, block
+
+
+def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFAULT_PILOT_N,
+                    beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
+                    production_n: int = DEFAULT_N, seed: int = 0,
+                    m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH) -> float:
+    """Pilot run -> delta = beta alpha s / sqrt(N) for the production run.
+
+    The pilot is the first phase of ``estimate_trace`` with delta None,
+    stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
+    in blocks of ``probe_block_size(n_pilot, n)``, with a loose tolerance
+    (1e-2 of the rough trace scale n f(midpoint)), lookback ratio DEFAULT_T
+    and no certification; s is the standard error of their values.  No
+    column leaves its block before every column's pilot monitor has
+    stopped, so that the estimate can go on with the last block's run.
+    """
+    return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed,
+                      m_max, reorth_mode)[0]

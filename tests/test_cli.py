@@ -12,7 +12,7 @@ from slqcert import oracles, trace_estimator
 from slqcert.cli import ExperimentConfig, build_parser, main
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState
-from slqcert.operators import build_matern_operator, sample_sites
+from slqcert.operators import Laplacian2D, build_matern_operator, sample_sites
 
 
 def run_cli(args, capsys):
@@ -167,9 +167,9 @@ def test_trace_reports_resolved_reorth_mode(capsys):
 
 
 def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
-    # without --delta the command runs the spectrum probe, the two pilot
-    # samples and the two samples of the estimate; a block of probes is one
-    # state with a column per probe
+    # without --delta the command runs the spectrum probe and the two pilot
+    # samples, which go on as the two samples of the estimate; a block of
+    # probes is one state with a column per probe
     modes = []
     init = LanczosState.__init__
 
@@ -183,7 +183,7 @@ def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
          "--sample-fraction", "0.3", "--kind", "log", "--n-samples", "2",
          "--pilot-n", "2", "--tau", "1e-3", "--reorth", "none"], capsys)
     assert code in (0, 2)
-    assert len(modes) == 1 + 2 + 2
+    assert len(modes) == 1 + 2
     assert set(modes) == {"none"}
 
 
@@ -312,12 +312,13 @@ def test_seed_outside_64_bits_is_a_usage_error(flag, testbed, value, capsys):
 
 
 def test_calibration_pilot_seed_past_64_bits_is_a_usage_error(capsys):
-    # the pilot draws its probes with seed + 1
-    code, _, err = run_cli(
-        ["calibrate-delta", "--n1", "8", "--n2", "8", "--kind", "log",
-         "--seed", str(2**64 - 1)], capsys)
+    # the pilot draws the estimate's own probes, so the last 64-bit seed runs
+    args = ["calibrate-delta", "--n1", "8", "--n2", "8", "--kind", "log"]
+    code, _, err = run_cli([*args, "--seed", str(2**64)], capsys)
     assert code == 1
     assert err.startswith("error:") and "[0, 2^64)" in err
+    code, out, _ = run_cli([*args, "--seed", str(2**64 - 1)], capsys)
+    assert code == 0 and json.loads(out)["delta"] > 0
 
 
 def test_trace_unreachable_accuracy_is_an_error(capsys):
@@ -438,3 +439,86 @@ def test_calibrate_delta_and_trace_agree_on_matern_log(capsys):
     report = json.loads(out)
     assert report["delta"] == calibrated["delta"]
     assert report["operator"] == calibrated["operator"]
+
+
+LAPLACIAN_20x30 = ["--n1", "20", "--n2", "30", "--kind", "log", "--seed", "3"]
+
+
+def calibrated_and_given(args, capsys):
+    """The reports of a calibrated trace and of a trace given its delta."""
+    code, out, _ = run_cli(["trace", *args], capsys)
+    assert code == 0
+    calibrated = json.loads(out)
+    code, out, _ = run_cli(["trace", *args, "--delta", repr(calibrated["delta"])], capsys)
+    assert code == 0
+    return calibrated, json.loads(out)
+
+
+@pytest.mark.parametrize("n_samples,pilot_n,reused", [
+    (10, 30, 10), (30, 30, 30), (40, 30, 30),
+    # 600 unknowns make pilot blocks of 54: only probes 54 .. 57 go on
+    (58, 60, 4)])
+def test_calibrated_trace_continues_the_pilot_probes(n_samples, pilot_n, reused, capsys):
+    calibrated, given = calibrated_and_given(
+        [*LAPLACIAN_20x30, "--n-samples", str(n_samples), "--pilot-n", str(pilot_n)],
+        capsys)
+    assert calibrated["calibration"]["reused_probes"] == reused
+    assert calibrated["per_sample"] == given["per_sample"]
+    assert calibrated["mean"] == given["mean"]
+
+
+def test_calibrated_preconditioned_trace_matches_its_given_delta(capsys):
+    # the block P^{-1/2} is a matrix product: agreement to roundoff
+    calibrated, given = calibrated_and_given(
+        ["--testbed", "matern", "--n1", "16", "--n2", "12", "--sample-fraction", "0.2",
+         "--kind", "log", "--tau", "1e-4", "--site-seed", "5", "--seed", "2",
+         "--n-samples", "8", "--pilot-n", "6"], capsys)
+    assert calibrated["calibration"]["reused_probes"] == 6
+    for ours, theirs in zip(calibrated["per_sample"], given["per_sample"], strict=True):
+        assert ours["steps_run"] == theirs["steps_run"]
+        assert ours["retired_step"] == theirs["retired_step"]
+        assert abs(ours["value"] - theirs["value"]) <= 1e-12 * abs(theirs["value"])
+
+
+def test_calibrated_trace_steps_each_pilot_probe_once(monkeypatch, capsys):
+    # the pilot block of 6 holds every column for m_pilot steps; its columns
+    # then go on to their own last step, and probes 6 .. 9 run fresh (the
+    # exact Laplacian interval needs no spectrum probe)
+    rows = []
+    matvec = Laplacian2D.matvec
+
+    def counting(self, x, out=None):
+        rows.append(len(x))
+        return matvec(self, x, out)
+
+    monkeypatch.setattr(Laplacian2D, "matvec", counting)
+    args = [*LAPLACIAN_20x30, "--n-samples", "10", "--pilot-n", "6"]
+    code, _, _ = run_cli(["calibrate-delta", *args], capsys)
+    assert code == 0 and set(rows) == {6}
+    m_pilot = len(rows)
+    rows.clear()
+    code, out, _ = run_cli(["trace", *args], capsys)
+    assert code == 0
+    steps = [sample["steps_run"] for sample in json.loads(out)["per_sample"]]
+    assert sum(rows) == sum(max(s, m_pilot) for s in steps[:6]) + sum(steps[6:])
+
+
+def test_calibrated_trace_reports_its_pilot(capsys):
+    args = ["trace", "--n1", "8", "--n2", "8", "--kind", "sqrt", "--n-samples", "5",
+            "--pilot-n", "4"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert set(report["calibration"]) == {"pilot_n", "beta", "pilot_delta", "pilot_K",
+                                          "pilot_std_err", "pilot_average_steps",
+                                          "reused_probes"}
+    assert report["calibration"]["pilot_n"] == 4
+    assert report["calibration"]["reused_probes"] == 4
+    assert 0 < report["timings"]["calibration_seconds"] <= report["timings"]["wall_seconds"]
+    code, out, _ = run_cli([*args, "--format", "table"], capsys)
+    assert code == 0 and "time calibration (s)" in out
+    code, out, _ = run_cli([*args, "--delta", "0.5"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert "calibration" not in report
+    assert report["timings"]["calibration_seconds"] == 0.0

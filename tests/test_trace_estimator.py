@@ -431,3 +431,27 @@ def test_quadrature_failure_is_flagged_per_probe():
     assert all(rec.failure.startswith("QuadratureDomainError: f undefined")
                and not rec.converged and math.isnan(rec.value) for rec in failed)
     assert not est.certified and math.isfinite(est.mean)
+
+
+def test_ritz_values_outside_the_interval_flag_their_sample():
+    # r built on [a, lambda_max / 2]: the Ritz values of every probe soon pass
+    # b, so its quadrature rests on r where r was never fitted
+    op = Laplacian2D(20, 30)
+    a, top = oracles.laplacian_extreme_eigenvalues(20, 30)
+    r = build("log", 8, (a, top / 2))
+    est = estimate_trace_with(op, np.log, r, N=4, delta=1.0, seed=1)
+    assert not est.certified
+    flagged = [rec for rec in est.records if rec.theta_max > top / 2]
+    assert flagged
+    for rec in est.records:
+        assert (rec.failure is not None) == (rec in flagged)
+    for rec in flagged:
+        assert rec.converged and math.isfinite(rec.value)
+        assert rec.failure.startswith("Ritz values [") and "leave the interval" in rec.failure
+        assert est.to_json_dict()["per_sample"][rec.index]["failure"] == rec.failure
+    # the flagged values stay in the estimate
+    assert est.mean == pytest.approx(np.mean([rec.value for rec in est.records]), rel=1e-14)
+    inside = estimate_trace_with(op, np.log, build("log", 8, (a, top)), N=4, delta=1.0,
+                                 seed=1)
+    assert inside.certified
+    assert all(a <= rec.theta_min and rec.theta_max <= top for rec in inside.records)
