@@ -65,11 +65,11 @@ class ExperimentConfig:
     n1: int = 90
     n2: int = 120
     kind: str = "exp_neg"
-    n_samples: int = 100
-    alpha: float = 3.0
+    n_samples: int = trace_estimator.DEFAULT_N
+    alpha: float = trace_estimator.DEFAULT_ALPHA
     beta: float | None = None
     delta: float | None = None
-    t: float = 0.1
+    t: float = trace_estimator.DEFAULT_T
     reorth: str = DEFAULT_REORTH
     m_max: int = DEFAULT_M_MAX
     K: int | None = None
@@ -81,7 +81,7 @@ class ExperimentConfig:
     nu: float = 1.5
     tau: float = 1e-5
     site_seed: int = 0
-    pilot_n: int = 30
+    pilot_n: int = trace_estimator.DEFAULT_PILOT_N
     output: str | None = None
     format: str = "json"
 

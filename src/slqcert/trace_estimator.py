@@ -16,7 +16,7 @@ the first ``n_pilot`` probes, each stopped at a loose tolerance.  The pilot
 and the estimate are two phases on one Lanczos run of those probes: the
 pilot's monitors watch the block until each has stopped its column, while
 every column keeps stepping; then a fresh monitor per column at delta
-replays the stored coefficients and the same run steps on until those
+reads the stored coefficients and the same run steps on until those
 monitors retire their columns.  Each sample therefore equals the probe's
 own run at delta, and its value is the one a run with that delta given
 would report.  The bias bound holds for any delta, one taken from the same
@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,
                      NumericalFailureError, QuadratureDomainError)
-from .error_estimator import ErrorMonitor, lookback_check
+from .error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, lookback_check
 from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, lanczos_run,
                       lanczos_steps, quadrature_value, ritz_extremes, tridiag_eigen)
 from .operators import LinearOperator
@@ -48,7 +48,7 @@ from .rational import RationalApproximant, kind_function
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
-DEFAULT_T = 0.1
+DEFAULT_T = LOOKBACK_THRESHOLD
 DEFAULT_BETA = 0.1
 DEFAULT_PILOT_N = 30
 
@@ -161,9 +161,9 @@ class SampleRecord:
     converged: bool
     sign_flips: int = 0
     reorth_passes: int = 0
-    failure: str | None = None
     theta_min: float = math.nan
     theta_max: float = math.nan
+    failure: str | None = None
 
 
 @dataclass
@@ -227,38 +227,11 @@ class TraceEstimate:
 
 
 def _sample_json(r: SampleRecord) -> dict:
-    sample = {
-        "index": r.index,
-        "value": r.value,
-        "steps_run": r.steps_run,
-        "retired_step": r.retired_step,
-        "error_estimate": r.error_estimate,
-        "seed": r.seed,
-        "converged": r.converged,
-        "sign_flips": r.sign_flips,
-        "reorth_passes": r.reorth_passes,
-        "theta_min": r.theta_min,
-        "theta_max": r.theta_max,
-    }
-    if r.failure is not None:
-        sample["failure"] = r.failure
+    """The record's fields, without ``failure`` when it is None."""
+    sample = asdict(r)
+    if r.failure is None:
+        del sample["failure"]
     return sample
-
-
-def _watch(monitor: ErrorMonitor, alpha: float, beta: float, step: int, broke: bool):
-    """Feed Lanczos step ``step`` of one column to its monitor: the column's
-    end (retired step, estimate, converged, failure) or None while it runs on."""
-    try:
-        monitor.advance(alpha, beta)
-        result = lookback_check(monitor)
-    except SAMPLE_FAILURES as exc:
-        return step, None, False, f"{type(exc).__name__}: {exc}"
-    if broke:
-        # invariant subspace found: the quadrature at T_m is exact
-        return step, 0.0, True, None
-    if result.converged:
-        return result.retired_step, result.estimate, True, None
-    return None
 
 
 def _ritz_outside(theta_min: float, theta_max: float, interval) -> str | None:
@@ -277,10 +250,14 @@ class ProbeBlock:
 
     Row j of ``u`` is the probe with index ``index + j``.  ``watch`` attaches
     one ErrorMonitor per column and steps the run until each has ended its
-    column.  A held watch keeps every column in the run, so one later watch
-    with other monitors can go on from where it stopped; that watch first
-    replays its monitors over the stored coefficients, which costs no
-    operator apply.  The basis goes into ``buffer`` when one is given (see
+    column.  Before each step it feeds every monitor the steps of its column
+    that it has not seen, read from the run's stored Jacobi coefficients; a
+    watch of a run that has already stepped starts with that catch-up, which
+    applies no operator.  A monitor is a function of its column's stored
+    coefficients alone, so a record equals the probe's own run at the
+    watch's delta, whatever watched the run before.  A held watch keeps
+    every column in the run, so that one later watch can go on from where it
+    stopped.  The basis goes into ``buffer`` when one is given (see
     ``lanczos.LanczosState``).
     """
 
@@ -296,7 +273,7 @@ class ProbeBlock:
         self.buffer = buffer
         self.state = None
         self._steps = lanczos_steps(op, u, reorth_mode, m_max, buffer)
-        self._passes = []          # each column's reorth passes after each held step
+        self._passes = []          # each column's reorth passes after each step
 
     def watch(self, f, r: RationalApproximant, delta: float, t: float = DEFAULT_T,
               count: int | None = None, hold: bool = False):
@@ -305,72 +282,76 @@ class ProbeBlock:
         delta.
 
         A column ends when its monitor converges, its run breaks down or it
-        reaches m_max; its record is taken at that step.  Without ``hold`` a
-        column leaves the run when it ends, and the columns not watched
-        leave it at once.
+        reaches min(m_max, n); its record is taken at that step.  Without
+        ``hold`` a column leaves the run when it ends, and the columns not
+        watched leave it at once.
         """
         b = len(self.norm_sq)
         count = b if count is None else count
         monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j], t) for j in range(count)}
-        ends = {}              # column -> (step, reorth passes, retired, estimate, converged, failure)
-        watching = np.zeros(b, dtype=bool)
-        watching[:count] = True
-        t_lanczos = 0.0
+        ends = {}              # column -> its end, as _feed gives it
+        running = np.zeros(b, dtype=bool)
+        running[:count] = True
+        t_lanczos = t_monitor = 0.0
         tic = time.perf_counter()
-        if self.state is not None:
-            for j, monitor in monitors.items():
-                end = self._replay(j, monitor)
-                if end is not None:
-                    ends[j] = end
-                    watching[j] = False
-            if not hold:
-                self.state.active &= watching
-        toc = time.perf_counter()
-        t_monitor = toc - tic
-        tic = toc
-        if watching.any():
-            for state, alpha, beta in self._steps:
-                toc = time.perf_counter()
-                t_lanczos += toc - tic
-                self.state = state
-                if hold:
-                    self._passes.append(state.reorth_passes.copy())
-                live = watching if hold else state.active
-                for j in live.nonzero()[0].tolist():
-                    end = _watch(monitors[j], float(alpha[j]), float(beta[j]),
-                                 int(state.steps[j]), state.breakdown[j])
+        while True:
+            if self.state is not None:
+                for j in running.nonzero()[0].tolist():
+                    end = self._feed(j, monitors[j])
                     if end is not None:
-                        ends[j] = (state.steps[j], state.reorth_passes[j], *end)
-                        live[j] = False
-                tic = time.perf_counter()
-                t_monitor += tic - toc
-                if not live.any():
-                    break
+                        ends[j] = end
+                        running[j] = False
+                if not hold:
+                    self.state.active &= running
+            toc = time.perf_counter()
+            t_monitor += toc - tic
+            if not running.any():
+                break
+            step = next(self._steps, None)
+            tic = time.perf_counter()
+            t_lanczos += tic - toc
+            if step is None:
+                break
+            self.state = step[0]
+            self._passes.append(self.state.reorth_passes.copy())
         tic = time.perf_counter()
         records = [self._record(j, monitor, ends.get(j), f, r.interval)
                    for j, monitor in monitors.items()]
         t_lanczos += time.perf_counter() - tic
         return records, (t_lanczos, t_monitor)
 
-    def _replay(self, j: int, monitor: ErrorMonitor):
-        """Feed column j's stored steps to a fresh monitor: the column's end,
-        as ``watch`` keeps it, or None when the monitor has not ended it."""
+    def _feed(self, j: int, monitor: ErrorMonitor):
+        """Feed column j's monitor the stored steps it has not seen: the
+        column's end (step, reorth passes, retired step, estimate, converged,
+        failure), or None while it runs on."""
         state = self.state
         steps = int(state.steps[j])
         T = state.tridiagonal(column=j)
-        betas = np.concatenate(([0.0], T.betas))
-        for m in range(1, steps + 1):
-            end = _watch(monitor, float(T.alphas[m - 1]), float(betas[m - 1]), m,
-                         state.breakdown[j] and m == steps)
-            if end is not None:
-                return (m, self._passes[m - 1][j], *end)
+        for m in range(monitor.pole_state.m + 1, steps + 1):
+            beta = float(T.betas[m - 2]) if m > 1 else 0.0
+            passes = self._passes[m - 1][j]
+            try:
+                monitor.advance(float(T.alphas[m - 1]), beta)
+                result = lookback_check(monitor)
+            except SAMPLE_FAILURES as exc:
+                return m, passes, m, None, False, f"{type(exc).__name__}: {exc}"
+            if state.breakdown[j] and m == steps:
+                # invariant subspace found: the quadrature at T_m is exact
+                return m, passes, m, 0.0, True, None
+            if result.converged:
+                return m, passes, result.retired_step, result.estimate, True, None
         return None
 
     def _record(self, j: int, monitor: ErrorMonitor, end, f, interval) -> SampleRecord:
-        """Column j's record; ``end`` is None for a column stopped by m_max."""
+        """Column j's record; ``end`` is None for a column the run's cap stopped."""
         state = self.state
+        cap = None
         if end is None:
-            end = (state.steps[j], state.reorth_passes[j], state.steps[j], None, False, None)
+            steps = int(state.steps[j])
+            cap = (f"stopped at m_max = {state.m_max}" if state.m_max < state.op.dim
+                   else f"stopped at the operator dimension {state.op.dim}")
+            cap += " before its monitor converged"
+            end = (steps, self._passes[steps - 1][j], steps, None, False, None)
         steps, passes, retired, estimate, converged, failure = end
         if estimate is None:
             estimate = monitor.history[-1] if monitor.history else np.inf
@@ -394,9 +375,9 @@ class ProbeBlock:
             converged=converged,
             sign_flips=monitor.sign_flips,
             reorth_passes=int(passes),
-            failure=failure,
             theta_min=theta_min,
             theta_max=theta_max,
+            failure="; ".join(filter(None, (cap, failure))) or None,
         )
 
 
@@ -409,16 +390,14 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     Returns (records, time_split): row j of ``u`` gets the record with index
     ``index + j``.  The probes share one Lanczos recurrence, each with its
     own ErrorMonitor, and a probe leaves the block when its monitor
-    converges, its run breaks down or it reaches m_max.  A record therefore
-    equals the probe's own run as a block of one: bit for bit when each row
-    of the operator's block apply equals its vector apply (every operator
-    here but ``PreconditionedMatern``), to roundoff otherwise.  The same
-    holds for the probes of a calibration pilot's last block, which one
-    ``ProbeBlock`` run carries through two sets of monitors: the pilot's,
-    which hold every column until each has stopped, then the estimate's,
-    which replay the stored steps and go on from there.  A record's value
-    is taken at the last step J = ``steps_run`` with f itself (not r) on
-    the Ritz values; ``retired_step`` m and ``error_estimate`` are the
+    converges, its run breaks down or it reaches min(m_max, n).  A record
+    therefore equals the probe's own run as a block of one: bit for bit when
+    each row of the operator's block apply equals its vector apply (every
+    operator here but ``PreconditionedMatern``), to roundoff otherwise.
+    This is one watch of a fresh ``ProbeBlock``; a run that goes on under
+    other monitors is a ``ProbeBlock`` watched more than once.  A record's
+    value is taken at the last step J = ``steps_run`` with f itself (not r)
+    on the Ritz values; ``retired_step`` m and ``error_estimate`` are the
     step the monitor certified and its estimate there.  For log, sqrt and
     exp(-x), whose even derivatives keep one sign on [a, b], the Gauss
     quadrature error keeps its sign and shrinks as the step grows (Golub &
@@ -427,12 +406,12 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     and the gain is only measured.  That argument needs the Ritz values of
     T_J inside the interval [a, b] of r: a record whose extreme Ritz values
     leave it by more than RITZ_SLACK b keeps its value and names the breach
-    in ``failure``.  Hitting m_max yields a flagged, unconverged record
-    instead of an exception.  On breakdown the quadrature is exact and the
-    certificate is a zero error estimate.  A probe whose pole recurrence,
-    eigensolver or quadrature raises one of SAMPLE_FAILURES retires
-    unconverged, with a NaN value and the error in ``failure``; the other
-    probes go on.
+    in ``failure``.  Hitting m_max or n yields an unconverged record that
+    says so in ``failure``, instead of an exception.  On breakdown the
+    quadrature is exact and the certificate is a zero error estimate.  A
+    probe whose pole recurrence, eigensolver or quadrature raises one of
+    SAMPLE_FAILURES retires unconverged, with a NaN value and the error in
+    ``failure``; the other probes go on.
     ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
     mode orthogonalizes only when the estimated loss of orthogonality calls
     for it, ``full`` on every step.  The basis goes into ``buffer`` when one
@@ -597,7 +576,9 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     for start in range(0, n_pilot, b):
         block = ProbeBlock(op, _fill(probes, seed, start, min(b, n_pilot - start)),
                            reorth_mode, m_max, buffer, index=start, seed=seed)
-        recs, _ = block.watch(f, r, delta_pilot, DEFAULT_T, hold=True)
+        # the estimate goes on with the last block only, if it has any of its probes
+        hold = start + b >= n_pilot and start < production_n
+        recs, _ = block.watch(f, r, delta_pilot, DEFAULT_T, hold=hold)
         records += recs
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
@@ -626,9 +607,10 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFA
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
     in blocks of ``probe_block_size(n_pilot, n)``, with a loose tolerance
     (1e-2 of the rough trace scale n f(midpoint)), lookback ratio DEFAULT_T
-    and no certification; s is the standard error of their values.  No
-    column leaves its block before every column's pilot monitor has
-    stopped, so that the estimate can go on with the last block's run.
+    and no certification; s is the standard error of their values.  The
+    last block keeps every column until each of its pilot monitors has
+    stopped, so that the estimate can go on with its run; a column of an
+    earlier block leaves it when its own monitor stops.
     """
     return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed,
                       m_max, reorth_mode)[0]

@@ -12,6 +12,7 @@ from slqcert.operators import (DenseOperator, Laplacian2D, PreconditionedMatern,
 from slqcert.rational import RationalApproximant, build, kind_function
 from slqcert.trace_estimator import (
     PROBE_BLOCK_ELEMENTS,
+    ProbeBlock,
     calibrate_delta,
     confidence_half_width,
     estimate_spectrum_interval,
@@ -174,6 +175,7 @@ def test_sample_bilinear_flags_unconverged_at_cap():
     (rec,), _ = sample_bilinear(op, np.log, r, u[None], delta=1e-10, m_max=4)
     assert not rec.converged
     assert rec.steps_run == 4
+    assert rec.failure == "stopped at m_max = 4 before its monitor converged"
 
 
 def test_estimate_trace_constant_function():
@@ -339,6 +341,64 @@ def test_shared_basis_buffer_replays_fresh_runs(mode):
         (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-9, reorth_mode=mode,
                                       index=i, seed=2)
         assert fresh == rec
+
+
+def _count_laplacian_rows(monkeypatch) -> list:
+    """The row count of each Laplacian2D apply from here on."""
+    rows = []
+    matvec = Laplacian2D.matvec
+
+    def counting(self, x, out=None):
+        rows.append(len(x))
+        return matvec(self, x, out)
+
+    monkeypatch.setattr(Laplacian2D, "matvec", counting)
+    return rows
+
+
+@pytest.mark.parametrize("delta1, delta2", [(1e-2, 1e-6), (1e-6, 1e-2)])
+def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
+    # a held watch of 4 columns at delta1, then a watch of the first 3 at
+    # delta2: below delta1 the run steps on without the fourth column; above
+    # it every column ends within the stored steps and no row is applied
+    op = Laplacian2D(20, 30)
+    r = build("log", 12, oracles.laplacian_extreme_eigenvalues(20, 30))
+    u = np.array([rademacher_vector(op.dim, 7, index=i) for i in range(4)])
+    rows = _count_laplacian_rows(monkeypatch)
+    block = ProbeBlock(op, u, index=0, seed=7)
+    block.watch(np.log, r, delta1, hold=True)
+    held = len(rows)
+    records, _ = block.watch(np.log, r, delta2, count=3)
+    later = rows[held:]
+    if delta2 < delta1:
+        assert later and max(later) <= 3
+    else:
+        assert sum(later) == 0
+    assert len(records) == 3
+    for j, rec in enumerate(records):
+        (alone,), _ = sample_bilinear(op, np.log, r, u[j:j + 1], delta2, index=j, seed=7)
+        assert rec == alone
+
+
+def test_calibration_holds_only_the_block_the_estimate_goes_on_with(monkeypatch):
+    # 60x60: blocks of 9, so pilot probes 0 .. 26 run in three blocks that
+    # retire each column at its own pilot stop, and the last block (27 .. 29)
+    # holds its columns until all have stopped, then goes on into the estimate
+    op = Laplacian2D(60, 60)
+    interval = oracles.laplacian_extreme_eigenvalues(60, 60)
+    assert probe_block_size(30, op.dim) == 9
+    rows = _count_laplacian_rows(monkeypatch)
+    est = estimate_trace(op, "log", N=30, delta=None, interval=interval, seed=5, n_pilot=30)
+    applied = sum(rows)
+    r = build("log", est.calibration["pilot_K"], interval)
+    pilot = [sample_bilinear(op, np.log, r, rademacher_vector(op.dim, 5, index=i)[None],
+                             est.calibration["pilot_delta"])[0][0].steps_run
+             for i in range(30)]
+    steps = [rec.steps_run for rec in est.records]
+    held = max(pilot[27:])
+    assert len(set(pilot[:27])) > 1
+    assert applied == (sum(pilot[:27]) + sum(steps[:27])
+                       + sum(max(s, held) for s in steps[27:]))
 
 
 def test_probe_block_size_rule():
