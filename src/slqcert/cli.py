@@ -13,8 +13,10 @@ the estimate of tr log B.  The spectrum of B lies above 1, so the interval's
 lower end a = 1 is certified; P has rank min(256, n // 4).  The other
 Matern kinds and the Laplacian run on A itself.
 
-Exit codes: 0 on certified success, 2 when any sample failed to converge,
-1 on usage or runtime errors.
+Exit codes: 0 on certified success; 2 when a sample is uncertified (its
+monitor did not converge before m_max or the operator dimension, its run
+failed, or its Ritz values leave the approximant's interval [a, b]); 1 on
+usage or runtime errors.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .errors import (
     UnreachableAccuracyError,
 )
 from .error_estimator import ErrorMonitor, cumulative_error
-from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, REORTH_MODES, lanczos_steps,
-                      quadrature_value)
+from .lanczos import DEFAULT_M_MAX, lanczos_steps, quadrature_value
 from .operators import (Laplacian2D, PreconditionedMatern, build_matern_operator,
                         sample_sites)
 from .rational import kind_function
@@ -48,12 +49,14 @@ from .rational import kind_function
 CHOICES = {
     "testbed": ("laplacian", "matern"),
     "kind": rational.KINDS,
-    "reorth": REORTH_MODES,
     "format": ("json", "table"),
 }
 
 # the keys whose value, when set, must be positive
 POSITIVE = ("alpha", "beta", "delta")
+
+# the least value of these count keys
+MINIMUM = {"n_samples": 2, "pilot_n": 2, "m_max": 1}
 
 
 @dataclass
@@ -67,10 +70,8 @@ class ExperimentConfig:
     kind: str = "exp_neg"
     n_samples: int = trace_estimator.DEFAULT_N
     alpha: float = trace_estimator.DEFAULT_ALPHA
-    beta: float | None = None
+    beta: float = trace_estimator.DEFAULT_BETA
     delta: float | None = None
-    t: float = trace_estimator.DEFAULT_T
-    reorth: str = DEFAULT_REORTH
     m_max: int = DEFAULT_M_MAX
     K: int | None = None
     k_min: int = 1
@@ -99,7 +100,9 @@ class ExperimentConfig:
 
 def _checked(key, value, hint):
     """value if its JSON type fits the field's annotation (an int is taken for
-    a float field) and the key's CHOICES, else a ContractViolationError."""
+    a float field) and its range: the key's CHOICES, POSITIVE, MINIMUM and,
+    for K, the pole counts of ``rational.K_SCHEDULE``; else a
+    ContractViolationError."""
     types = typing.get_args(hint) or (hint,)
     if float in types and type(value) is int:
         value = float(value)
@@ -111,6 +114,13 @@ def _checked(key, value, hint):
             f"config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
     if key in POSITIVE and not (value is None or value > 0):
         raise ContractViolationError(f"config key {key!r} must be positive, got {value!r}")
+    if key in MINIMUM and value < MINIMUM[key]:
+        raise ContractViolationError(
+            f"config key {key!r} must be at least {MINIMUM[key]}, got {value!r}")
+    if key == "K" and not (value is None or value in rational.K_SCHEDULE):
+        first, last = rational.K_SCHEDULE[0], rational.K_SCHEDULE[-1]
+        raise ContractViolationError(
+            f"config key 'K' must be null or in [{first}, {last}], got {value!r}")
     return value
 
 
@@ -146,7 +156,7 @@ def make_operator(config: ExperimentConfig):
         if config.kind == "log":
             op, lower = PreconditionedMatern(op), 1.0
         interval = trace_estimator.estimate_spectrum_interval(
-            op, lower_hint=lower, seed=config.seed, reorth_mode=config.reorth)
+            op, lower_hint=lower, seed=config.seed)
         descriptor = {"testbed": "matern", "n1": config.n1, "n2": config.n2,
                       "dim": op.dim, "sample_fraction": config.sample_fraction,
                       "ell1": ell1, "ell2": ell2, "nu": config.nu,
@@ -202,9 +212,9 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
     truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
                                              u / np.linalg.norm(u))
-    monitor = ErrorMonitor(r, tol=0.0, t=config.t)
+    monitor = ErrorMonitor(r, tol=0.0)
     quad_values = []
-    for state, alpha, beta in lanczos_steps(op, u[None], config.reorth, config.m_max):
+    for state, alpha, beta in lanczos_steps(op, u[None], m_max=config.m_max):
         monitor.advance(float(alpha[0]), float(beta[0]))
         quad_values.append(quadrature_value(state.tridiagonal(), f))
     d = monitor.history
@@ -218,7 +228,7 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
         window = ""
         if has_d:
             for mp in range(m + 1, len(d) + 1):
-                if abs(d[mp - 1]) <= config.t * abs(d[m - 1]):
+                if abs(d[mp - 1]) <= monitor.t * abs(d[m - 1]):
                     window = f"{abs(cumulative_error(monitor, m, mp)):.6e}"
                     break
         row.append(window)
@@ -258,8 +268,8 @@ def cmd_trace(config: ExperimentConfig) -> int:
     f = kind_function(config.kind)
     estimate = trace_estimator.estimate_trace(
         op, config.kind, config.n_samples, config.delta, interval, alpha=config.alpha,
-        t=config.t, seed=config.seed, K=config.K, m_max=config.m_max,
-        reorth_mode=config.reorth, n_pilot=config.pilot_n, beta=_beta(config))
+        seed=config.seed, K=config.K, m_max=config.m_max, n_pilot=config.pilot_n,
+        beta=config.beta)
     report = estimate.to_json_dict()
     if isinstance(op, PreconditionedMatern):
         # log det A = log det P + tr log B, so each sample of tr log B shifts
@@ -310,20 +320,13 @@ def _format_table(report) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
-def _beta(config: ExperimentConfig) -> float:
-    """The calibration pilot's beta: the config's, or
-    ``trace_estimator.DEFAULT_BETA`` when it sets none."""
-    return trace_estimator.DEFAULT_BETA if config.beta is None else config.beta
-
-
 def cmd_calibrate_delta(config: ExperimentConfig) -> int:
     op, interval, descriptor = make_operator(config)
-    beta = _beta(config)
     delta = trace_estimator.calibrate_delta(
-        op, config.kind, interval, n_pilot=config.pilot_n, beta=beta,
+        op, config.kind, interval, n_pilot=config.pilot_n, beta=config.beta,
         alpha=config.alpha, production_n=config.n_samples, seed=config.seed,
-        m_max=config.m_max, reorth_mode=config.reorth)
-    out = {"delta": delta, "beta": beta, "pilot_n": config.pilot_n,
+        m_max=config.m_max)
+    out = {"delta": delta, "beta": config.beta, "pilot_n": config.pilot_n,
            "production_n": config.n_samples, "operator": descriptor,
            "config": config.to_dict()}
     _emit(json.dumps(out, indent=2) + "\n", config.output)

@@ -14,7 +14,9 @@ from which the one-step change of the quadrature value of r_K follows as
 at O(K) cost per step.  Prefix sums over the increments give any window
 d_{m, m'} in O(1), and the lookback rule retires the latest step whose
 trailing window has both dropped by the threshold ratio and summed below
-the tolerance.
+the tolerance.  ``LOOKBACK_THRESHOLD`` = 0.1 is the estimator's one ratio:
+every monitor above this layer uses it, and only ``ErrorMonitor``'s ``t``
+takes another.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Reorthogonalization modes (each stores the whole basis):
   not for production estimates.
 
 An orthogonalization is one pass, plus a second when the first removes most
-of the vector.
+of the vector.  ``DEFAULT_REORTH`` (partial) is the estimator's one policy:
+every run above this layer uses it, and only this layer's ``reorth_mode``
+arguments reach ``full`` and ``none``.
 
 A run steps a (b, n) block of b start vectors as b columns that share one
 recurrence; a single probe is a block of one.  Each step applies the

@@ -48,7 +48,6 @@ from .rational import RationalApproximant, kind_function
 
 DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
-DEFAULT_T = LOOKBACK_THRESHOLD
 DEFAULT_BETA = 0.1
 DEFAULT_PILOT_N = 30
 
@@ -122,8 +121,7 @@ def probe_block_size(N: int, dim: int) -> int:
     return min(N, max(1, PROBE_BLOCK_ELEMENTS // dim))
 
 
-def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int = 0,
-                               reorth_mode: str = DEFAULT_REORTH):
+def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int = 0):
     """[a, b] for an SPD operator whose spectrum is bounded below by
     ``lower_hint``, a bound known in advance (the nugget tau, or 1 for the
     preconditioned Matern operator).
@@ -134,7 +132,7 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int 
     if not op.spd_hint:
         raise ContractViolationError("spectrum estimation requires an SPD operator")
     u = rademacher_vector(op.dim, seed, index=2**32 - 1)
-    state = lanczos_run(op, u[None], SPECTRUM_PROBE_STEPS, reorth_mode)
+    state = lanczos_run(op, u[None], SPECTRUM_PROBE_STEPS)
     eig = tridiag_eigen(state.tridiagonal())
     a = float(lower_hint)
     b = float(eig.thetas[-1]) * SPECTRUM_SAFETY
@@ -182,10 +180,8 @@ class TraceEstimate:
     kind: str
     K: int = 0
     rational_eps: float = float("nan")
-    t: float = DEFAULT_T
     seed: int = 0
     interval: tuple = (0.0, 0.0)
-    reorth_mode: str = DEFAULT_REORTH
     certified: bool = True
     time_approx: float = 0.0
     time_error_estimate: float = 0.0
@@ -199,7 +195,7 @@ class TraceEstimate:
             "N": self.N,
             "alpha": self.alpha,
             "delta": self.delta,
-            "t": self.t,
+            "t": LOOKBACK_THRESHOLD,
             "K": self.K,
             "rational_eps": self.rational_eps,
             "mean": self.mean,
@@ -208,7 +204,7 @@ class TraceEstimate:
             "p_alpha": self.p_alpha,
             "seed": self.seed,
             "interval": list(self.interval),
-            "reorth_mode": self.reorth_mode,
+            "reorth_mode": DEFAULT_REORTH,
             "block_size": self.block_size,
             "certified": self.certified,
             "average_steps": float(np.mean([r.steps_run for r in self.records])),
@@ -261,9 +257,8 @@ class ProbeBlock:
     ``lanczos.LanczosState``).
     """
 
-    def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
-                 m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None,
-                 index: int = 0, seed: int = 0):
+    def __init__(self, op: LinearOperator, u, m_max: int = DEFAULT_M_MAX,
+                 buffer: BasisBuffer | None = None, index: int = 0, seed: int = 0):
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise ContractViolationError(f"probe block of shape {u.shape} is not (b, n)")
@@ -272,11 +267,11 @@ class ProbeBlock:
         self.seed = seed
         self.buffer = buffer
         self.state = None
-        self._steps = lanczos_steps(op, u, reorth_mode, m_max, buffer)
+        self._steps = lanczos_steps(op, u, m_max=m_max, buffer=buffer)
         self._passes = []          # each column's reorth passes after each step
 
-    def watch(self, f, r: RationalApproximant, delta: float, t: float = DEFAULT_T,
-              count: int | None = None, hold: bool = False):
+    def watch(self, f, r: RationalApproximant, delta: float, count: int | None = None,
+              hold: bool = False):
         """(records, (lanczos seconds, monitor seconds)) of the first
         ``count`` columns (all by default), each from a monitor at tolerance
         delta.
@@ -288,7 +283,7 @@ class ProbeBlock:
         """
         b = len(self.norm_sq)
         count = b if count is None else count
-        monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j], t) for j in range(count)}
+        monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j]) for j in range(count)}
         ends = {}              # column -> its end, as _feed gives it
         running = np.zeros(b, dtype=bool)
         running[:count] = True
@@ -382,8 +377,7 @@ class ProbeBlock:
 
 
 def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
-                    delta: float, t: float = DEFAULT_T, m_max: int = DEFAULT_M_MAX,
-                    reorth_mode: str = DEFAULT_REORTH, index: int = 0, seed: int = 0,
+                    delta: float, m_max: int = DEFAULT_M_MAX, index: int = 0, seed: int = 0,
                     buffer: BasisBuffer | None = None):
     """Error-monitored Lanczos runs for a (b, n) block of probes.
 
@@ -411,14 +405,12 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     quadrature is exact and the certificate is a zero error estimate.  A
     probe whose pole recurrence, eigensolver or quadrature raises one of
     SAMPLE_FAILURES retires unconverged, with a NaN value and the error in
-    ``failure``; the other probes go on.
-    ``reorth_mode`` is one of ``lanczos.REORTH_MODES``: the default partial
-    mode orthogonalizes only when the estimated loss of orthogonality calls
-    for it, ``full`` on every step.  The basis goes into ``buffer`` when one
-    is given; the records do not depend on what the buffer held before.
+    ``failure``; the other probes go on.  The basis goes into ``buffer``
+    when one is given; the records do not depend on what the buffer held
+    before.
     """
-    block = ProbeBlock(op, u, reorth_mode, m_max, buffer, index=index, seed=seed)
-    return block.watch(f, r, delta, t)
+    block = ProbeBlock(op, u, m_max, buffer, index=index, seed=seed)
+    return block.watch(f, r, delta)
 
 
 def _statistics(records):
@@ -440,10 +432,8 @@ def _fill(probes: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
 
 
 def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
-                        delta: float, alpha: float = DEFAULT_ALPHA,
-                        t: float = DEFAULT_T, seed: int = 0,
+                        delta: float, alpha: float = DEFAULT_ALPHA, seed: int = 0,
                         m_max: int = DEFAULT_M_MAX,
-                        reorth_mode: str = DEFAULT_REORTH,
                         pilot: ProbeBlock | None = None) -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
@@ -453,8 +443,7 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
     buffer.  ``pilot`` is the live last block of a calibration pilot on the
     same probes: its columns with an index below N go on in its run (see
     ``calibrate_delta``), the others stop, and the blocks of the remaining
-    probes reuse its buffer.  Every sample runs with ``reorth_mode``, which
-    the estimate reports.  The reduction order is fixed, so identical inputs
+    probes reuse its buffer.  The reduction order is fixed, so identical inputs
     reproduce the estimate bit for bit at a fixed BLAS thread count; the
     reductions inside the BLAS calls change order with the thread count,
     which moves the last bits.  The mean, standard error and half-width are
@@ -475,14 +464,13 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         stop = max(start, min(N, start + len(pilot.norm_sq)))
         fresh = [(0, min(N, start)), (stop, N)]
         if stop > start:
-            records, (t_approx, t_err) = pilot.watch(f, r, delta, t, count=stop - start)
+            records, (t_approx, t_err) = pilot.watch(f, r, delta, count=stop - start)
     probes = np.empty((b, op.dim))
     for lo, hi in fresh:
         for start in range(lo, hi, b):
             block = _fill(probes, seed, start, min(b, hi - start))
-            recs, (ta, te) = sample_bilinear(op, f, r, block, delta, t=t, m_max=m_max,
-                                             reorth_mode=reorth_mode, index=start,
-                                             seed=seed, buffer=buffer)
+            recs, (ta, te) = sample_bilinear(op, f, r, block, delta, m_max=m_max,
+                                             index=start, seed=seed, buffer=buffer)
             records += recs
             t_approx += ta
             t_err += te
@@ -501,10 +489,8 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         kind=r.kind,
         K=r.K,
         rational_eps=r.eps,
-        t=t,
         seed=seed,
         interval=tuple(r.interval),
-        reorth_mode=reorth_mode,
         certified=all(rec.converged and rec.failure is None for rec in records),
         time_approx=t_approx,
         time_error_estimate=t_err,
@@ -525,39 +511,41 @@ def _approximant(kind: str, interval, delta: float, dim: int, K: int | None):
 
 
 def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, interval,
-                   alpha: float = DEFAULT_ALPHA, t: float = DEFAULT_T,
-                   seed: int = 0, K: int | None = None, m_max: int = DEFAULT_M_MAX,
-                   reorth_mode: str = DEFAULT_REORTH, n_pilot: int = DEFAULT_PILOT_N,
+                   alpha: float = DEFAULT_ALPHA, seed: int = 0, K: int | None = None,
+                   m_max: int = DEFAULT_M_MAX, n_pilot: int = DEFAULT_PILOT_N,
                    beta: float = DEFAULT_BETA) -> TraceEstimate:
     """Algorithm driver for the four built-in function kinds.
 
     ``interval`` is the [a, b] the approximant is built on; the certificate
     holds only when it contains the spectrum.  The pole count is the
     smallest whose uniform error is at most ``rational_target(delta, n)``,
-    unless K is forced explicitly.  With delta None, a pilot of ``n_pilot``
-    probes at ``beta`` sets it (``calibrate_delta``), and the pilot's last
-    block of probes goes on into the estimate; the estimate then reports the
-    pilot in ``calibration`` and its time in ``time_calibration``.
+    unless K, one of ``rational.K_SCHEDULE``, is forced.  With delta None, a
+    pilot of ``n_pilot`` probes at ``beta`` sets it (``calibrate_delta``), and
+    the pilot's last block of probes goes on into the estimate; the estimate
+    then reports the pilot in ``calibration`` and its time in
+    ``time_calibration``.
     """
     _check_run(N, delta, alpha)
+    if K is not None and K not in rational.K_SCHEDULE:
+        first, last = rational.K_SCHEDULE[0], rational.K_SCHEDULE[-1]
+        raise ContractViolationError(f"K must lie in [{first}, {last}], got {K}")
     pilot = calibration = None
     time_calibration = 0.0
     if delta is None:
         tic = time.perf_counter()
         delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
-                                               N, seed, m_max, reorth_mode)
+                                               N, seed, m_max)
         time_calibration = time.perf_counter() - tic
     r = _approximant(kind, interval, delta, op.dim, K)
-    estimate = estimate_trace_with(op, kind_function(kind), r, N, delta, alpha=alpha, t=t,
-                                   seed=seed, m_max=m_max, reorth_mode=reorth_mode,
-                                   pilot=pilot)
+    estimate = estimate_trace_with(op, kind_function(kind), r, N, delta, alpha=alpha,
+                                   seed=seed, m_max=m_max, pilot=pilot)
     estimate.calibration = calibration
     estimate.time_calibration = time_calibration
     return estimate
 
 
 def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
-               alpha: float, production_n: int, seed: int, m_max: int, reorth_mode: str):
+               alpha: float, production_n: int, seed: int, m_max: int):
     """The pilot phase: (delta, the pilot's report, its live last block)."""
     if n_pilot < 2:
         raise ContractViolationError("pilot needs at least 2 samples")
@@ -575,10 +563,10 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     records = []
     for start in range(0, n_pilot, b):
         block = ProbeBlock(op, _fill(probes, seed, start, min(b, n_pilot - start)),
-                           reorth_mode, m_max, buffer, index=start, seed=seed)
+                           m_max, buffer, index=start, seed=seed)
         # the estimate goes on with the last block only, if it has any of its probes
         hold = start + b >= n_pilot and start < production_n
-        recs, _ = block.watch(f, r, delta_pilot, DEFAULT_T, hold=hold)
+        recs, _ = block.watch(f, r, delta_pilot, hold=hold)
         records += recs
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
@@ -600,17 +588,16 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
 def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFAULT_PILOT_N,
                     beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
                     production_n: int = DEFAULT_N, seed: int = 0,
-                    m_max: int = DEFAULT_M_MAX, reorth_mode: str = DEFAULT_REORTH) -> float:
+                    m_max: int = DEFAULT_M_MAX) -> float:
     """Pilot run -> delta = beta alpha s / sqrt(N) for the production run.
 
     The pilot is the first phase of ``estimate_trace`` with delta None,
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
     in blocks of ``probe_block_size(n_pilot, n)``, with a loose tolerance
-    (1e-2 of the rough trace scale n f(midpoint)), lookback ratio DEFAULT_T
-    and no certification; s is the standard error of their values.  The
-    last block keeps every column until each of its pilot monitors has
-    stopped, so that the estimate can go on with its run; a column of an
-    earlier block leaves it when its own monitor stops.
+    (1e-2 of the rough trace scale n f(midpoint)) and no certification; s is
+    the standard error of their values.  The last block keeps every column
+    until each of its pilot monitors has stopped, so that the estimate can
+    go on with its run; a column of an earlier block leaves it when its own
+    monitor stops.
     """
-    return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed,
-                      m_max, reorth_mode)[0]
+    return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed, m_max)[0]

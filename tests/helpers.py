@@ -1,5 +1,7 @@
 import numpy as np
 
+from slqcert.lanczos import DEFAULT_REORTH, LanczosState
+
 
 def dense_laplacian(n1, n2):
     """Kronecker-sum assembly of the 2D Dirichlet Laplacian (test oracle)."""
@@ -27,3 +29,14 @@ def max_basis_inner_product(state, column=0):
     if len(V) < 2:
         return 0.0
     return float(np.max(np.abs(V[:-1] @ V[-1])))
+
+
+def force_reorth_mode(monkeypatch, mode):
+    """Make every LanczosState built from here on run ``mode``, whatever its
+    caller passes: the estimator above the Lanczos layer has one policy."""
+    init = LanczosState.__init__
+
+    def forced(self, op, u, reorth_mode=DEFAULT_REORTH, *args, **kwargs):
+        init(self, op, u, mode, *args, **kwargs)
+
+    monkeypatch.setattr(LanczosState, "__init__", forced)

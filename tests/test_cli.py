@@ -8,8 +8,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slqcert import oracles, trace_estimator
+from slqcert import cli, oracles, trace_estimator
 from slqcert.cli import ExperimentConfig, build_parser, main
+from slqcert.error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState
 from slqcert.operators import Laplacian2D, build_matern_operator, sample_sites
@@ -35,10 +36,13 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("bad", [
     {"n1": "90"}, {"n1": 9.5},
-    # values outside the parser's choices, such as a stale reorth mode
-    {"format": "tabel"}, {"reorth": "auto"}, {"testbed": "grid"}, {"kind": "cos"},
+    # values outside the parser's choices, or a pole count outside the schedule
+    {"format": "tabel"}, {"K": 41}, {"testbed": "grid"}, {"kind": "cos"},
     # a tolerance that is not positive
     {"delta": 0}, {"delta": -1.0},
+    # the lookback ratio and the reorthogonalization policy, which are
+    # constants of the monitor and Lanczos layers, not config keys
+    {"t": 0.1}, {"reorth": "full"},
 ])
 def test_config_type_mismatch_is_usage_error(bad, tmp_path, capsys):
     cfg_file = tmp_path / "config.json"
@@ -162,29 +166,38 @@ def test_trace_reports_resolved_reorth_mode(capsys):
          "--n-samples", "2", "--delta", "1.0"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["config"]["reorth"] == "partial"
-    assert report["reorth_mode"] == "partial"
+    assert (report["reorth_mode"], report["t"]) == ("partial", 0.1)
+    assert "reorth" not in report["config"] and "t" not in report["config"]
 
 
 def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
     # without --delta the command runs the spectrum probe and the two pilot
     # samples, which go on as the two samples of the estimate; a block of
-    # probes is one state with a column per probe
-    modes = []
+    # probes is one state with a column per probe, and each probe has one
+    # monitor in the pilot and one in the estimate
+    modes, ratios = [], []
     init = LanczosState.__init__
+    post_init = ErrorMonitor.__post_init__
 
-    def recording_init(self, op, u, reorth_mode=DEFAULT_REORTH, *args, **kwargs):
-        modes.extend([reorth_mode] * len(u))
-        init(self, op, u, reorth_mode, *args, **kwargs)
+    def recording_init(self, op, u, *args, **kwargs):
+        init(self, op, u, *args, **kwargs)
+        modes.extend([self.reorth_mode] * len(u))
+
+    def recording_post_init(self):
+        post_init(self)
+        ratios.append(self.t)
 
     monkeypatch.setattr(LanczosState, "__init__", recording_init)
+    monkeypatch.setattr(ErrorMonitor, "__post_init__", recording_post_init)
     code, _, _ = run_cli(
         ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",
          "--sample-fraction", "0.3", "--kind", "log", "--n-samples", "2",
-         "--pilot-n", "2", "--tau", "1e-3", "--reorth", "none"], capsys)
+         "--pilot-n", "2", "--tau", "1e-3"], capsys)
     assert code in (0, 2)
     assert len(modes) == 1 + 2
-    assert set(modes) == {"none"}
+    assert set(modes) == {DEFAULT_REORTH}
+    assert len(ratios) == 2 + 2
+    assert set(ratios) == {LOOKBACK_THRESHOLD}
 
 
 def test_trace_wall_time_spans_interval_estimation(monkeypatch, tmp_path, capsys):
@@ -285,6 +298,29 @@ def test_nonpositive_alpha_or_beta_fails_before_any_probe(args, capsys, monkeypa
     assert err.startswith("error:") and f"'{key}' must be positive" in err
 
 
+MATERN_40x30 = ["--testbed", "matern", "--n1", "40", "--n2", "30", "--kind", "log"]
+
+
+@pytest.mark.parametrize("args, key", [
+    # each used to fail only after the pilot's or the estimate's probes had run
+    (["--n1", "30", "--n2", "30", "--kind", "log", "--K", "50"], "K"),
+    ([*MATERN_40x30, "--K", "41"], "K"),
+    # each used to fail after the preconditioner and the spectrum probe
+    ([*MATERN_40x30, "--n-samples", "1"], "n_samples"),
+    ([*MATERN_40x30, "--pilot-n", "1"], "pilot_n"),
+    ([*MATERN_40x30, "--m-max", "0"], "m_max"),
+], ids=["laplacian-K", "matern-K", "n-samples", "pilot-n", "m-max"])
+def test_count_arguments_fail_before_any_operator(args, key, capsys, monkeypatch):
+    def unbuilt(*_args, **_kwargs):
+        raise AssertionError("an operator or a Lanczos run was built")
+
+    monkeypatch.setattr(cli, "make_operator", unbuilt)
+    monkeypatch.setattr(LanczosState, "__init__", unbuilt)
+    code, out, err = run_cli(["trace", *args], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config key '{key}' must be")
+
+
 def test_each_subcommand_has_one_flag_per_config_key():
     parser = build_parser()
     commands = next(action.choices for action in parser._actions
@@ -293,9 +329,8 @@ def test_each_subcommand_has_one_flag_per_config_key():
     for name, sub in commands.items():
         assert {action.dest for action in sub._actions} - {"help", "config"} == keys, name
     args = parser.parse_args(["trace", "--K", "3", "--tau", "1e-3", "--beta", "2",
-                              "--reorth", "full", "-o", "out.json"])
-    assert (args.K, args.tau, args.beta, args.reorth, args.output) == (
-        3, 1e-3, 2.0, "full", "out.json")
+                              "-o", "out.json"])
+    assert (args.K, args.tau, args.beta, args.output) == (3, 1e-3, 2.0, "out.json")
     with pytest.raises(SystemExit):
         parser.parse_args(["trace", "--kind", "cosh"])
 

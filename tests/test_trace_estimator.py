@@ -24,6 +24,8 @@ from slqcert.trace_estimator import (
     sample_bilinear,
 )
 
+from helpers import force_reorth_mode
+
 
 def test_rademacher_is_pm_one_with_exact_norm():
     u = rademacher_vector(1000, seed=3, index=5)
@@ -264,6 +266,17 @@ def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
         calibrate_delta(op, "log", interval, beta=-1.0)
 
 
+@pytest.mark.parametrize("K", [0, 41])
+def test_estimate_trace_rejects_a_pole_count_outside_the_schedule(monkeypatch, K):
+    # checked with N, delta and alpha: before the calibration pilot's probes
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(trace_estimator, "ProbeBlock", no_probe)
+    with pytest.raises(ContractViolationError, match=f"K must lie in \\[1, 40\\], got {K}"):
+        estimate_trace(Laplacian2D(4, 4), "log", N=2, delta=None, interval=(0.1, 8.0), K=K)
+
+
 def test_estimate_trace_uncertified_on_cap():
     op = Laplacian2D(10, 10)
     interval = oracles.laplacian_extreme_eigenvalues(10, 10)
@@ -325,10 +338,11 @@ def _paired_operator(k, c=5.5, lam=None):
 
 
 @pytest.mark.parametrize("mode", ["partial", "full"])
-def test_shared_basis_buffer_replays_fresh_runs(mode):
+def test_shared_basis_buffer_replays_fresh_runs(monkeypatch, mode):
+    force_reorth_mode(monkeypatch, mode)
     op = _paired_operator(30)
     r = build("log", 8, (1.0, 10.0))
-    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2, reorth_mode=mode)
+    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
     steps = [rec.steps_run for rec in est.records]
     # a probe shorter than the one before it, a later probe that outgrows the
     # buffer's first 16 rows, and a breakdown probe
@@ -338,8 +352,7 @@ def test_shared_basis_buffer_replays_fresh_runs(mode):
                for rec in est.records)
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 2, index=i)
-        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-9, reorth_mode=mode,
-                                      index=i, seed=2)
+        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-9, index=i, seed=2)
         assert fresh == rec
 
 
