@@ -29,6 +29,7 @@ from .lanczos import (
     LanczosState,
     SymTridiagonal,
     TridiagEigen,
+    gauss_quadrature,
     lanczos_run,
     lanczos_step,
     lanczos_steps,

@@ -195,7 +195,11 @@ def cmd_rational_check(config: ExperimentConfig) -> int:
 
 
 def cmd_bilinear_curve(config: ExperimentConfig) -> int:
-    """Per-step CSV: true bilinear error, |d_m|, and the lookback window."""
+    """Per-step CSV: true bilinear error, |d_m|, and the lookback window.
+
+    The run ends at m_max, at the operator dimension, or after the first
+    increment d_m at most machine epsilon times the quadrature value Q_m it
+    moves: later steps change nothing the columns can show."""
     if config.testbed != "laplacian":
         raise ContractViolationError("bilinear-curve requires the laplacian testbed")
     op, interval, _ = make_operator(config)
@@ -215,8 +219,11 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     monitor = ErrorMonitor(r, tol=0.0)
     quad_values = []
     for state, alpha, beta in lanczos_steps(op, u[None], m_max=config.m_max):
-        monitor.advance(float(alpha[0]), float(beta[0]))
+        increment = monitor.advance(float(alpha[0]), float(beta[0]))
         quad_values.append(quadrature_value(state.tridiagonal(), f))
+        if increment is not None and (
+                abs(increment) <= np.finfo(float).eps * abs(quad_values[-2])):
+            break
     d = monitor.history
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -352,8 +359,16 @@ def _add_flag(parser, key, hint):
         parser.add_argument(*flags, type=types[0])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as a bad config does:
+    one ``error:`` line and exit code 1, since 2 means an uncertified run."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slqcert",
         description="Matrix-free trace estimation with error certificates",
     )

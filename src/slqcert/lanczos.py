@@ -126,7 +126,12 @@ def tridiag_eigen(T: SymTridiagonal) -> TridiagEigen:
 
 def quadrature_value(T: SymTridiagonal, f) -> float:
     """Gauss-quadrature value e1^T f(T) e1 = sum_k S_1k^2 f(theta_k)."""
-    eig = tridiag_eigen(T)
+    return gauss_quadrature(tridiag_eigen(T), f)
+
+
+def gauss_quadrature(eig: TridiagEigen, f) -> float:
+    """``quadrature_value`` from T's eigensolve ``eig``; f undefined at a
+    node raises QuadratureDomainError."""
     with np.errstate(all="ignore"):
         values = np.asarray(f(eig.thetas), dtype=float)
     bad = ~np.isfinite(values)
@@ -136,17 +141,6 @@ def quadrature_value(T: SymTridiagonal, f) -> float:
             f"f undefined at quadrature node theta={theta}", theta=theta
         )
     return float(np.sum(eig.first_row**2 * values))
-
-
-def ritz_extremes(T: SymTridiagonal) -> tuple:
-    """(theta_min, theta_max): the extreme eigenvalues of T, without the
-    eigenvectors ``quadrature_value`` needs.  A solver that does not converge
-    raises NumericalFailureError."""
-    try:
-        thetas = scipy.linalg.eigvalsh_tridiagonal(T.alphas, T.betas)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return float(thetas[0]), float(thetas[-1])
 
 
 class BasisBuffer:

@@ -136,6 +136,10 @@ _SQRT5 = np.sqrt(5.0)
 
 SUPPORTED_NU = (0.5, 1.5, 2.5)
 
+# the rows ``MaternOperator.dense_matrix`` fills per block, so each of the
+# kernel's temporaries holds 32 rows rather than n
+DENSE_BLOCK_ROWS = 32
+
 
 def matern_kernel(r, nu: float, tau: float):
     """Matern correlation phi(r) for half-integer nu, plus nugget at r = 0.
@@ -226,6 +230,8 @@ class MaternOperator(LinearOperator):
         self.symbol = np.ascontiguousarray(scipy.fft.rfft2(block).real)
         # flat positions of the sites in the (n1, 2 n2) inverse transform
         self._gather = (sites // n2) * (2 * n2) + sites % n2
+        # grid coordinates of the sites, as floats for the kernel rows
+        self._coords = np.stack([sites // n2, sites % n2], axis=1).astype(float)
 
     def _apply(self, x, out):
         n1, n2 = self.grid
@@ -242,26 +248,30 @@ class MaternOperator(LinearOperator):
         # the indices are in range; mode "raise" would buffer a copy of out
         return np.take(conv.reshape(-1), self._gather, out=out, mode="clip")
 
-    def site_coordinates(self) -> np.ndarray:
-        n2 = self.grid[1]
-        return np.stack([self.sites // n2, self.sites % n2], axis=1)
-
     def kernel_rows(self, rows, tau: float = 0.0) -> np.ndarray:
         """Rows ``rows`` (an index list or a slice) of the kernel matrix with
         nugget tau, at O(n) per row."""
-        coords = self.site_coordinates().astype(float)
+        coords = self._coords
         d1 = coords[rows, None, 0] - coords[None, :, 0]
         d2 = coords[rows, None, 1] - coords[None, :, 1]
         r = np.sqrt((d1 / self.ell[1]) ** 2 + (d2 / self.ell[0]) ** 2)
         return matern_kernel(r, self.nu, tau)
 
     def dense_matrix(self, max_dim: int = 4000) -> np.ndarray:
-        """Assemble the kernel matrix on the sites (test oracle; O(n^2))."""
+        """Assemble the kernel matrix on the sites (test oracle; O(n^2)).
+
+        The rows are filled DENSE_BLOCK_ROWS at a time, so the temporaries
+        of ``kernel_rows`` stay a few rows long and the result is the only
+        n x n array; every entry is the one ``kernel_rows`` gives."""
         if self.dim > max_dim:
             raise ContractViolationError(
                 f"dense assembly capped at {max_dim}, operator has dim {self.dim}"
             )
-        return self.kernel_rows(slice(None), tau=self.tau)
+        matrix = np.empty((self.dim, self.dim))
+        for start in range(0, self.dim, DENSE_BLOCK_ROWS):
+            rows = slice(start, start + DENSE_BLOCK_ROWS)
+            matrix[rows] = self.kernel_rows(rows, tau=self.tau)
+        return matrix
 
 
 def build_matern_operator(grid, sites, ell1, ell2, nu=1.5, tau=0.0) -> MaternOperator:

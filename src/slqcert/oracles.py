@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
 from .errors import ContractViolationError, NumericalFailureError
 
@@ -98,12 +99,16 @@ def dense_f_oracle(matrix, f) -> DenseFOracle:
 
 
 def dense_logdet(matrix) -> float:
-    """log det of a small dense SPD matrix via Cholesky."""
+    """log det of a small dense SPD matrix via Cholesky.
+
+    LAPACK factors one copy of ``matrix``, so the oracle holds one n x n
+    array besides its argument, and leaves the argument as it was.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[0] > DENSE_ORACLE_MAX_DIM:
         raise ContractViolationError(f"dense logdet capped at dim {DENSE_ORACLE_MAX_DIM}")
     try:
-        chol = np.linalg.cholesky(matrix)
+        chol = scipy.linalg.cholesky(matrix, lower=True)
     except np.linalg.LinAlgError as exc:
         raise ContractViolationError(f"matrix is not positive definite: {exc}") from exc
     return float(2.0 * np.sum(np.log(np.diag(chol))))

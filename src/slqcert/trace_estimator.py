@@ -41,8 +41,8 @@ from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,
                      NumericalFailureError, QuadratureDomainError)
 from .error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, lookback_check
-from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, lanczos_run,
-                      lanczos_steps, quadrature_value, ritz_extremes, tridiag_eigen)
+from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, gauss_quadrature,
+                      lanczos_run, lanczos_steps, tridiag_eigen)
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
@@ -352,10 +352,10 @@ class ProbeBlock:
             estimate = monitor.history[-1] if monitor.history else np.inf
         value = theta_min = theta_max = math.nan
         if failure is None:
-            T = state.tridiagonal(int(steps), column=j)
             try:
-                theta_min, theta_max = ritz_extremes(T)
-                value = self.norm_sq[j] * quadrature_value(T, f)
+                eig = tridiag_eigen(state.tridiagonal(int(steps), column=j))
+                theta_min, theta_max = float(eig.thetas[0]), float(eig.thetas[-1])
+                value = self.norm_sq[j] * gauss_quadrature(eig, f)
             except SAMPLE_FAILURES as exc:
                 converged, failure = False, f"{type(exc).__name__}: {exc}"
             else:

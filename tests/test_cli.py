@@ -118,6 +118,48 @@ def test_bilinear_curve_columns_track_each_other(capsys):
     assert checked >= 3
 
 
+def test_bilinear_curve_ends_once_the_increments_reach_roundoff(capsys):
+    # at the default m_max of 2000 this run used to step for minutes, an
+    # m x m eigensolve per step, long after |d_m| fell to roundoff (m ~ 140)
+    args = ["bilinear-curve", "--n1", "40", "--n2", "50", "--kind", "log",
+            "--delta", "1", "--seed", "3"]
+    tic = time.perf_counter()
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and time.perf_counter() - tic < 30.0
+    code, capped, _ = run_cli(args + ["--m-max", "300"], capsys)
+    assert code == 0
+
+    def columns(text):
+        return [(row["m"], row["true_error"], row["incremental_error"])
+                for row in csv.DictReader(io.StringIO(text))]
+
+    assert columns(out) == columns(capped)
+    assert len(columns(out)) < 300
+
+
+@pytest.mark.parametrize("args", [
+    ["trace", "--bogus"],
+    ["trace", "--kind", "nope"],
+    # --t matches both --testbed and --tau
+    ["trace", "--t", "5"],
+], ids=["unknown-flag", "bad-choice", "ambiguous-flag"])
+def test_flag_errors_exit_1_like_config_errors(args, capsys):
+    # exit code 2 means an uncertified run, so a usage error may not use it
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--help"])
+    assert exc.value.code == 0
+    assert "--n-samples" in capsys.readouterr().out
+
+
 def test_trace_minimal_run_valid_json(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -243,15 +285,15 @@ def test_trace_exits_2_when_one_probe_fails(monkeypatch, capsys):
     # the quadrature of the second probe raises: its sample is flagged with
     # the error, the other two finish, and the run is not certified
     calls = []
-    quadrature_value = trace_estimator.quadrature_value
+    gauss_quadrature = trace_estimator.gauss_quadrature
 
-    def failing_second(T, f):
-        calls.append(T.m)
+    def failing_second(eig, f):
+        calls.append(len(eig.thetas))
         if len(calls) == 2:
             raise QuadratureDomainError("f undefined at quadrature node theta=-1.0")
-        return quadrature_value(T, f)
+        return gauss_quadrature(eig, f)
 
-    monkeypatch.setattr(trace_estimator, "quadrature_value", failing_second)
+    monkeypatch.setattr(trace_estimator, "gauss_quadrature", failing_second)
     code, out, _ = run_cli(
         ["trace", "--n1", "8", "--n2", "8", "--kind", "log",
          "--n-samples", "3", "--delta", "1.0"], capsys)

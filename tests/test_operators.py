@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma, kv
@@ -5,6 +7,7 @@ from scipy.special import gamma, kv
 from slqcert import oracles
 from slqcert.errors import ContractViolationError, UnsupportedParameterError
 from slqcert.operators import (
+    DENSE_BLOCK_ROWS,
     DenseOperator,
     Laplacian2D,
     PRECONDITIONER_RANK,
@@ -134,6 +137,30 @@ def test_matern_2x2_dense_unit_diagonal():
     M = op.dense_matrix()
     np.testing.assert_allclose(np.diag(M), 1.0)
     assert M.shape == (4, 4)
+
+
+# below, at and above one row block, and a count that is not a multiple of it
+@pytest.mark.parametrize("count", [DENSE_BLOCK_ROWS - 7, DENSE_BLOCK_ROWS,
+                                   3 * DENSE_BLOCK_ROWS + 5])
+def test_matern_dense_matrix_is_the_kernel_rows(count):
+    sites = sample_sites(20, 30, count / 600, seed=count)
+    op = build_matern_operator((20, 30), sites, 12.0, 8.0, nu=2.5, tau=1e-3)
+    assert op.dim == count
+    assert np.array_equal(op.dense_matrix(), op.kernel_rows(slice(None), tau=op.tau))
+
+
+def test_matern_dense_matrix_holds_one_n_by_n_array():
+    # the result and a few rows of temporaries: the kernel of all n rows at
+    # once holds six n x n arrays
+    sites = sample_sites(90, 120, 0.1, seed=101)
+    op = build_matern_operator((90, 120), sites, 48.0, 36.0, nu=1.5, tau=1e-5)
+    tracemalloc.start()
+    try:
+        op.dense_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.dim**2 * 8
 
 
 def test_matern_fft_matches_dense():

@@ -6,7 +6,7 @@ from slqcert.errors import ContractViolationError
 from slqcert.operators import Laplacian2D, MaternOperator
 
 
-from helpers import FUNCTIONS, dense_laplacian
+from helpers import FUNCTIONS, dense_laplacian, random_spd
 
 
 def test_eigenvalues_match_dense():
@@ -117,6 +117,14 @@ def test_dense_logdet():
     assert oracles.dense_logdet(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0))
     with pytest.raises(ContractViolationError):
         oracles.dense_logdet(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_logdet_leaves_its_argument_unchanged(order):
+    M = np.asarray(random_spd(40, np.random.default_rng(8)), order=order)
+    copy = M.copy()
+    assert oracles.dense_logdet(M) == pytest.approx(np.linalg.slogdet(copy)[1], rel=1e-12)
+    assert np.array_equal(M, copy)
 
 
 def test_dense_logdet_matches_f_oracle_on_matern():
