@@ -39,8 +39,8 @@ from .errors import (
     NumericalFailureError,
     UnreachableAccuracyError,
 )
-from .error_estimator import ErrorMonitor, cumulative_error
-from .lanczos import DEFAULT_M_MAX, lanczos_steps, quadrature_value
+from .error_estimator import cumulative_error
+from .lanczos import DEFAULT_M_MAX, quadrature_value
 from .operators import (Laplacian2D, PreconditionedMatern, build_matern_operator,
                         sample_sites)
 from .rational import kind_function
@@ -197,9 +197,13 @@ def cmd_rational_check(config: ExperimentConfig) -> int:
 def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     """Per-step CSV: true bilinear error, |d_m|, and the lookback window.
 
-    The run ends at m_max, at the operator dimension, or after the first
-    increment d_m at most machine epsilon times the quadrature value Q_m it
-    moves: later steps change nothing the columns can show."""
+    The run is one follow of a ``ProbeBlock`` of one probe at tolerance 0; a
+    failed monitor is an error.  It ends at m_max, at the operator dimension,
+    on breakdown, or after the first increment d_m at most machine epsilon
+    times the quadrature value Q_m it moves: later steps change nothing the
+    columns can show.  Row m's window is d_{m, m'} at the first later m'
+    with |d_m'| <= t |d_m|, which differs from the lookback test's backward
+    search where |d| is not monotone."""
     if config.testbed != "laplacian":
         raise ContractViolationError("bilinear-curve requires the laplacian testbed")
     op, interval, _ = make_operator(config)
@@ -216,30 +220,26 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
     truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
                                              u / np.linalg.norm(u))
-    monitor = ErrorMonitor(r, tol=0.0)
+    block = trace_estimator.ProbeBlock(op, u[None], config.m_max)
     quad_values = []
-    for state, alpha, beta in lanczos_steps(op, u[None], m_max=config.m_max):
-        increment = monitor.advance(float(alpha[0]), float(beta[0]))
-        quad_values.append(quadrature_value(state.tridiagonal(), f))
-        if increment is not None and (
-                abs(increment) <= np.finfo(float).eps * abs(quad_values[-2])):
+    for monitors, ends in block.follow(r, 0.0):
+        if 0 in ends and ends[0][-1] is not None:
+            raise NumericalFailureError(ends[0][-1])
+        quad_values.append(quadrature_value(block.state.tridiagonal(), f))
+        d = monitors[0].history
+        if d and abs(d[-1]) <= np.finfo(float).eps * abs(quad_values[-2]):
             break
-    d = monitor.history
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["m", "true_error", "incremental_error", "cumulative_window"])
     for m in range(1, len(quad_values) + 1):
-        row = [m, f"{abs(truth - quad_values[m - 1]):.6e}"]
-        has_d = m - 1 < len(d)
-        row.append(f"{abs(d[m - 1]):.6e}" if has_d else "")
         window = ""
-        if has_d:
-            for mp in range(m + 1, len(d) + 1):
-                if abs(d[mp - 1]) <= monitor.t * abs(d[m - 1]):
-                    window = f"{abs(cumulative_error(monitor, m, mp)):.6e}"
-                    break
-        row.append(window)
-        writer.writerow(row)
+        for mp in range(m + 1, len(d) + 1):
+            if abs(d[mp - 1]) <= monitors[0].t * abs(d[m - 1]):
+                window = f"{abs(cumulative_error(monitors[0], m, mp)):.6e}"
+                break
+        writer.writerow([m, f"{abs(truth - quad_values[m - 1]):.6e}",
+                         f"{abs(d[m - 1]):.6e}" if m <= len(d) else "", window])
     _emit(buf.getvalue(), config.output)
     return 0
 

@@ -385,34 +385,32 @@ def lanczos_step(state: LanczosState):
 
 def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
                   m_max: int = DEFAULT_M_MAX, buffer: BasisBuffer | None = None):
-    """The Lanczos loop: yields (state, alpha_m, beta_m) after each step.
+    """The Lanczos loop: yields the state after each step.
 
-    ``u`` is a (b, n) block of start vectors.  alpha_m and beta_m, the
-    off-diagonal above alpha_m (0 at m = 1), are arrays over the columns;
-    column j's pair is the one ``ErrorMonitor.advance`` takes.  The loop
-    runs at most min(m_max, op.dim) steps and retires a column after its
-    breakdown step, whose quadrature is exact; the caller may retire a
-    column between steps by clearing its ``state.active`` entry.  The loop
-    ends when no column is active.  The basis goes into ``buffer`` when one
-    is given (see ``LanczosState``).
+    ``u`` is a (b, n) block of start vectors.  The loop runs at most
+    min(m_max, op.dim) steps and retires a column after its breakdown step,
+    whose quadrature is exact; the caller may retire a column between steps
+    by clearing its ``state.active`` entry.  The loop ends when no column is
+    active.  A step's coefficients are read from the state
+    (``state.tridiagonal(column=j)``), which is how ``ProbeBlock`` feeds its
+    monitors.  The basis goes into ``buffer`` when one is given (see
+    ``LanczosState``).
     """
     if m_max < 1:
         raise ContractViolationError(f"m_max must be >= 1, got {m_max}")
     state = LanczosState(op, u, reorth_mode=reorth_mode, m_max=m_max, buffer=buffer)
-    beta = np.zeros(len(state.steps))
     for _ in range(min(m_max, op.dim)):
-        alpha, beta_next = lanczos_step(state)
-        yield state, alpha, beta
+        lanczos_step(state)
+        yield state
         state.active &= ~state.breakdown
         if not np.count_nonzero(state.active):
             return
-        beta = beta_next
 
 
 def lanczos_run(op: LinearOperator, u, steps: int,
                 reorth_mode: str = DEFAULT_REORTH) -> LanczosState:
     """Run up to min(steps, op.dim) Lanczos steps of the (b, n) block ``u``;
     a column stops early on breakdown."""
-    for state, _, _ in lanczos_steps(op, u, reorth_mode, steps):
+    for state in lanczos_steps(op, u, reorth_mode, steps):
         pass
     return state

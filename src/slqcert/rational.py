@@ -35,8 +35,6 @@ from .errors import (
     UnsupportedParameterError,
 )
 
-KINDS = ("exp_neg", "sqrt", "log", "tanh_sqrt")
-
 K_SCHEDULE = range(1, 41)
 
 # Largest half-pair order the CF construction supports before the governing
@@ -50,16 +48,7 @@ UNIFORM_ERROR_SAMPLES = 10_000
 
 def kind_function(kind):
     """Scalar function f associated with an approximant kind (vectorized)."""
-    table = {
-        "exp_neg": lambda x: np.exp(-x),
-        "sqrt": np.sqrt,
-        "log": np.log,
-        "tanh_sqrt": lambda x: np.tanh(np.sqrt(x)),
-    }
-    try:
-        return table[kind]
-    except KeyError:
-        raise UnsupportedParameterError(f"unknown function kind {kind!r}") from None
+    return _kind(kind)[0]
 
 
 @dataclass(frozen=True)
@@ -303,20 +292,25 @@ def build_tanh_sqrt(K, interval):
     return _finish("tanh_sqrt", (a, b), z, coeffs, 0.0, K, "double-slit")
 
 
-_BUILDERS = {
-    "exp_neg": build_exp,
-    "sqrt": build_sqrt,
-    "log": build_log,
-    "tanh_sqrt": build_tanh_sqrt,
+# kind -> (f, the builder of its approximants)
+_KINDS = {
+    "exp_neg": (lambda x: np.exp(-x), build_exp),
+    "sqrt": (np.sqrt, build_sqrt),
+    "log": (np.log, build_log),
+    "tanh_sqrt": (lambda x: np.tanh(np.sqrt(x)), build_tanh_sqrt),
 }
+KINDS = tuple(_KINDS)
+
+
+def _kind(kind):
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise UnsupportedParameterError(f"unknown function kind {kind!r}") from None
 
 
 def build(kind, K, interval):
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise UnsupportedParameterError(f"unknown function kind {kind!r}") from None
-    return builder(K, interval)
+    return _kind(kind)[1](K, interval)
 
 
 def choose_K(kind, interval, target):

@@ -242,18 +242,12 @@ def _ritz_outside(theta_min: float, theta_max: float, interval) -> str | None:
 
 class ProbeBlock:
     """A (b, n) block of probes on one Lanczos run that outlives the monitors
-    watching it.
+    watching it: the one loop that steps a Lanczos run under ErrorMonitors.
 
-    Row j of ``u`` is the probe with index ``index + j``.  ``watch`` attaches
-    one ErrorMonitor per column and steps the run until each has ended its
-    column.  Before each step it feeds every monitor the steps of its column
-    that it has not seen, read from the run's stored Jacobi coefficients; a
-    watch of a run that has already stepped starts with that catch-up, which
-    applies no operator.  A monitor is a function of its column's stored
-    coefficients alone, so a record equals the probe's own run at the
-    watch's delta, whatever watched the run before.  A held watch keeps
-    every column in the run, so that one later watch can go on from where it
-    stopped.  The basis goes into ``buffer`` when one is given (see
+    Row j of ``u`` is the probe with index ``index + j``.  A monitor is a
+    function of its column's stored Jacobi coefficients alone, so a record
+    equals the probe's own run at the watch's delta, whatever watched the run
+    before.  The basis goes into ``buffer`` when one is given (see
     ``lanczos.LanczosState``).
     """
 
@@ -270,27 +264,32 @@ class ProbeBlock:
         self._steps = lanczos_steps(op, u, m_max=m_max, buffer=buffer)
         self._passes = []          # each column's reorth passes after each step
 
-    def watch(self, f, r: RationalApproximant, delta: float, count: int | None = None,
-              hold: bool = False):
-        """(records, (lanczos seconds, monitor seconds)) of the first
-        ``count`` columns (all by default), each from a monitor at tolerance
-        delta.
+    def follow(self, r: RationalApproximant, delta: float, count: int | None = None,
+               hold: bool = False):
+        """Step the run under one ErrorMonitor at tolerance delta for each of
+        the first ``count`` columns (all by default) until each has ended its
+        column; yields (monitors, ends) after each catch-up of the monitors.
 
-        A column ends when its monitor converges, its run breaks down or it
-        reaches min(m_max, n); its record is taken at that step.  Without
+        A catch-up feeds every monitor the steps of its column that it has
+        not seen, read from the stored Jacobi coefficients.  On a fresh block
+        that is once per step; on a block that has stepped, the first yield is
+        the catch-up, which applies no operator.  ``monitors`` maps a column
+        to its monitor and ``ends`` an ended column to its end (see ``_feed``);
+        both are updated in place, and ``monitor_seconds`` is the follow's
+        time in the monitors.  A column ends when its monitor converges
+        or fails, its run breaks down or it reaches min(m_max, n).  Without
         ``hold`` a column leaves the run when it ends, and the columns not
-        watched leave it at once.
+        followed leave it at once; a held follow keeps every column, so that
+        one later follow can go on from where it stopped.
         """
-        b = len(self.norm_sq)
-        count = b if count is None else count
+        count = len(self.norm_sq) if count is None else count
         monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j]) for j in range(count)}
-        ends = {}              # column -> its end, as _feed gives it
-        running = np.zeros(b, dtype=bool)
-        running[:count] = True
-        t_lanczos = t_monitor = 0.0
-        tic = time.perf_counter()
+        ends = {}
+        running = np.arange(len(self.norm_sq)) < count
+        self.monitor_seconds = 0.0
         while True:
             if self.state is not None:
+                tic = time.perf_counter()
                 for j in running.nonzero()[0].tolist():
                     end = self._feed(j, monitors[j])
                     if end is not None:
@@ -298,22 +297,29 @@ class ProbeBlock:
                         running[j] = False
                 if not hold:
                     self.state.active &= running
-            toc = time.perf_counter()
-            t_monitor += toc - tic
+                self.monitor_seconds += time.perf_counter() - tic
+                yield monitors, ends
             if not running.any():
-                break
-            step = next(self._steps, None)
-            tic = time.perf_counter()
-            t_lanczos += tic - toc
-            if step is None:
-                break
-            self.state = step[0]
-            self._passes.append(self.state.reorth_passes.copy())
+                return
+            state = next(self._steps, None)
+            if state is None:
+                return
+            self.state = state
+            self._passes.append(state.reorth_passes.copy())
+
+    def watch(self, f, r: RationalApproximant, delta: float, count: int | None = None,
+              hold: bool = False):
+        """(records, (lanczos seconds, monitor seconds)) of a ``follow`` run
+        to its end: each followed column's record, taken at its end.  The
+        Lanczos seconds are the watch's time outside the monitors."""
         tic = time.perf_counter()
+        monitors, ends = {}, {}
+        for monitors, ends in self.follow(r, delta, count, hold):
+            pass
         records = [self._record(j, monitor, ends.get(j), f, r.interval)
                    for j, monitor in monitors.items()]
-        t_lanczos += time.perf_counter() - tic
-        return records, (t_lanczos, t_monitor)
+        seconds = time.perf_counter() - tic
+        return records, (seconds - self.monitor_seconds, self.monitor_seconds)
 
     def _feed(self, j: int, monitor: ErrorMonitor):
         """Feed column j's monitor the stored steps it has not seen: the
@@ -556,9 +562,9 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     scale = max(abs(float(np.asarray(f(mid)))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     r = _approximant(kind, interval, delta_pilot, op.dim, None)
-    b = probe_block_size(n_pilot, op.dim)
     # one buffer for the pilot blocks and, after them, the estimate's blocks
-    buffer = BasisBuffer(op.dim, max(b, probe_block_size(production_n, op.dim)))
+    b = probe_block_size(max(n_pilot, production_n), op.dim)
+    buffer = BasisBuffer(op.dim, b)
     probes = np.empty((b, op.dim))
     records = []
     for start in range(0, n_pilot, b):

@@ -8,11 +8,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slqcert import cli, oracles, trace_estimator
+from slqcert import cli, error_estimator, oracles, rational, trace_estimator
 from slqcert.cli import ExperimentConfig, build_parser, main
-from slqcert.error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor
+from slqcert.error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, cumulative_error
 from slqcert.errors import ContractViolationError, QuadratureDomainError
-from slqcert.lanczos import DEFAULT_REORTH, LanczosState
+from slqcert.lanczos import DEFAULT_REORTH, LanczosState, lanczos_step, quadrature_value
 from slqcert.operators import Laplacian2D, build_matern_operator, sample_sites
 
 
@@ -135,6 +135,69 @@ def test_bilinear_curve_ends_once_the_increments_reach_roundoff(capsys):
 
     assert columns(out) == columns(capped)
     assert len(columns(out)) < 300
+
+
+def _reference_curve(args) -> str:
+    """The bilinear-curve CSV from a loop of its own: a bare Lanczos run, a
+    fresh ErrorMonitor fed each step's (alpha_m, beta_m), a quadrature value
+    per step, the roundoff stop and the forward window search."""
+    config = cli.config_from_args(build_parser().parse_args(["bilinear-curve", *args]))
+    op, interval, _ = cli.make_operator(config)
+    f = rational.kind_function(config.kind)
+    if config.K is not None:
+        r = rational.build(config.kind, config.K, interval)
+    else:
+        r = rational.choose_K(config.kind, interval,
+                              trace_estimator.rational_target(config.delta, op.dim))
+    u = trace_estimator.rademacher_vector(op.dim, config.seed, index=0)
+    truth = oracles.exact_bilinear_laplacian(f, config.n1, config.n2,
+                                             u / np.linalg.norm(u))
+    state = LanczosState(op, u[None], m_max=config.m_max)
+    monitor = ErrorMonitor(r, tol=0.0)
+    quad = []
+    while state.m < min(config.m_max, op.dim) and not state.breakdown[0]:
+        lanczos_step(state)
+        T = state.tridiagonal()
+        increment = monitor.advance(float(T.alphas[-1]),
+                                    float(T.betas[-1]) if state.m > 1 else 0.0)
+        quad.append(quadrature_value(T, f))
+        if increment is not None and abs(increment) <= np.finfo(float).eps * abs(quad[-2]):
+            break
+    d = monitor.history
+    rows = [["m", "true_error", "incremental_error", "cumulative_window"]]
+    for m in range(1, len(quad) + 1):
+        window = ""
+        for mp in range(m + 1, len(d) + 1):
+            if abs(d[mp - 1]) <= monitor.t * abs(d[m - 1]):
+                window = f"{abs(cumulative_error(monitor, m, mp)):.6e}"
+                break
+        rows.append([m, f"{abs(truth - quad[m - 1]):.6e}",
+                     f"{abs(d[m - 1]):.6e}" if m <= len(d) else "", window])
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("args,count", [
+    (["--n1", "40", "--n2", "50", "--kind", "log", "--delta", "1", "--seed", "3"], 140),
+    (["--n1", "20", "--n2", "24", "--kind", "exp_neg", "--delta", "0.01", "--seed", "3"], 19),
+    (["--n1", "30", "--n2", "20", "--kind", "sqrt", "--K", "8", "--seed", "4"], 73),
+    (["--n1", "30", "--n2", "30", "--kind", "tanh_sqrt", "--delta", "0.2", "--seed", "5"], 83),
+], ids=["log", "exp_neg", "sqrt", "tanh_sqrt"])
+def test_bilinear_curve_matches_a_reference_loop(args, count, capsys):
+    code, out, _ = run_cli(["bilinear-curve", *args], capsys)
+    assert code == 0
+    assert out == _reference_curve(args)
+    assert len(out.splitlines()) == count + 1
+
+
+def test_bilinear_curve_monitor_failure_is_an_error(monkeypatch, capsys):
+    # every pivot falls under the guard, so the monitor fails at its first step
+    monkeypatch.setattr(error_estimator, "PIVOT_GUARD", 1e300)
+    code, out, err = run_cli(
+        ["bilinear-curve", "--n1", "6", "--n2", "7", "--kind", "log", "--K", "4"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -9,9 +9,10 @@ from slqcert.error_estimator import (
     lookback_check,
 )
 from slqcert.errors import ContractViolationError, PivotBreakdownError
-from slqcert.lanczos import SymTridiagonal, lanczos_steps, tridiag_eigen
+from slqcert.lanczos import SymTridiagonal, tridiag_eigen
 from slqcert.operators import DenseOperator, Laplacian2D
 from slqcert.rational import RationalApproximant, build, evaluate
+from slqcert.trace_estimator import ProbeBlock
 
 from helpers import random_spd
 
@@ -91,16 +92,14 @@ def test_increments_match_eigen_route_differences():
     A = random_spd(40, rng, shift=1.0)
     lam = np.linalg.eigvalsh(A)
     r = build("log", 10, (lam[0] * 0.99, lam[-1] * 1.01))
-    op = DenseOperator(A)
-    monitor = ErrorMonitor(r, tol=0.0, t=0.1)
+    block = ProbeBlock(DenseOperator(A), rng.standard_normal((1, 40)), m_max=30)
     quad = []
-    for state, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 40)), m_max=30):
-        monitor.advance(alpha[0], beta[0])
-        eig = tridiag_eigen(state.tridiagonal())
+    for monitors, ends in block.follow(r, 0.0):
+        eig = tridiag_eigen(block.state.tridiagonal())
         quad.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
-    assert state.m == 30
+    assert block.state.m == 30 and not ends
     direct = np.diff(quad)
-    np.testing.assert_allclose(monitor.history, direct, atol=1e-12)
+    np.testing.assert_allclose(monitors[0].history, direct, atol=1e-12)
 
 
 def test_prefix_sums_invariant():
@@ -188,13 +187,13 @@ def test_cumulative_telescopes_to_eigen_route():
     lam_max = 8.0
     r = build("exp_neg", 4, (0.0, lam_max))
     f = lambda x: np.exp(-x)
-    monitor = ErrorMonitor(r, tol=0.0, t=0.1)
+    block = ProbeBlock(op, rng.standard_normal((1, 42)), m_max=20)
     quad_r = []
-    for state, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 42)), m_max=20):
-        monitor.advance(alpha[0], beta[0])
-        eig = tridiag_eigen(state.tridiagonal())
+    for monitors, ends in block.follow(r, 0.0):
+        eig = tridiag_eigen(block.state.tridiagonal())
         quad_r.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
-    assert state.m == 20
+    assert block.state.m == 20 and not ends
+    monitor = monitors[0]
     total = cumulative_error(monitor, 1, len(monitor.history) + 1)
     assert total == pytest.approx(quad_r[-1] - quad_r[0], abs=1e-12)
 
@@ -218,11 +217,11 @@ def test_constant_sign_on_laplacian_runs():
     for kind in ("exp_neg", "sqrt", "log", "tanh_sqrt"):
         iv = (0.0, interval[1]) if kind == "exp_neg" else interval
         r = build(kind, 10, iv)
-        monitor = ErrorMonitor(r, tol=0.0, t=0.1)
-        for _, alpha, beta in lanczos_steps(op, rng.standard_normal((1, 110)),
-                                            m_max=30):
-            monitor.advance(alpha[0], beta[0])
-        d = np.array(monitor.history)
+        block = ProbeBlock(op, rng.standard_normal((1, 110)), m_max=30)
+        for monitors, ends in block.follow(r, 0.0):
+            pass
+        assert not ends
+        d = np.array(monitors[0].history)
         big = d[np.abs(d) > 10 * r.eps]
         assert len(big) > 3
         assert np.all(big > 0) or np.all(big < 0), kind

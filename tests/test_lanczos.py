@@ -81,31 +81,19 @@ def test_identity_breaks_down_immediately():
     assert state.breakdown[0]
 
 
-def test_steps_yield_the_beta_above_each_alpha():
-    op = Laplacian2D(6, 7)
-    u = np.random.default_rng(3).standard_normal((1, 42))
-    for count, (state, alpha, beta) in enumerate(lanczos_steps(op, u, m_max=12), 1):
-        m = state.m
-        T = state.tridiagonal()
-        assert m == count and alpha[0] == T.alphas[m - 1]
-        assert beta[0] == (T.betas[m - 2] if m > 1 else 0.0)
-    assert count == 12
-
-
 @pytest.mark.parametrize("m_max,dim,expect", [(5, 12, 5), (20, 12, 12)])
 def test_steps_stop_at_min_of_m_max_and_dim(m_max, dim, expect):
     rng = np.random.default_rng(dim)
     op = DenseOperator(random_spd(dim, rng))
     steps = list(lanczos_steps(op, rng.standard_normal((1, dim)), m_max=m_max))
-    assert len(steps) == expect and steps[-1][0].m == expect
+    assert len(steps) == expect and steps[-1].m == expect
 
 
 def test_steps_end_after_breakdown_step():
     steps = list(lanczos_steps(DenseOperator(np.eye(5)), np.ones((1, 5))))
-    assert len(steps) == 1
-    state, alpha, beta = steps[0]
+    (state,) = steps
     assert state.breakdown[0] and state.m == 1
-    assert alpha[0] == pytest.approx(1.0) and beta[0] == 0.0
+    assert state.tridiagonal().alphas[0] == pytest.approx(1.0)
 
 
 def test_steps_need_one_step():
@@ -273,7 +261,7 @@ def test_exactness_at_distinct_eigenvalue_count():
     diag = np.concatenate([eigs, eigs, eigs])
     op = DenseOperator(np.diag(diag))
     u = rng.standard_normal(len(diag))
-    for state, _, _ in lanczos_steps(op, u[None]):
+    for state in lanczos_steps(op, u[None]):
         pass
     assert state.breakdown[0] and state.m <= len(eigs)
     f = lambda x: np.exp(-x)
@@ -381,7 +369,7 @@ def test_block_columns_replay_single_runs():
     rng = np.random.default_rng(8)
     U = rng.standard_normal((3, op.dim))
     stops = {0: 5, 2: 9}
-    for state, alpha, beta in lanczos_steps(op, U, m_max=14):
+    for state in lanczos_steps(op, U, m_max=14):
         for j, stop in stops.items():
             if state.steps[j] == stop:
                 state.active[j] = False

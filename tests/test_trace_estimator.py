@@ -369,6 +369,59 @@ def _count_laplacian_rows(monkeypatch) -> list:
     return rows
 
 
+def test_follow_feeds_each_monitor_the_beta_above_each_alpha():
+    # the one feed convention: step m gives a monitor (alpha_m, beta_m), with
+    # beta_m the off-diagonal above alpha_m (0 at m = 1), read from the run's
+    # stored Jacobi matrix
+    op = Laplacian2D(6, 7)
+    u = np.random.default_rng(3).standard_normal((2, 42))
+    r = build("log", 8, oracles.laplacian_extreme_eigenvalues(6, 7))
+    block = ProbeBlock(op, u, m_max=12)
+    by_hand = [ErrorMonitor(r, tol=0.0) for _ in u]
+    for count, (monitors, _) in enumerate(block.follow(r, 0.0), 1):
+        for j, hand in enumerate(by_hand):
+            T = block.state.tridiagonal(column=j)
+            hand.advance(T.alphas[count - 1], T.betas[count - 2] if count > 1 else 0.0)
+            assert monitors[j].history == hand.history
+            np.testing.assert_array_equal(monitors[j].pole_state.eta, hand.pole_state.eta)
+    assert count == 12
+
+
+def test_follow_yields_once_per_catch_up(monkeypatch):
+    op = Laplacian2D(20, 30)
+    r = build("log", 12, oracles.laplacian_extreme_eigenvalues(20, 30))
+    u = np.array([rademacher_vector(op.dim, 7, index=i) for i in range(3)])
+    rows = _count_laplacian_rows(monkeypatch)
+    # a fresh block yields once per step; without hold a column leaves the
+    # run when it ends
+    block = ProbeBlock(op, u)
+    running = 3
+    for count, (monitors, ends) in enumerate(block.follow(r, 1e-2), 1):
+        assert len(rows) == count == block.state.m and rows[-1] == running
+        running = 3 - len(ends)
+    assert running == 0 and len({end[0] for end in ends.values()}) > 1
+    # a held watch keeps every column to its last end; a second follow of the
+    # first two columns yields its catch-up first, with no row applied, and
+    # the third column leaves the run at once
+    rows.clear()
+    block = ProbeBlock(op, u)
+    block.watch(np.log, r, 1e-2, hold=True)
+    m = block.state.m
+    assert rows == [3] * m
+    follow = block.follow(r, 1e-6, count=2)
+    monitors, ends = next(follow)
+    assert len(rows) == m and block.state.m == m
+    for j in range(2):
+        assert monitors[j].pole_state.m == (ends[j][0] if j in ends else m)
+    assert not block.state.active[2]
+    running = 2 - len(ends)
+    for monitors, ends in follow:
+        m += 1
+        assert len(rows) == m == block.state.m and rows[-1] == running
+        running = 2 - len(ends)
+    assert running == 0
+
+
 @pytest.mark.parametrize("delta1, delta2", [(1e-2, 1e-6), (1e-6, 1e-2)])
 def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
     # a held watch of 4 columns at delta1, then a watch of the first 3 at
