@@ -101,8 +101,8 @@ class ExperimentConfig:
 def _checked(key, value, hint):
     """value if its JSON type fits the field's annotation (an int is taken for
     a float field) and its range: the key's CHOICES, POSITIVE, MINIMUM and,
-    for K, the pole counts of ``rational.K_SCHEDULE``; else a
-    ContractViolationError."""
+    for K, k_min and k_max, the pole counts of ``rational.K_SCHEDULE``; else
+    a ContractViolationError."""
     types = typing.get_args(hint) or (hint,)
     if float in types and type(value) is int:
         value = float(value)
@@ -117,10 +117,11 @@ def _checked(key, value, hint):
     if key in MINIMUM and value < MINIMUM[key]:
         raise ContractViolationError(
             f"config key {key!r} must be at least {MINIMUM[key]}, got {value!r}")
-    if key == "K" and not (value is None or value in rational.K_SCHEDULE):
+    if key in ("K", "k_min", "k_max") and not (value is None or value in rational.K_SCHEDULE):
         first, last = rational.K_SCHEDULE[0], rational.K_SCHEDULE[-1]
+        nullable = "null or " if key == "K" else ""
         raise ContractViolationError(
-            f"config key 'K' must be null or in [{first}, {last}], got {value!r}")
+            f"config key {key!r} must be {nullable}in [{first}, {last}], got {value!r}")
     return value
 
 
@@ -179,10 +180,8 @@ def _emit(text: str, output: str | None):
 
 def cmd_rational_check(config: ExperimentConfig) -> int:
     """CSV of (kind, K, uniform error) over the K schedule."""
-    if config.k_min > config.k_max or config.k_min < 1:
-        raise ContractViolationError(
-            f"empty or invalid K schedule [{config.k_min}, {config.k_max}]"
-        )
+    if config.k_min > config.k_max:
+        raise ContractViolationError(f"empty K schedule [{config.k_min}, {config.k_max}]")
     _, interval, _ = make_operator(config)
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -39,16 +39,15 @@ place through numpy's ``out=`` arguments and the work rows of the buffer,
 and the rows are normalized where they lie.  Only numpy's BLAS is called: scipy ships its
 own threaded OpenBLAS, and the two thread pools, alternating once per
 update, stall each other by orders of magnitude when the thread count is
-not pinned.  The basis lives in a ``BasisBuffer`` of chunks that never
-move: a growth appends a chunk instead of copying the basis, which keeps
-the copy off the peak memory.  A caller running many probes on one
-operator passes the same buffer to each run, so the later runs reuse
-memory that is already allocated and touched.
+not pinned.  The basis lives in a ``BasisBuffer`` of fixed 16-row chunks
+that never move: a step past the last chunk appends one instead of
+copying the basis, which keeps a copy off the peak memory.  A caller
+running many probes on one operator passes the same buffer to each run,
+so the later runs reuse memory that is already allocated and touched.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -147,20 +146,18 @@ class BasisBuffer:
     """Rows of Lanczos basis vectors for runs on operators of one dimension.
 
     Row k is a (width, dim) block: the k-th basis vector of each of up to
-    ``width`` columns.  The rows live in chunks that never move: the first
-    holds 16 rows and each later one as many as all before it, up to the
-    caller's limit, so row k lies in the same chunk for every run and a
-    growth copies nothing.  The buffer keeps its chunks, so the next run on
-    it pays no allocation or first touch.  Rows past the current run's
-    vectors hold stale vectors of an earlier run; nothing reads them.
-    ``work`` is scratch for one block update.
+    ``width`` columns.  It is row ``k % CHUNK_ROWS`` of chunk
+    ``k // CHUNK_ROWS``; ``row(k)`` appends chunks until that one exists.
+    Chunks never move, so a growth copies nothing, and the buffer keeps
+    them, so the next run on it pays no allocation or first touch.  Rows
+    past the current run's vectors hold stale vectors of an earlier run;
+    nothing reads them.  ``work`` is scratch for one block update.
     """
 
-    FIRST_CHUNK = 16
+    CHUNK_ROWS = 16
 
     def __init__(self, dim: int, width: int = 1):
         self.chunks: list = []
-        self.starts: list = []          # the first row of each chunk
         self.work = np.empty((width, dim))
 
     @property
@@ -171,27 +168,16 @@ class BasisBuffer:
     def width(self) -> int:
         return self.work.shape[0]
 
-    @property
-    def capacity(self) -> int:
-        return self.starts[-1] + len(self.chunks[-1]) if self.chunks else 0
-
-    def reserve(self, count: int, limit: int):
-        """Chunks for at least ``count`` rows; a new chunk stops at ``limit``
-        rows in all unless ``count`` needs more."""
-        while self.capacity < count:
-            have = self.capacity
-            size = min(max(have, self.FIRST_CHUNK), max(limit, count) - have)
-            self.starts.append(have)
-            self.chunks.append(np.empty((size, self.width, self.dim)))
-
     def row(self, k: int) -> np.ndarray:
-        c = bisect.bisect_right(self.starts, k) - 1
-        return self.chunks[c][k - self.starts[c]]
+        c, i = divmod(k, self.CHUNK_ROWS)
+        while len(self.chunks) <= c:
+            self.chunks.append(np.empty((self.CHUNK_ROWS, self.width, self.dim)))
+        return self.chunks[c][i]
 
     def column(self, j: int, count: int) -> list:
         """Views of rows 0 .. count - 1 of column j, one (rows, dim) view per chunk."""
-        return [chunk[: count - start, j]
-                for start, chunk in zip(self.starts, self.chunks) if start < count]
+        return [chunk[: count - c * self.CHUNK_ROWS, j]
+                for c, chunk in enumerate(self.chunks) if c * self.CHUNK_ROWS < count]
 
 
 class LanczosState:
@@ -247,8 +233,6 @@ class LanczosState:
         self._betas = np.zeros((b, cap + 1))    # _betas[:, j] = beta_{j+1}; beta_1 = 0
         self._norm_estimate = np.zeros(b)
         self._buffer = buffer
-        self._row_limit = max(self.m_max + 1, BasisBuffer.FIRST_CHUNK)
-        buffer.reserve(1, self._row_limit)
         np.divide(block, np.array(norms)[:, None], out=buffer.row(0)[:b])
         # partial-mode state: omega rows of each column for its two latest
         # vectors, entry j in column j + 1 behind a column of zeros
@@ -338,8 +322,6 @@ def lanczos_step(state: LanczosState):
     contiguous = idx[-1] - idx[0] + 1 == len(idx)
     sel = slice(idx[0], idx[-1] + 1) if contiguous else idx
     buffer = state._buffer
-    if buffer.capacity < k + 2:
-        buffer.reserve(k + 2, state._row_limit)
     V = buffer.row(k)[sel]
     W = buffer.row(k + 1)[sel] if contiguous else np.empty_like(V)
     state.op.matvec(V, out=W)

@@ -29,6 +29,7 @@ import scipy.fft
 import scipy.linalg
 
 from .errors import ContractViolationError, UnsupportedParameterError
+from .oracles import DENSE_ORACLE_MAX_DIM
 
 
 class LinearOperator:
@@ -257,15 +258,17 @@ class MaternOperator(LinearOperator):
         r = np.sqrt((d1 / self.ell[1]) ** 2 + (d2 / self.ell[0]) ** 2)
         return matern_kernel(r, self.nu, tau)
 
-    def dense_matrix(self, max_dim: int = 4000) -> np.ndarray:
-        """Assemble the kernel matrix on the sites (test oracle; O(n^2)).
+    def dense_matrix(self) -> np.ndarray:
+        """Assemble the kernel matrix on the sites (test oracle; O(n^2)),
+        up to the oracles' cap ``DENSE_ORACLE_MAX_DIM``.
 
         The rows are filled DENSE_BLOCK_ROWS at a time, so the temporaries
         of ``kernel_rows`` stay a few rows long and the result is the only
         n x n array; every entry is the one ``kernel_rows`` gives."""
-        if self.dim > max_dim:
+        if self.dim > DENSE_ORACLE_MAX_DIM:
             raise ContractViolationError(
-                f"dense assembly capped at {max_dim}, operator has dim {self.dim}"
+                f"dense assembly capped at {DENSE_ORACLE_MAX_DIM}, operator has dim "
+                f"{self.dim}"
             )
         matrix = np.empty((self.dim, self.dim))
         for start in range(0, self.dim, DENSE_BLOCK_ROWS):

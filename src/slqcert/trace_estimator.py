@@ -12,9 +12,11 @@ per-sample bias stays below delta, which is what the monitor tests.
 
 Probe i of a run is ``rademacher_vector(n, seed, i)``.  When delta is not
 given, a pilot sets it to beta alpha s_pilot / sqrt(N) from the spread of
-the first ``n_pilot`` probes, each stopped at a loose tolerance.  The pilot
-and the estimate are two phases on one Lanczos run of those probes: the
-pilot's monitors watch the block until each has stopped its column, while
+the first ``n_pilot`` probes, each stopped at a loose tolerance: 1e-2 of
+the rough trace scale n max(|f(mid)|, f(a)) on the interval [a, b], where
+f(a) keeps exp(-x) on a wide interval from a scale that underflows.  The
+pilot and the estimate are two phases on one Lanczos run of those probes:
+the pilot's monitors watch the block until each has stopped its column, while
 every column keeps stepping; then a fresh monitor per column at delta
 reads the stored coefficients and the same run steps on until those
 monitors retire their columns.  Each sample therefore equals the probe's
@@ -552,14 +554,19 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
 
 def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
                alpha: float, production_n: int, seed: int, m_max: int):
-    """The pilot phase: (delta, the pilot's report, its live last block)."""
+    """The pilot phase: (delta, the pilot's report, its live last block).
+
+    The pilot tolerance is 1e-2 n max(|f(mid)|, f(a), 1e-12) on the
+    interval [a, b] with midpoint mid: f(a) stands in where f(mid)
+    underflows while the trace does not (exp_neg on a wide interval), and
+    as f(a) is signed it never exceeds |f(mid)| for the increasing kinds."""
     if n_pilot < 2:
         raise ContractViolationError("pilot needs at least 2 samples")
     _require_positive("beta", beta)
     _require_positive("alpha", alpha)
     f = kind_function(kind)
-    mid = 0.5 * (interval[0] + interval[1])
-    scale = max(abs(float(np.asarray(f(mid)))), 1e-12)
+    f_mid = float(np.asarray(f(0.5 * (interval[0] + interval[1]))))
+    scale = max(abs(f_mid), float(np.asarray(f(interval[0]))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     r = _approximant(kind, interval, delta_pilot, op.dim, None)
     # one buffer for the pilot blocks and, after them, the estimate's blocks
@@ -600,10 +607,10 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFA
     The pilot is the first phase of ``estimate_trace`` with delta None,
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
     in blocks of ``probe_block_size(n_pilot, n)``, with a loose tolerance
-    (1e-2 of the rough trace scale n f(midpoint)) and no certification; s is
-    the standard error of their values.  The last block keeps every column
-    until each of its pilot monitors has stopped, so that the estimate can
-    go on with its run; a column of an earlier block leaves it when its own
-    monitor stops.
+    (1e-2 of the rough trace scale n max(|f(mid)|, f(a)) on [a, b]) and no
+    certification; s is the standard error of their values.  The last
+    block keeps every column until each of its pilot monitors has stopped,
+    so that the estimate can go on with its run; a column of an earlier
+    block leaves it when its own monitor stops.
     """
     return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed, m_max)[0]

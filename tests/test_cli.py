@@ -83,6 +83,18 @@ def test_rational_check_empty_schedule_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_rational_check_k_range_outside_the_schedule_is_checked_first(monkeypatch, capsys):
+    # k_max past the schedule is a usage error before any operator is built
+    # or any row printed
+    built = []
+    monkeypatch.setattr(cli, "make_operator", lambda config: built.append(config))
+    code, out, err = run_cli(
+        ["rational-check", "--kind", "log", "--k-min", "38", "--k-max", "45"], capsys)
+    assert code == 1
+    assert out == "" and built == []
+    assert err.startswith("error:") and err.count("\n") == 1 and "'k_max'" in err
+
+
 def test_bilinear_curve_single_row(capsys):
     code, out, _ = run_cli(
         ["bilinear-curve", "--n1", "6", "--n2", "6", "--kind", "exp_neg",

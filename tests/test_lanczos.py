@@ -394,8 +394,8 @@ def test_buffer_growth_keeps_earlier_rows_in_place():
     pointer = first.__array_interface__["data"][0]
     for _ in range(40):
         lanczos_step(state)
-    # chunks of 16, 16 and the 9 rows left up to the m_max + 1 limit
-    assert [len(chunk) for chunk in buffer.chunks] == [16, 16, 9]
+    # the 41 rows of 40 steps take three chunks of 16
+    assert [len(chunk) for chunk in buffer.chunks] == [16, 16, 16]
     assert buffer.chunks[0] is first
     assert first.__array_interface__["data"][0] == pointer
     assert buffer.row(3).__array_interface__["data"][0] == pointer + 3 * 2 * op.dim * 8
@@ -403,3 +403,50 @@ def test_buffer_growth_keeps_earlier_rows_in_place():
     # the rows past the first chunk continue the basis, which stays orthonormal
     V = state.basis(1)
     assert np.max(np.abs(V @ V.T - np.eye(len(V)))) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["partial", "full"])
+def test_gathered_columns_step_into_a_new_chunk(mode):
+    # the interior column retires before row 16, so the outer two reach it
+    # on the gathered path, whose scatter appends the chunk (full mode then
+    # orthogonalizes across both chunks); each column still has its own
+    # run's coefficients and basis, bit for bit
+    op = Laplacian2D(9, 11)
+    U = np.random.default_rng(3).standard_normal((3, op.dim))
+    buffer = BasisBuffer(op.dim, width=3)
+    for state in lanczos_steps(op, U, reorth_mode=mode, m_max=24, buffer=buffer):
+        if state.m == 4:
+            state.active[1] = False
+        if state.m == 15:
+            assert len(buffer.chunks) == 1
+    assert list(state.steps) == [24, 4, 24] and len(buffer.chunks) == 2
+    for j, u in enumerate(U):
+        single = lanczos_run(op, u[None], state.steps[j], reorth_mode=mode)
+        for part in ("alphas", "betas"):
+            np.testing.assert_array_equal(getattr(single.tridiagonal(), part),
+                                          getattr(state.tridiagonal(column=j), part))
+        np.testing.assert_array_equal(single.basis(), state.basis(j))
+        assert single.reorth_passes[0] == state.reorth_passes[j]
+
+
+def test_buffer_reuse_appends_only_the_chunks_a_longer_run_needs():
+    op = Laplacian2D(6, 7)
+    U = np.random.default_rng(5).standard_normal((2, op.dim))
+    buffer = BasisBuffer(op.dim, width=2)
+
+    def run(steps):
+        state = LanczosState(op, U, m_max=steps, buffer=buffer)
+        for _ in range(steps):
+            lanczos_step(state)
+        fresh = lanczos_run(op, U, steps)
+        for j in range(2):
+            np.testing.assert_array_equal(state.basis(j), fresh.basis(j))
+        return [chunk.__array_interface__["data"][0] for chunk in buffer.chunks]
+
+    first = run(20)
+    assert len(first) == 2
+    # a shorter run reuses the chunks it reaches and appends none
+    assert run(10) == first
+    # a longer one appends a chunk behind the first ones, which stay in place
+    longer = run(40)
+    assert len(longer) == 3 and longer[:2] == first

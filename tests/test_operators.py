@@ -149,6 +149,14 @@ def test_matern_dense_matrix_is_the_kernel_rows(count):
     assert np.array_equal(op.dense_matrix(), op.kernel_rows(slice(None), tau=op.tau))
 
 
+def test_matern_dense_matrix_above_the_oracle_cap_is_refused():
+    sites = sample_sites(60, 70, 0.98, seed=1)
+    op = build_matern_operator((60, 70), sites, 28.0, 24.0, nu=1.5, tau=1e-5)
+    assert op.dim > oracles.DENSE_ORACLE_MAX_DIM
+    with pytest.raises(ContractViolationError, match="capped"):
+        op.dense_matrix()
+
+
 def test_matern_dense_matrix_holds_one_n_by_n_array():
     # the result and a few rows of temporaries: the kernel of all n rows at
     # once holds six n x n arrays

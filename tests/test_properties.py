@@ -103,6 +103,8 @@ def _field_values(name, hint):
         return st.integers(min_value=MINIMUM[name])
     if name == "K":
         return st.none() | st.sampled_from(K_SCHEDULE)
+    if name in ("k_min", "k_max"):
+        return st.sampled_from(K_SCHEDULE)
     scalars = dict(_SCALARS)
     if name in POSITIVE:      # alpha, beta and delta are positive when set
         scalars[float] = FINITE.filter(lambda x: x > 0)

@@ -324,6 +324,35 @@ def test_calibrate_delta_positive_on_laplacian():
     assert delta > 0
 
 
+def _spectrum_operator(lam, seed=0):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam), len(lam))))
+    return DenseOperator((Q * lam) @ Q.T)
+
+
+@pytest.mark.parametrize("top", [55.0, 100.0, 200.0])
+def test_calibrated_exp_neg_on_a_wide_interval_is_certified(top):
+    # exp(-mid) underflows the pilot tolerance while tr exp(-A) is of order
+    # n: the pilot scale is f(a), and the run certifies a covering interval
+    lam = np.geomspace(1e-5, top, 60)
+    op = _spectrum_operator(lam)
+    est = estimate_trace(op, "exp_neg", N=20, delta=None, interval=(1e-5, top), seed=1,
+                         n_pilot=10)
+    assert est.calibration["pilot_delta"] == 1e-2 * 60 * np.exp(-1e-5)
+    assert est.certified
+    assert abs(est.mean - np.exp(-lam).sum()) <= est.half_width
+
+
+@pytest.mark.parametrize("kind", ["log", "sqrt", "tanh_sqrt"])
+def test_increasing_kinds_keep_the_midpoint_pilot_scale(kind):
+    # f(a) <= f(mid) for an increasing f, so the signed f(a) never sets the
+    # scale, even where log(mid) < 0 and |log(a)| > |log(mid)|
+    interval = (0.01, 1.5)
+    op = _spectrum_operator(np.geomspace(*interval, 40))
+    est = estimate_trace(op, kind, N=10, delta=None, interval=interval, seed=2, n_pilot=10)
+    mid = 0.5 * (interval[0] + interval[1])
+    assert est.calibration["pilot_delta"] == 1e-2 * 40 * abs(float(kind_function(kind)(mid)))
+
+
 def _paired_operator(k, c=5.5, lam=None):
     # on (x + y) / sqrt 2 of each coordinate pair the operator is diag(lam), on
     # (x - y) / sqrt 2 it is c: a Rademacher probe sees the lam of the pairs
