@@ -51,9 +51,7 @@ from .rational import (
 )
 from .error_estimator import (
     ErrorMonitor,
-    PoleState,
     cumulative_error,
-    incremental_error,
     lookback_check,
 )
 from .trace_estimator import (

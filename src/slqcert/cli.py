@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 import typing
@@ -52,7 +53,7 @@ CHOICES = {
     "format": ("json", "table"),
 }
 
-# the keys whose value, when set, must be positive
+# the keys whose value, when set, must be positive and finite
 POSITIVE = ("alpha", "beta", "delta")
 
 # the least value of these count keys
@@ -112,8 +113,9 @@ def _checked(key, value, hint):
     if key in CHOICES and value not in CHOICES[key]:
         raise ContractViolationError(
             f"config key {key!r} must be one of {list(CHOICES[key])}, got {value!r}")
-    if key in POSITIVE and not (value is None or value > 0):
-        raise ContractViolationError(f"config key {key!r} must be positive, got {value!r}")
+    if key in POSITIVE and not (value is None or 0 < value < math.inf):
+        raise ContractViolationError(
+            f"config key {key!r} must be positive and finite, got {value!r}")
     if key in MINIMUM and value < MINIMUM[key]:
         raise ContractViolationError(
             f"config key {key!r} must be at least {MINIMUM[key]}, got {value!r}")

@@ -1,8 +1,8 @@
 """Incremental-error recurrence and lookback convergence test.
 
-For each pole z_k of the rational approximant, one scalar LU pivot u_m and
-one resolvent entry eta_m = e_m^T (T_m - z_k I)^{-1} e_1 are continued per
-Lanczos step:
+An ``ErrorMonitor`` carries, for each pole z_k of the rational approximant,
+one scalar LU pivot u_m and one resolvent entry
+eta_m = e_m^T (T_m - z_k I)^{-1} e_1, continued per Lanczos step:
 
     u_m   = alpha_m - z_k - beta_m^2 / u_{m-1}
     eta_m = -beta_m eta_{m-1} / u_m
@@ -21,7 +21,7 @@ takes another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,43 +33,6 @@ PIVOT_GUARD = 1e-300
 LOOKBACK_THRESHOLD = 0.1
 
 
-class PoleState:
-    """Per-pole pivot and resolvent-entry state, vectorized over the poles."""
-
-    def __init__(self, poles):
-        self.poles = np.asarray(poles, dtype=complex)
-        self.u = np.zeros_like(self.poles)
-        self.eta = np.zeros_like(self.poles)
-        self.eta_prev = np.zeros_like(self.poles)
-        self.m = 0
-
-    def update(self, alpha: float, beta: float, m: int):
-        if m != self.m + 1:
-            raise ContractViolationError(
-                f"pivot update for step {m} but state is at step {self.m}"
-            )
-        if m == 1:
-            self.u = alpha - self.poles
-            self._guard()
-            self.eta_prev = np.zeros_like(self.poles)
-            self.eta = 1.0 / self.u
-        else:
-            self.u = alpha - self.poles - beta**2 / self.u
-            self._guard()
-            self.eta_prev = self.eta
-            self.eta = -beta * self.eta / self.u
-        self.m = m
-        return self
-
-    def _guard(self):
-        tiny = np.abs(self.u) < PIVOT_GUARD
-        if np.any(tiny):
-            bad = self.poles[tiny][0]
-            raise PivotBreakdownError(
-                f"pivot underflow at step {self.m + 1} for pole {bad}", pole=bad
-            )
-
-
 @dataclass
 class LookbackResult:
     converged: bool
@@ -77,50 +40,58 @@ class LookbackResult:
     estimate: float | None = None
 
 
-@dataclass
 class ErrorMonitor:
-    """History of incremental errors plus the lookback convergence test.
+    """The incremental-error recurrence of one Lanczos run, plus its history.
 
-    ``tol`` is the scaled tolerance delta / ||u||^2 checked against the
-    cumulative window; ``t`` is the lookback ratio threshold.
+    ``m`` is the last step fed; ``u`` and ``eta`` hold u_m and eta_m for
+    every pole of ``approximant``.  ``history`` holds d_1 .. d_{m-1},
+    ``prefix_sums`` their running sums and ``sign_flips`` the sign changes
+    between neighbours.  ``tol`` is the scaled tolerance delta / ||u||^2
+    checked against the cumulative window; ``t`` is the lookback ratio
+    threshold.
     """
 
-    approximant: RationalApproximant
-    tol: float
-    t: float = LOOKBACK_THRESHOLD
-    pole_state: PoleState = field(init=False)
-    history: list = field(default_factory=list)
-    prefix_sums: list = field(default_factory=list)
-    sign_flips: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.t < 1:
-            raise ContractViolationError(f"lookback threshold must be in (0,1), got {self.t}")
-        self.pole_state = PoleState(self.approximant.poles)
+    def __init__(self, approximant: RationalApproximant, tol: float,
+                 t: float = LOOKBACK_THRESHOLD):
+        if not 0 < t < 1:
+            raise ContractViolationError(f"lookback threshold must be in (0,1), got {t}")
+        self.approximant = approximant
+        self.tol = tol
+        self.t = t
+        self.m = 0
+        self.u = self.eta = np.zeros(len(approximant.poles), dtype=complex)
+        self.history = []
+        self.prefix_sums = []
+        self.sign_flips = 0
 
     def advance(self, alpha: float, beta: float) -> float | None:
         """Feed (alpha_m, beta_m) of Lanczos step m; returns d_{m-1} for m >= 2.
 
         ``beta`` is the off-diagonal *below* the new diagonal entry, i.e. the
-        normalization produced by the previous step (0 for m = 1).
+        normalization produced by the previous step (0 for m = 1).  A pivot
+        below PIVOT_GUARD raises PivotBreakdownError and leaves the monitor
+        at step m - 1.
         """
-        m = self.pole_state.m + 1
-        self.pole_state.update(alpha, beta, m)
-        if m == 1:
+        poles = self.approximant.poles
+        u = alpha - poles if self.m == 0 else alpha - poles - beta**2 / self.u
+        tiny = np.abs(u) < PIVOT_GUARD
+        if np.any(tiny):
+            bad = poles[tiny][0]
+            raise PivotBreakdownError(
+                f"pivot underflow at step {self.m + 1} for pole {bad}", pole=bad
+            )
+        eta_prev = self.eta
+        self.u = u
+        self.eta = 1.0 / u if self.m == 0 else -beta * eta_prev / u
+        self.m += 1
+        if self.m == 1:
             return None
-        return incremental_error(self, beta)
-
-
-def incremental_error(monitor: ErrorMonitor, beta: float) -> float:
-    """d_{m-1} = -Re sum_k c_k beta_m eta_m eta_{m-1}; appended to history."""
-    ps = monitor.pole_state
-    d = float(-np.sum(monitor.approximant.coeffs * beta * ps.eta * ps.eta_prev).real)
-    if monitor.history and monitor.history[-1] * d < 0:
-        monitor.sign_flips += 1
-    monitor.history.append(d)
-    prev = monitor.prefix_sums[-1] if monitor.prefix_sums else 0.0
-    monitor.prefix_sums.append(prev + d)
-    return d
+        d = float(-np.sum(self.approximant.coeffs * beta * self.eta * eta_prev).real)
+        if self.history and self.history[-1] * d < 0:
+            self.sign_flips += 1
+        self.history.append(d)
+        self.prefix_sums.append((self.prefix_sums[-1] if self.prefix_sums else 0.0) + d)
+        return d
 
 
 def cumulative_error(monitor: ErrorMonitor, m: int, m_prime: int) -> float:

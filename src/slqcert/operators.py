@@ -168,13 +168,16 @@ def matern_kernel(r, nu: float, tau: float):
 
 
 def sample_sites(n1: int, n2: int, fraction: float, seed: int) -> np.ndarray:
-    """Uniform sample without replacement of grid sites, sorted flat indices.
+    """Uniform sample without replacement of max(1, round(fraction n1 n2))
+    grid sites, 0 < fraction <= 1, as sorted flat indices.
 
     The 64-bit seed fully determines the sample (counter-based generator),
     so site sets are reproducible across runs and platforms.
     """
     if not 0 <= seed < 2**64:
         raise ContractViolationError(f"site seed must lie in [0, 2^64), got {seed}")
+    if not 0 < fraction <= 1:
+        raise ContractViolationError(f"site fraction must lie in (0, 1], got {fraction}")
     total = n1 * n2
     count = max(1, int(round(fraction * total)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -88,8 +88,8 @@ def rademacher_vector(n: int, seed: int, index: int = 0) -> np.ndarray:
 
 
 def _require_positive(name: str, value: float):
-    if not value > 0:
-        raise ContractViolationError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ContractViolationError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_run(N: int, delta: float | None, alpha: float):
@@ -249,8 +249,10 @@ class ProbeBlock:
     Row j of ``u`` is the probe with index ``index + j``.  A monitor is a
     function of its column's stored Jacobi coefficients alone, so a record
     equals the probe's own run at the watch's delta, whatever watched the run
-    before.  The basis goes into ``buffer`` when one is given (see
-    ``lanczos.LanczosState``).
+    before.  A watch of approximant r records the Gauss quadrature of f =
+    ``kind_function(r.kind)``, the function r approximates, and checks the
+    Ritz values against r's interval.  The basis goes into ``buffer`` when
+    one is given (see ``lanczos.LanczosState``).
     """
 
     def __init__(self, op: LinearOperator, u, m_max: int = DEFAULT_M_MAX,
@@ -309,7 +311,7 @@ class ProbeBlock:
             self.state = state
             self._passes.append(state.reorth_passes.copy())
 
-    def watch(self, f, r: RationalApproximant, delta: float, count: int | None = None,
+    def watch(self, r: RationalApproximant, delta: float, count: int | None = None,
               hold: bool = False):
         """(records, (lanczos seconds, monitor seconds)) of a ``follow`` run
         to its end: each followed column's record, taken at its end.  The
@@ -318,8 +320,7 @@ class ProbeBlock:
         monitors, ends = {}, {}
         for monitors, ends in self.follow(r, delta, count, hold):
             pass
-        records = [self._record(j, monitor, ends.get(j), f, r.interval)
-                   for j, monitor in monitors.items()]
+        records = [self._record(j, monitor, ends.get(j)) for j, monitor in monitors.items()]
         seconds = time.perf_counter() - tic
         return records, (seconds - self.monitor_seconds, self.monitor_seconds)
 
@@ -330,7 +331,7 @@ class ProbeBlock:
         state = self.state
         steps = int(state.steps[j])
         T = state.tridiagonal(column=j)
-        for m in range(monitor.pole_state.m + 1, steps + 1):
+        for m in range(monitor.m + 1, steps + 1):
             beta = float(T.betas[m - 2]) if m > 1 else 0.0
             passes = self._passes[m - 1][j]
             try:
@@ -345,7 +346,7 @@ class ProbeBlock:
                 return m, passes, result.retired_step, result.estimate, True, None
         return None
 
-    def _record(self, j: int, monitor: ErrorMonitor, end, f, interval) -> SampleRecord:
+    def _record(self, j: int, monitor: ErrorMonitor, end) -> SampleRecord:
         """Column j's record; ``end`` is None for a column the run's cap stopped."""
         state = self.state
         cap = None
@@ -359,15 +360,16 @@ class ProbeBlock:
         if estimate is None:
             estimate = monitor.history[-1] if monitor.history else np.inf
         value = theta_min = theta_max = math.nan
+        r = monitor.approximant
         if failure is None:
             try:
                 eig = tridiag_eigen(state.tridiagonal(int(steps), column=j))
                 theta_min, theta_max = float(eig.thetas[0]), float(eig.thetas[-1])
-                value = self.norm_sq[j] * gauss_quadrature(eig, f)
+                value = self.norm_sq[j] * gauss_quadrature(eig, kind_function(r.kind))
             except SAMPLE_FAILURES as exc:
                 converged, failure = False, f"{type(exc).__name__}: {exc}"
             else:
-                failure = _ritz_outside(theta_min, theta_max, interval)
+                failure = _ritz_outside(theta_min, theta_max, r.interval)
         return SampleRecord(
             index=self.index + j,
             value=float(value),
@@ -384,8 +386,8 @@ class ProbeBlock:
         )
 
 
-def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
-                    delta: float, m_max: int = DEFAULT_M_MAX, index: int = 0, seed: int = 0,
+def sample_bilinear(op: LinearOperator, r: RationalApproximant, u, delta: float,
+                    m_max: int = DEFAULT_M_MAX, index: int = 0, seed: int = 0,
                     buffer: BasisBuffer | None = None):
     """Error-monitored Lanczos runs for a (b, n) block of probes.
 
@@ -398,17 +400,18 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     operator here but ``PreconditionedMatern``), to roundoff otherwise.
     This is one watch of a fresh ``ProbeBlock``; a run that goes on under
     other monitors is a ``ProbeBlock`` watched more than once.  A record's
-    value is taken at the last step J = ``steps_run`` with f itself (not r)
-    on the Ritz values; ``retired_step`` m and ``error_estimate`` are the
-    step the monitor certified and its estimate there.  For log, sqrt and
-    exp(-x), whose even derivatives keep one sign on [a, b], the Gauss
-    quadrature error keeps its sign and shrinks as the step grows (Golub &
-    Meurant, Matrices, Moments and Quadrature, 2010), so the error at J is
-    at most the error at m; for tanh(sqrt(x)) the derivatives change sign
-    and the gain is only measured.  That argument needs the Ritz values of
-    T_J inside the interval [a, b] of r: a record whose extreme Ritz values
-    leave it by more than RITZ_SLACK b keeps its value and names the breach
-    in ``failure``.  Hitting m_max or n yields an unconverged record that
+    value is taken at the last step J = ``steps_run`` with the function f of
+    r's kind (``kind_function(r.kind)``, not r itself) on the Ritz values;
+    ``retired_step`` m and ``error_estimate`` are the step the monitor
+    certified and its estimate there.  For log, sqrt and exp(-x), whose even
+    derivatives keep one sign on [a, b], the Gauss quadrature error keeps
+    its sign and shrinks as the step grows (Golub & Meurant, Matrices,
+    Moments and Quadrature, 2010), so the error at J is at most the error at
+    m; for tanh(sqrt(x)) the derivatives change sign and the gain is only
+    measured.  That argument needs the Ritz values of T_J inside the
+    interval [a, b] of r: a record whose extreme Ritz values leave it by
+    more than RITZ_SLACK b keeps its value and names the breach in
+    ``failure``.  Hitting m_max or n yields an unconverged record that
     says so in ``failure``, instead of an exception.  On breakdown the
     quadrature is exact and the certificate is a zero error estimate.  A
     probe whose pole recurrence, eigensolver or quadrature raises one of
@@ -418,7 +421,7 @@ def sample_bilinear(op: LinearOperator, f, r: RationalApproximant, u,
     before.
     """
     block = ProbeBlock(op, u, m_max, buffer, index=index, seed=seed)
-    return block.watch(f, r, delta)
+    return block.watch(r, delta)
 
 
 def _statistics(records):
@@ -439,13 +442,14 @@ def _fill(probes: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     return block
 
 
-def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
-                        delta: float, alpha: float = DEFAULT_ALPHA, seed: int = 0,
+def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delta: float,
+                        alpha: float = DEFAULT_ALPHA, seed: int = 0,
                         m_max: int = DEFAULT_M_MAX,
                         pilot: ProbeBlock | None = None) -> TraceEstimate:
     """N independent error-monitored samples -> mean, standard error, interval.
 
-    Probe i is ``rademacher_vector(n, seed, i)``.  The probes run through
+    Probe i is ``rademacher_vector(n, seed, i)``, and each sample values the
+    function of r's kind, ``kind_function(r.kind)``.  The probes run through
     ``sample_bilinear`` in blocks of ``probe_block_size(N, n)``, which the
     estimate reports; all blocks share one basis buffer and one probe
     buffer.  ``pilot`` is the live last block of a calibration pilot on the
@@ -472,12 +476,12 @@ def estimate_trace_with(op: LinearOperator, f, r: RationalApproximant, N: int,
         stop = max(start, min(N, start + len(pilot.norm_sq)))
         fresh = [(0, min(N, start)), (stop, N)]
         if stop > start:
-            records, (t_approx, t_err) = pilot.watch(f, r, delta, count=stop - start)
+            records, (t_approx, t_err) = pilot.watch(r, delta, count=stop - start)
     probes = np.empty((b, op.dim))
     for lo, hi in fresh:
         for start in range(lo, hi, b):
             block = _fill(probes, seed, start, min(b, hi - start))
-            recs, (ta, te) = sample_bilinear(op, f, r, block, delta, m_max=m_max,
+            recs, (ta, te) = sample_bilinear(op, r, block, delta, m_max=m_max,
                                              index=start, seed=seed, buffer=buffer)
             records += recs
             t_approx += ta
@@ -545,8 +549,8 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
                                                N, seed, m_max)
         time_calibration = time.perf_counter() - tic
     r = _approximant(kind, interval, delta, op.dim, K)
-    estimate = estimate_trace_with(op, kind_function(kind), r, N, delta, alpha=alpha,
-                                   seed=seed, m_max=m_max, pilot=pilot)
+    estimate = estimate_trace_with(op, r, N, delta, alpha=alpha, seed=seed, m_max=m_max,
+                                   pilot=pilot)
     estimate.calibration = calibration
     estimate.time_calibration = time_calibration
     return estimate
@@ -579,7 +583,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
                            m_max, buffer, index=start, seed=seed)
         # the estimate goes on with the last block only, if it has any of its probes
         hold = start + b >= n_pilot and start < production_n
-        recs, _ = block.watch(f, r, delta_pilot, hold=hold)
+        recs, _ = block.watch(r, delta_pilot, hold=hold)
         records += recs
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:

@@ -294,18 +294,18 @@ def test_trace_reorth_reaches_every_lanczos_run(monkeypatch, capsys):
     # monitor in the pilot and one in the estimate
     modes, ratios = [], []
     init = LanczosState.__init__
-    post_init = ErrorMonitor.__post_init__
+    monitor_init = ErrorMonitor.__init__
 
     def recording_init(self, op, u, *args, **kwargs):
         init(self, op, u, *args, **kwargs)
         modes.extend([self.reorth_mode] * len(u))
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_monitor_init(self, *args, **kwargs):
+        monitor_init(self, *args, **kwargs)
         ratios.append(self.t)
 
     monkeypatch.setattr(LanczosState, "__init__", recording_init)
-    monkeypatch.setattr(ErrorMonitor, "__post_init__", recording_post_init)
+    monkeypatch.setattr(ErrorMonitor, "__init__", recording_monitor_init)
     code, _, _ = run_cli(
         ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",
          "--sample-fraction", "0.3", "--kind", "log", "--n-samples", "2",
@@ -413,6 +413,35 @@ def test_nonpositive_alpha_or_beta_fails_before_any_probe(args, capsys, monkeypa
     assert code == 1 and out == ""
     key = args[1].lstrip("-")
     assert err.startswith("error:") and f"'{key}' must be positive" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--delta", "inf"],
+    ["--beta", "inf"],
+    ["--alpha", "inf", "--delta", "1.0"],
+], ids=["delta", "beta", "alpha"])
+def test_infinite_tolerance_or_level_is_a_usage_error(args, capsys, monkeypatch):
+    # each used to print "certified": true with an infinite half-width
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a Lanczos run started")
+
+    monkeypatch.setattr(LanczosState, "__init__", no_probe)
+    code, out, err = run_cli(["trace", *args, "--n1", "8", "--n2", "8", "--kind", "log"],
+                             capsys)
+    assert code == 1 and out == ""
+    key = args[0].lstrip("-")
+    assert err == f"error: config key '{key}' must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("fraction", ["-1", "0", "1.5", "nan"])
+def test_sample_fraction_outside_the_unit_interval_is_a_usage_error(fraction, capsys):
+    # -1 and 0 used to build a one-site operator and exit 0 as certified
+    code, out, err = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "8", "--n2", "8", "--kind", "log",
+         "--n-samples", "2", "--delta", "1.0", "--sample-fraction", fraction], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: site fraction must lie in (0, 1]")
+    assert err.count("\n") == 1
 
 
 MATERN_40x30 = ["--testbed", "matern", "--n1", "40", "--n2", "30", "--kind", "log"]

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from slqcert.error_estimator import (
-    ErrorMonitor,
-    PoleState,
-    cumulative_error,
-    incremental_error,
-    lookback_check,
-)
+from slqcert.error_estimator import ErrorMonitor, cumulative_error, lookback_check
 from slqcert.errors import ContractViolationError, PivotBreakdownError
 from slqcert.lanczos import SymTridiagonal, tridiag_eigen
 from slqcert.operators import DenseOperator, Laplacian2D
@@ -24,35 +18,43 @@ def single_pole_monitor(pole=1j, coeff=1.0, tol=1e-8, t=0.1):
 
 
 def test_pivot_first_step():
-    ps = PoleState(np.array([1j]))
-    ps.update(2.0, 0.0, 1)
-    assert ps.u[0] == pytest.approx(2.0 - 1j)
-    assert ps.eta[0] == pytest.approx((2.0 + 1j) / 5.0)
+    monitor = single_pole_monitor()
+    monitor.advance(2.0, 0.0)
+    assert monitor.m == 1
+    assert monitor.u[0] == pytest.approx(2.0 - 1j)
+    assert monitor.eta[0] == pytest.approx((2.0 + 1j) / 5.0)
 
 
 def test_pivot_second_step_hand_values():
-    ps = PoleState(np.array([1j]))
-    ps.update(1.0, 0.0, 1)
-    ps.update(2.0, 1.0, 2)
-    assert ps.u[0] == pytest.approx((3.0 - 3.0j) / 2.0)
-    assert ps.eta[0] == pytest.approx(-1j / 3.0)
+    monitor = single_pole_monitor()
+    monitor.advance(1.0, 0.0)
+    monitor.advance(2.0, 1.0)
+    assert monitor.u[0] == pytest.approx((3.0 - 3.0j) / 2.0)
+    assert monitor.eta[0] == pytest.approx(-1j / 3.0)
     # direct solve cross-check: (T2 - iI) x = e1, eta = x[-1]
     T = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex) - 1j * np.eye(2)
     x = np.linalg.solve(T, np.array([1.0, 0.0], dtype=complex))
-    assert ps.eta[0] == pytest.approx(x[-1])
-
-
-def test_pivot_out_of_order_rejected():
-    ps = PoleState(np.array([1j]))
-    with pytest.raises(ContractViolationError):
-        ps.update(1.0, 0.5, 2)
+    assert monitor.eta[0] == pytest.approx(x[-1])
 
 
 def test_pivot_guard_raises():
-    ps = PoleState(np.array([0.0 + 0j]))  # pole on the real axis
+    monitor = single_pole_monitor(pole=0.0)  # pole on the real axis
     with pytest.raises(PivotBreakdownError) as err:
-        ps.update(0.0, 0.0, 1)
+        monitor.advance(0.0, 0.0)
     assert err.value.pole == 0.0
+    assert monitor.m == 0
+
+
+def test_pivot_guard_leaves_the_monitor_at_its_last_step():
+    # u_2 = alpha_2 - 0 - beta^2 / u_1 = 1 - 1 / 1 = 0 on the real pole 0
+    monitor = single_pole_monitor(pole=0.0)
+    monitor.advance(1.0, 0.0)
+    u, eta = monitor.u.copy(), monitor.eta.copy()
+    with pytest.raises(PivotBreakdownError, match="at step 2"):
+        monitor.advance(1.0, 1.0)
+    assert monitor.m == 1 and monitor.history == [] and monitor.prefix_sums == []
+    np.testing.assert_array_equal(monitor.u, u)
+    np.testing.assert_array_equal(monitor.eta, eta)
 
 
 @pytest.mark.parametrize("pole", [1j, 2.0 + 0.5j, -3.0 + 0j, 0.3 + 2j])
@@ -61,13 +63,13 @@ def test_eta_matches_dense_resolvent_along_run(pole):
     m_total = 30
     alphas = rng.uniform(1.0, 3.0, m_total)
     betas = rng.uniform(0.2, 1.0, m_total - 1)
-    ps = PoleState(np.array([pole]))
+    monitor = single_pole_monitor(pole=pole)
     for m in range(1, m_total + 1):
-        ps.update(alphas[m - 1], betas[m - 2] if m >= 2 else 0.0, m)
+        monitor.advance(alphas[m - 1], betas[m - 2] if m >= 2 else 0.0)
         T = SymTridiagonal(alphas[:m], betas[: m - 1]).to_dense().astype(complex)
         T -= pole * np.eye(m)
         x = np.linalg.solve(T, np.eye(m)[0])
-        assert ps.eta[0] == pytest.approx(x[-1], rel=1e-10)
+        assert monitor.eta[0] == pytest.approx(x[-1], rel=1e-10)
 
 
 def test_incremental_error_hand_value():

@@ -63,7 +63,7 @@ def test_init_rejects_zero():
 @pytest.mark.parametrize("start", [
     lambda op, u: LanczosState(op, u),
     lambda op, u: next(lanczos_steps(op, u)),
-    lambda op, u: sample_bilinear(op, np.log, build("log", 4, (1.0, 2.0)), u, 1e-3),
+    lambda op, u: sample_bilinear(op, build("log", 4, (1.0, 2.0)), u, 1e-3),
 ], ids=["LanczosState", "lanczos_steps", "sample_bilinear"])
 def test_one_dimensional_start_is_rejected(start):
     # a single probe is a block of one, u[None]; a bare vector names the shape

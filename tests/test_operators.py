@@ -132,6 +132,16 @@ def test_site_seed_outside_64_bits_is_rejected():
             sample_sites(8, 8, 0.5, seed)
 
 
+@pytest.mark.parametrize("fraction", [-1.0, 0.0, 1.5, float("nan")])
+def test_site_fraction_outside_the_unit_interval_is_rejected(fraction):
+    with pytest.raises(ContractViolationError, match=r"fraction must lie in \(0, 1\]"):
+        sample_sites(8, 8, fraction, seed=0)
+
+
+def test_site_fraction_one_takes_every_site():
+    np.testing.assert_array_equal(sample_sites(8, 8, 1.0, seed=0), np.arange(64))
+
+
 def test_matern_2x2_dense_unit_diagonal():
     op = build_matern_operator((2, 2), [0, 1, 2, 3], 1.0, 1.0, tau=0.0)
     M = op.dense_matrix()

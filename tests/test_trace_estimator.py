@@ -148,7 +148,7 @@ def test_sample_bilinear_identity_breakdown():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 2, (0.0, 2.0))
     u = rademacher_vector(n, seed=2)
-    (rec,), (t_lan, t_mon) = sample_bilinear(op, f, r, u[None], delta=1e-3)
+    (rec,), (t_lan, t_mon) = sample_bilinear(op, r, u[None], delta=1e-3)
     assert rec.converged
     assert rec.steps_run == 1 and rec.retired_step == 1
     assert rec.value == pytest.approx(n * f(1.0), rel=1e-12)
@@ -161,7 +161,7 @@ def test_sample_bilinear_laplacian_retires_early():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 3, (0.0, interval[1]))
     u = rademacher_vector(op.dim, seed=0, index=0)
-    (rec,), _ = sample_bilinear(op, f, r, u[None], delta=0.5)
+    (rec,), _ = sample_bilinear(op, r, u[None], delta=0.5)
     assert rec.converged
     assert rec.retired_step < rec.steps_run <= 12
     # certificate honest against the sine-transform oracle
@@ -174,19 +174,20 @@ def test_sample_bilinear_flags_unconverged_at_cap():
     interval = oracles.laplacian_extreme_eigenvalues(12, 12)
     r = build("log", 12, interval)
     u = rademacher_vector(op.dim, seed=1)
-    (rec,), _ = sample_bilinear(op, np.log, r, u[None], delta=1e-10, m_max=4)
+    (rec,), _ = sample_bilinear(op, r, u[None], delta=1e-10, m_max=4)
     assert not rec.converged
     assert rec.steps_run == 4
     assert rec.failure == "stopped at m_max = 4 before its monitor converged"
 
 
 def test_estimate_trace_constant_function():
+    # every sample is n log(e^c) = c n: the value is the log the approximant's
+    # kind names, on A = e^c I, whatever r itself is
     n = 9
     c = 2.5
-    op = DenseOperator(np.eye(n))
-    r = constant_approximant(c)
-    f = lambda x: c * np.ones_like(np.asarray(x, dtype=float))
-    est = estimate_trace_with(op, f, r, N=10, delta=0.5, alpha=3.0)
+    op = DenseOperator(math.exp(c) * np.eye(n))
+    r = constant_approximant(c, interval=(1.0, 20.0))
+    est = estimate_trace_with(op, r, N=10, delta=0.5, alpha=3.0)
     assert est.mean == pytest.approx(c * n, rel=1e-14)
     assert est.std_err == 0.0
     expect = (3.0 / math.sqrt(10)) * 0.5 * math.sqrt(10 / 9) + 0.5
@@ -245,7 +246,23 @@ def test_estimate_trace_rejects_a_nonpositive_delta(delta):
     with pytest.raises(ContractViolationError, match="delta must be positive"):
         estimate_trace(op, "log", N=2, delta=delta, interval=(0.1, 8.0))
     with pytest.raises(ContractViolationError, match="delta must be positive"):
-        estimate_trace_with(op, np.log, build("log", 4, (0.1, 8.0)), N=2, delta=delta)
+        estimate_trace_with(op, build("log", 4, (0.1, 8.0)), N=2, delta=delta)
+
+
+def test_infinite_delta_alpha_and_beta_are_rejected(monkeypatch):
+    # each used to give a certified run with an infinite half-width
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(trace_estimator, "sample_bilinear", no_probe)
+    op = Laplacian2D(4, 4)
+    interval = (0.1, 8.0)
+    with pytest.raises(ContractViolationError, match="delta must be positive and finite"):
+        estimate_trace(op, "log", N=2, delta=math.inf, interval=interval)
+    with pytest.raises(ContractViolationError, match="alpha must be positive and finite"):
+        estimate_trace(op, "log", N=2, delta=1.0, interval=interval, alpha=math.inf)
+    with pytest.raises(ContractViolationError, match="beta must be positive and finite"):
+        calibrate_delta(op, "log", interval, beta=math.inf)
 
 
 def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
@@ -258,7 +275,7 @@ def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
     with pytest.raises(ContractViolationError, match="alpha must be positive"):
         estimate_trace(op, "log", N=2, delta=1.0, interval=interval, alpha=0.0)
     with pytest.raises(ContractViolationError, match="alpha must be positive"):
-        estimate_trace_with(op, np.log, build("log", 4, interval), N=2, delta=1.0,
+        estimate_trace_with(op, build("log", 4, interval), N=2, delta=1.0,
                             alpha=-1.0)
     with pytest.raises(ContractViolationError, match="alpha must be positive"):
         calibrate_delta(op, "log", interval, alpha=0.0)
@@ -371,7 +388,7 @@ def test_shared_basis_buffer_replays_fresh_runs(monkeypatch, mode):
     force_reorth_mode(monkeypatch, mode)
     op = _paired_operator(30)
     r = build("log", 8, (1.0, 10.0))
-    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
+    est = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
     steps = [rec.steps_run for rec in est.records]
     # a probe shorter than the one before it, a later probe that outgrows the
     # buffer's first 16 rows, and a breakdown probe
@@ -381,7 +398,7 @@ def test_shared_basis_buffer_replays_fresh_runs(monkeypatch, mode):
                for rec in est.records)
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 2, index=i)
-        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-9, index=i, seed=2)
+        (fresh,), _ = sample_bilinear(op, r, u[None], 1e-9, index=i, seed=2)
         assert fresh == rec
 
 
@@ -412,7 +429,7 @@ def test_follow_feeds_each_monitor_the_beta_above_each_alpha():
             T = block.state.tridiagonal(column=j)
             hand.advance(T.alphas[count - 1], T.betas[count - 2] if count > 1 else 0.0)
             assert monitors[j].history == hand.history
-            np.testing.assert_array_equal(monitors[j].pole_state.eta, hand.pole_state.eta)
+            np.testing.assert_array_equal(monitors[j].eta, hand.eta)
     assert count == 12
 
 
@@ -434,14 +451,14 @@ def test_follow_yields_once_per_catch_up(monkeypatch):
     # the third column leaves the run at once
     rows.clear()
     block = ProbeBlock(op, u)
-    block.watch(np.log, r, 1e-2, hold=True)
+    block.watch(r, 1e-2, hold=True)
     m = block.state.m
     assert rows == [3] * m
     follow = block.follow(r, 1e-6, count=2)
     monitors, ends = next(follow)
     assert len(rows) == m and block.state.m == m
     for j in range(2):
-        assert monitors[j].pole_state.m == (ends[j][0] if j in ends else m)
+        assert monitors[j].m == (ends[j][0] if j in ends else m)
     assert not block.state.active[2]
     running = 2 - len(ends)
     for monitors, ends in follow:
@@ -461,9 +478,9 @@ def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
     u = np.array([rademacher_vector(op.dim, 7, index=i) for i in range(4)])
     rows = _count_laplacian_rows(monkeypatch)
     block = ProbeBlock(op, u, index=0, seed=7)
-    block.watch(np.log, r, delta1, hold=True)
+    block.watch(r, delta1, hold=True)
     held = len(rows)
-    records, _ = block.watch(np.log, r, delta2, count=3)
+    records, _ = block.watch(r, delta2, count=3)
     later = rows[held:]
     if delta2 < delta1:
         assert later and max(later) <= 3
@@ -471,7 +488,7 @@ def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
         assert sum(later) == 0
     assert len(records) == 3
     for j, rec in enumerate(records):
-        (alone,), _ = sample_bilinear(op, np.log, r, u[j:j + 1], delta2, index=j, seed=7)
+        (alone,), _ = sample_bilinear(op, r, u[j:j + 1], delta2, index=j, seed=7)
         assert rec == alone
 
 
@@ -486,7 +503,7 @@ def test_calibration_holds_only_the_block_the_estimate_goes_on_with(monkeypatch)
     est = estimate_trace(op, "log", N=30, delta=None, interval=interval, seed=5, n_pilot=30)
     applied = sum(rows)
     r = build("log", est.calibration["pilot_K"], interval)
-    pilot = [sample_bilinear(op, np.log, r, rademacher_vector(op.dim, 5, index=i)[None],
+    pilot = [sample_bilinear(op, r, rademacher_vector(op.dim, 5, index=i)[None],
                              est.calibration["pilot_delta"])[0][0].steps_run
              for i in range(30)]
     steps = [rec.steps_run for rec in est.records]
@@ -526,11 +543,11 @@ def test_preconditioned_block_matches_per_probe_runs():
                                                     tau=1e-4))
     a, b = estimate_spectrum_interval(op, lower_hint=1.0, seed=3)
     r = build("log", 8, (a, b))
-    est = estimate_trace_with(op, np.log, r, N=6, delta=1e-6, seed=3)
+    est = estimate_trace_with(op, r, N=6, delta=1e-6, seed=3)
     assert est.block_size == 6
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 3, index=i)
-        (fresh,), _ = sample_bilinear(op, np.log, r, u[None], 1e-6, index=i, seed=3)
+        (fresh,), _ = sample_bilinear(op, r, u[None], 1e-6, index=i, seed=3)
         assert fresh.steps_run == rec.steps_run
         assert fresh.retired_step == rec.retired_step
         assert abs(fresh.value - rec.value) <= 1e-12 * abs(fresh.value)
@@ -541,21 +558,21 @@ def test_a_failing_probe_retires_alone(monkeypatch):
     # unconverged with the error, and the other seven finish as without it
     op = _paired_operator(30)
     r = build("log", 8, (1.0, 10.0))
-    clean = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
+    clean = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
     made = []
 
     class FlakyMonitor(ErrorMonitor):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             made.append(self)
 
         def advance(self, alpha, beta):
-            if self is made[3] and self.pole_state.m == 2:
+            if self is made[3] and self.m == 2:
                 raise PivotBreakdownError("pivot underflow at step 3", pole=0j)
             return super().advance(alpha, beta)
 
     monkeypatch.setattr(trace_estimator, "ErrorMonitor", FlakyMonitor)
-    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-9, seed=2)
+    est = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
     failed = est.records[3]
     assert failed.failure == "PivotBreakdownError: pivot underflow at step 3"
     assert not failed.converged and failed.steps_run == 3 and math.isnan(failed.value)
@@ -577,7 +594,7 @@ def test_quadrature_failure_is_flagged_per_probe():
     lam[0] = -1.0
     op = _paired_operator(6, lam=lam)
     r = build("log", 8, (1.0, 10.0))
-    est = estimate_trace_with(op, np.log, r, N=8, delta=1e-6, seed=2)
+    est = estimate_trace_with(op, r, N=8, delta=1e-6, seed=2)
     failed = [rec for rec in est.records if rec.failure is not None]
     sees_negative = [rademacher_vector(op.dim, 2, i)[0] == rademacher_vector(op.dim, 2, i)[1]
                      for i in range(8)]
@@ -594,7 +611,7 @@ def test_ritz_values_outside_the_interval_flag_their_sample():
     op = Laplacian2D(20, 30)
     a, top = oracles.laplacian_extreme_eigenvalues(20, 30)
     r = build("log", 8, (a, top / 2))
-    est = estimate_trace_with(op, np.log, r, N=4, delta=1.0, seed=1)
+    est = estimate_trace_with(op, r, N=4, delta=1.0, seed=1)
     assert not est.certified
     flagged = [rec for rec in est.records if rec.theta_max > top / 2]
     assert flagged
@@ -606,7 +623,7 @@ def test_ritz_values_outside_the_interval_flag_their_sample():
         assert est.to_json_dict()["per_sample"][rec.index]["failure"] == rec.failure
     # the flagged values stay in the estimate
     assert est.mean == pytest.approx(np.mean([rec.value for rec in est.records]), rel=1e-14)
-    inside = estimate_trace_with(op, np.log, build("log", 8, (a, top)), N=4, delta=1.0,
+    inside = estimate_trace_with(op, build("log", 8, (a, top)), N=4, delta=1.0,
                                  seed=1)
     assert inside.certified
     assert all(a <= rec.theta_min and rec.theta_max <= top for rec in inside.records)
