@@ -40,10 +40,6 @@ from .rational import (
     KINDS,
     RationalApproximant,
     build,
-    build_exp,
-    build_log,
-    build_sqrt,
-    build_tanh_sqrt,
     choose_K,
     evaluate,
     kind_function,

@@ -2,7 +2,12 @@
 trace estimates with confidence intervals, and tolerance calibration.
 
 Every run is driven by an ExperimentConfig that round-trips losslessly
-through JSON, so experiments replay exactly (timing fields aside).
+through JSON, so experiments replay exactly (timing fields aside).  Not
+every key applies to every command.  ``K`` is a ``bilinear-curve`` key,
+which studies the monitor at a chosen pole count; ``trace`` picks K from
+delta, as the smallest whose uniform error is at most delta / (2 n), and
+rejects a config that sets K; ``rational-check`` sweeps ``k_min`` to
+``k_max``; ``calibrate-delta`` ignores K.
 
 On the Matern testbed with kind ``log`` (the Gaussian-process
 log-determinant) every command works on the preconditioned operator
@@ -54,10 +59,10 @@ CHOICES = {
 }
 
 # the keys whose value, when set, must be positive and finite
-POSITIVE = ("alpha", "beta", "delta")
+POSITIVE = ("alpha", "beta", "delta", "tau", "ell_rule")
 
 # the least value of these count keys
-MINIMUM = {"n_samples": 2, "pilot_n": 2, "m_max": 1}
+MINIMUM = {"n1": 1, "n2": 1, "n_samples": 2, "pilot_n": 2, "m_max": 1}
 
 
 @dataclass
@@ -146,9 +151,6 @@ def make_operator(config: ExperimentConfig):
                       "dim": op.dim, "interval_source": {"a": "exact", "b": "exact"}}
         return op, interval, descriptor
     if config.testbed == "matern":
-        if not config.tau > 0:
-            raise ContractViolationError(
-                f"the matern testbed needs a positive nugget tau, got {config.tau}")
         sites = sample_sites(config.n1, config.n2, config.sample_fraction,
                              config.site_seed)
         ell1 = config.ell_rule * config.n2
@@ -269,15 +271,19 @@ def cmd_trace(config: ExperimentConfig) -> int:
     spectrum interval, calibration, the estimate and the truth oracle.
     Without a delta in the config, the pilot that sets it runs on the
     estimate's first probes (``trace_estimator.estimate_trace``), and the
-    report's ``calibration`` describes it.
+    report's ``calibration`` describes it.  A config that sets K is a usage
+    error: the certificate needs the K that ``rational.choose_K`` picks at
+    ``trace_estimator.rational_target(delta, n)``.
     """
+    if config.K is not None:
+        raise ContractViolationError(
+            f"config key 'K' is a bilinear-curve key; trace picks K from delta, got {config.K}")
     tic = time.perf_counter()
     op, interval, descriptor = make_operator(config)
     f = kind_function(config.kind)
     estimate = trace_estimator.estimate_trace(
         op, config.kind, config.n_samples, config.delta, interval, alpha=config.alpha,
-        seed=config.seed, K=config.K, m_max=config.m_max, n_pilot=config.pilot_n,
-        beta=config.beta)
+        seed=config.seed, m_max=config.m_max, n_pilot=config.pilot_n, beta=config.beta)
     report = estimate.to_json_dict()
     if isinstance(op, PreconditionedMatern):
         # log det A = log det P + tr log B, so each sample of tr log B shifts

@@ -344,21 +344,17 @@ def lanczos_step(state: LanczosState):
         reorth = state._omega_advance(sel, beta)
     else:
         reorth = np.full(len(idx), state.reorth_mode == "full")
-    if np.count_nonzero(reorth):
-        for i in np.flatnonzero(reorth):
+    for i in np.flatnonzero(reorth):
+        state._orthogonalize(idx[i], W[i])
+        beta_before, beta[i] = beta[i], np.linalg.norm(W[i])
+        if beta[i] < beta_before / math.sqrt(2.0):
             state._orthogonalize(idx[i], W[i])
-            beta_before, beta[i] = beta[i], np.linalg.norm(W[i])
-            if beta[i] < beta_before / math.sqrt(2.0):
-                state._orthogonalize(idx[i], W[i])
-                beta[i] = np.linalg.norm(W[i])
+            beta[i] = np.linalg.norm(W[i])
 
     broke = beta <= BREAKDOWN_REL_TOL * np.maximum(norm_estimate, 1.0)
-    if np.count_nonzero(broke):
-        state.breakdown[idx[broke]] = True
-        beta[broke] = 0.0
-        np.divide(W, np.where(broke, 1.0, beta)[:, None], out=W)
-    else:
-        np.divide(W, beta[:, None], out=W)
+    state.breakdown[idx[broke]] = True
+    beta[broke] = 0.0
+    np.divide(W, np.where(broke, 1.0, beta)[:, None], out=W)
     state._betas[sel, k + 1] = beta
     if not contiguous:
         buffer.row(k + 1)[idx] = W

@@ -169,7 +169,8 @@ def matern_kernel(r, nu: float, tau: float):
 
 def sample_sites(n1: int, n2: int, fraction: float, seed: int) -> np.ndarray:
     """Uniform sample without replacement of max(1, round(fraction n1 n2))
-    grid sites, 0 < fraction <= 1, as sorted flat indices.
+    sites of an n1 x n2 grid, n1, n2 >= 1 and 0 < fraction <= 1, as sorted
+    flat indices.
 
     The 64-bit seed fully determines the sample (counter-based generator),
     so site sets are reproducible across runs and platforms.
@@ -178,6 +179,8 @@ def sample_sites(n1: int, n2: int, fraction: float, seed: int) -> np.ndarray:
         raise ContractViolationError(f"site seed must lie in [0, 2^64), got {seed}")
     if not 0 < fraction <= 1:
         raise ContractViolationError(f"site fraction must lie in (0, 1], got {fraction}")
+    if n1 < 1 or n2 < 1:
+        raise ContractViolationError(f"site grid must be at least 1 x 1, got {n1} x {n2}")
     total = n1 * n2
     count = max(1, int(round(fraction * total)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -205,7 +208,8 @@ class MaternOperator(LinearOperator):
 
     ``ell1`` scales offsets along the second grid axis (length n2) and
     ``ell2`` scales offsets along the first (length n1); the experiments
-    use ell1 = 0.4 n2 and ell2 = 0.4 n1.
+    use ell1 = 0.4 n2 and ell2 = 0.4 n1.  Both are positive and finite, and
+    the nugget tau is finite and nonnegative.
     """
 
     def __init__(self, grid, sites, ell1: float, ell2: float, nu: float = 1.5,
@@ -218,8 +222,11 @@ class MaternOperator(LinearOperator):
             raise ContractViolationError("sites must be distinct")
         if sites.min() < 0 or sites.max() >= n1 * n2:
             raise ContractViolationError("site index outside the grid")
-        if ell1 <= 0 or ell2 <= 0:
-            raise ContractViolationError("lengthscales must be positive")
+        if not (0 < ell1 < np.inf and 0 < ell2 < np.inf):
+            raise ContractViolationError(
+                f"lengthscales must be positive and finite, got {ell1} and {ell2}")
+        if not 0 <= tau < np.inf:
+            raise ContractViolationError(f"nugget tau must be finite and >= 0, got {tau}")
         super().__init__(len(sites), spd_hint=True)
         self.grid = (n1, n2)
         self.sites = sites

@@ -17,11 +17,16 @@ Four families are supported on a positive spectrum interval [a, b]:
 Poles come in conjugate pairs; only the upper-half-plane member of each
 pair is stored, with its coefficient doubled, so evaluation takes a real
 part of a K-term sum.
+
+``build`` is the one constructor of an approximant: it checks K against
+``K_SCHEDULE`` and the interval against the kind's lower end, rejects a
+pole on [a, b] and measures the uniform error ``eps``.  Each kind supplies
+only its poles, weights and constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import hankel
@@ -99,26 +104,6 @@ def pole_interval_distance(poles, a, b):
     return float(np.min(np.where(inside, d_inside, d_outside)))
 
 
-def _check_interval(interval, positive_lower):
-    a, b = float(interval[0]), float(interval[1])
-    if positive_lower and not 0 < a < b:
-        raise ContractViolationError(f"interval must satisfy 0 < a < b, got [{a}, {b}]")
-    if not positive_lower and not 0 <= a < b:
-        raise ContractViolationError(f"interval must satisfy 0 <= a < b, got [{a}, {b}]")
-    return a, b
-
-
-def _finish(kind, interval, poles, coeffs, constant, K, method):
-    poles = np.asarray(poles, dtype=complex)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    a, b = interval
-    if pole_interval_distance(poles, a, b) <= 0:
-        raise ContractViolationError(f"{kind} construction produced a pole inside [{a}, {b}]")
-    r = RationalApproximant(kind, (a, b), poles, coeffs, float(constant), int(K), method=method)
-    eps = uniform_error(r, kind_function(kind))
-    return RationalApproximant(kind, (a, b), poles, coeffs, float(constant), int(K), eps, method)
-
-
 # ----------------------------------------------------------------------
 # exp(-x): Caratheodory-Fejer on a Chebyshev transplant of the negative
 # real axis (Trefethen, Weideman & Schmelzer, BIT 2006).  The transplanted
@@ -184,32 +169,28 @@ def _parabolic_exp_neg(K):
     return poles[sel], 2 * coeffs[sel]
 
 
-def build_exp(K, interval):
-    """Pole/coefficient form for exp(-x); K conjugate pairs kept.
+def _exp_neg(K, a, b):
+    """exp(-x) with K conjugate pairs kept.
 
     Orders up to CF_MAX_K use the best-uniform (Caratheodory-Fejer)
     construction from a 75 x 75 Hankel matrix, rebuilt on every call for
     each transplant scale (tens of milliseconds per order); beyond that a
     parabolic-contour quadrature is substituted (recorded in ``method``).
     """
-    a, b = _check_interval(interval, positive_lower=False)
-    if K not in K_SCHEDULE:
-        raise UnsupportedParameterError(f"exp_neg supports K in [1, 40], got {K}")
+    if K > CF_MAX_K:
+        return (*_parabolic_exp_neg(K), 0.0, "parabolic")
+    candidates = _cf_candidates(2 * K)
+    if not candidates:
+        raise UnsupportedParameterError(f"CF construction failed for K={K}")
     f = kind_function("exp_neg")
-    if K <= CF_MAX_K:
-        candidates = _cf_candidates(2 * K)
-        if not candidates:
-            raise UnsupportedParameterError(f"CF construction failed for K={K}")
-        probe = _chebyshev_sample(a, b, 512)
-        best = None
-        for poles, coeffs in candidates:
-            trial = RationalApproximant("exp_neg", (a, b), poles, coeffs, 0.0, K)
-            err = np.max(np.abs(f(probe) - evaluate(trial, probe)))
-            if best is None or err < best[0]:
-                best = (err, poles, coeffs)
-        return _finish("exp_neg", (a, b), best[1], best[2], 0.0, K, "cf")
-    poles, coeffs = _parabolic_exp_neg(K)
-    return _finish("exp_neg", (a, b), poles, coeffs, 0.0, K, "parabolic")
+    probe = _chebyshev_sample(a, b, 512)
+    best = None
+    for poles, coeffs in candidates:
+        trial = RationalApproximant("exp_neg", (a, b), poles, coeffs, 0.0, K)
+        err = np.max(np.abs(f(probe) - evaluate(trial, probe)))
+        if best is None or err < best[0]:
+            best = (err, poles, coeffs)
+    return best[1], best[2], 0.0, "cf"
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +199,8 @@ def build_exp(K, interval):
 # y in (0, K').  All poles -t_j^2 are real negative.
 # ----------------------------------------------------------------------
 
-def build_sqrt(K, interval):
-    """Pole/coefficient form for sqrt(x); K real negative poles."""
-    a, b = _check_interval(interval, positive_lower=True)
-    if K not in K_SCHEDULE:
-        raise UnsupportedParameterError(f"sqrt supports K in [1, 40], got {K}")
+def _sqrt(K, a, b):
+    """sqrt(x) with K real negative poles."""
     m = a / b
     Kp = ellipk(1.0 - m)
     y = (np.arange(K) + 0.5) * Kp / K
@@ -233,7 +211,7 @@ def build_sqrt(K, interval):
     poles = -(t**2)
     coeffs = pref * dt * poles
     constant = pref * np.sum(dt)
-    return _finish("sqrt", (a, b), poles, coeffs, constant, K, "imag-axis")
+    return poles, coeffs, constant, "imag-axis"
 
 
 def _slit_map_nodes(a, b, K, quarter_power):
@@ -257,8 +235,8 @@ def _slit_map_nodes(a, b, K, quarter_power):
     return w, dw, h
 
 
-def build_log(K, interval):
-    """Pole/coefficient form plus additive constant for log(x).
+def _log(K, a, b):
+    """log(x): the pole sum plus an additive constant.
 
     Built in the s-plane (z = s^2): the contour encircles [sqrt(a), sqrt(b)]
     away from the imaginary axis, where log(s^2) is singular.  Rewriting
@@ -266,38 +244,33 @@ def build_log(K, interval):
     canonical pole sum plus a constant; the constant drops out of any
     difference of two evaluations.
     """
-    a, b = _check_interval(interval, positive_lower=True)
-    if K not in K_SCHEDULE:
-        raise UnsupportedParameterError(f"log supports K in [1, 40], got {K}")
     s, ds, h = _slit_map_nodes(a, b, K, quarter_power=True)
     z = s**2
     pref = -2.0 * h / np.pi
     constant = -pref * np.sum((np.log(z) / s) * ds).imag
     coeffs = 1j * pref * np.log(z) * s * ds
-    return _finish("log", (a, b), z, coeffs, constant, K, "half-plane-slit")
+    return z, coeffs, constant, "half-plane-slit"
 
 
-def build_tanh_sqrt(K, interval):
-    """Pole/coefficient form for tanh(sqrt(x)).
+def _tanh_sqrt(K, a, b):
+    """tanh(sqrt(x)).
 
     Contour encircles [a, b] in the doubly slit plane; the poles of
     tanh(sqrt(z)) sit on the negative real axis, outside the contour.
     """
-    a, b = _check_interval(interval, positive_lower=True)
-    if K not in K_SCHEDULE:
-        raise UnsupportedParameterError(f"tanh_sqrt supports K in [1, 40], got {K}")
     z, dz, h = _slit_map_nodes(a, b, K, quarter_power=False)
     fz = np.tanh(np.sqrt(z))
     coeffs = -1j * (h / np.pi) * fz * dz
-    return _finish("tanh_sqrt", (a, b), z, coeffs, 0.0, K, "double-slit")
+    return z, coeffs, 0.0, "double-slit"
 
 
-# kind -> (f, the builder of its approximants)
+# kind -> (f, (K, a, b) -> (poles, coeffs, constant, method), whether the
+# interval's lower end a must be positive rather than nonnegative)
 _KINDS = {
-    "exp_neg": (lambda x: np.exp(-x), build_exp),
-    "sqrt": (np.sqrt, build_sqrt),
-    "log": (np.log, build_log),
-    "tanh_sqrt": (lambda x: np.tanh(np.sqrt(x)), build_tanh_sqrt),
+    "exp_neg": (lambda x: np.exp(-x), _exp_neg, False),
+    "sqrt": (np.sqrt, _sqrt, True),
+    "log": (np.log, _log, True),
+    "tanh_sqrt": (lambda x: np.tanh(np.sqrt(x)), _tanh_sqrt, True),
 }
 KINDS = tuple(_KINDS)
 
@@ -310,7 +283,27 @@ def _kind(kind):
 
 
 def build(kind, K, interval):
-    return _kind(kind)[1](K, interval)
+    """The approximant of ``kind`` with K poles on ``interval`` = [a, b], its
+    uniform error ``eps`` measured by ``uniform_error``.
+
+    K must lie in ``K_SCHEDULE`` (else UnsupportedParameterError), and
+    0 < a < b, or 0 <= a < b for exp_neg (else ContractViolationError).
+    """
+    f, nodes, positive_lower = _kind(kind)
+    if K not in K_SCHEDULE:
+        first, last = K_SCHEDULE[0], K_SCHEDULE[-1]
+        raise UnsupportedParameterError(f"{kind} supports K in [{first}, {last}], got {K}")
+    a, b = float(interval[0]), float(interval[1])
+    if not (0 < a < b if positive_lower else 0 <= a < b):
+        bound = "0 < a < b" if positive_lower else "0 <= a < b"
+        raise ContractViolationError(f"interval must satisfy {bound}, got [{a}, {b}]")
+    poles, coeffs, constant, method = nodes(K, a, b)
+    poles = np.asarray(poles, dtype=complex)
+    if pole_interval_distance(poles, a, b) <= 0:
+        raise ContractViolationError(f"{kind} construction produced a pole inside [{a}, {b}]")
+    r = RationalApproximant(kind, (a, b), poles, np.asarray(coeffs, dtype=complex),
+                            float(constant), int(K), method=method)
+    return replace(r, eps=uniform_error(r, f))
 
 
 def choose_K(kind, interval, target):

@@ -168,8 +168,10 @@ class SampleRecord:
 
 @dataclass
 class TraceEstimate:
-    """Sample mean with the bias-aware confidence interval of the run.
-    ``calibration`` describes the pilot that set delta, when one did."""
+    """Sample mean with the bias-aware confidence interval of the run, and
+    the approximant r it certified against, whose kind, K, uniform error and
+    interval the report gives.  ``calibration`` describes the pilot that set
+    delta, when one did."""
 
     mean: float
     std_err: float
@@ -179,11 +181,8 @@ class TraceEstimate:
     half_width: float
     p_alpha: float
     records: list
-    kind: str
-    K: int = 0
-    rational_eps: float = float("nan")
+    approximant: RationalApproximant
     seed: int = 0
-    interval: tuple = (0.0, 0.0)
     certified: bool = True
     time_approx: float = 0.0
     time_error_estimate: float = 0.0
@@ -192,20 +191,21 @@ class TraceEstimate:
     calibration: dict | None = None
 
     def to_json_dict(self):
+        r = self.approximant
         report = {
-            "function": self.kind,
+            "function": r.kind,
             "N": self.N,
             "alpha": self.alpha,
             "delta": self.delta,
             "t": LOOKBACK_THRESHOLD,
-            "K": self.K,
-            "rational_eps": self.rational_eps,
+            "K": r.K,
+            "rational_eps": r.eps,
             "mean": self.mean,
             "std_err": self.std_err,
             "half_width": self.half_width,
             "p_alpha": self.p_alpha,
             "seed": self.seed,
-            "interval": list(self.interval),
+            "interval": list(r.interval),
             "reorth_mode": DEFAULT_REORTH,
             "block_size": self.block_size,
             "certified": self.certified,
@@ -459,8 +459,12 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     reproduce the estimate bit for bit at a fixed BLAS thread count; the
     reductions inside the BLAS calls change order with the thread count,
     which moves the last bits.  The mean, standard error and half-width are
-    those of the samples that have a value (NaN when fewer than two do); a
-    flagged sample leaves the run uncertified.
+    those of the samples that have a value (NaN when fewer than two do).
+
+    The certificate rests on a bias of at most delta per sample, of which
+    r's uniform error may take half: the run is certified only when no
+    sample is flagged and ``r.eps <= rational_target(delta, n)`` =
+    delta / (2 n).  An r of unknown (NaN) error does not certify.
     """
     _check_run(N, delta, alpha)
     b = probe_block_size(N, op.dim)
@@ -498,12 +502,10 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
         half_width=float(half),
         p_alpha=p_alpha(alpha),
         records=records,
-        kind=r.kind,
-        K=r.K,
-        rational_eps=r.eps,
+        approximant=r,
         seed=seed,
-        interval=tuple(r.interval),
-        certified=all(rec.converged and rec.failure is None for rec in records),
+        certified=(r.eps <= rational_target(delta, op.dim)
+                   and all(rec.converged and rec.failure is None for rec in records)),
         time_approx=t_approx,
         time_error_estimate=t_err,
         block_size=b,
@@ -516,31 +518,23 @@ def rational_target(delta: float, dim: int) -> float:
     return delta / (2.0 * dim)
 
 
-def _approximant(kind: str, interval, delta: float, dim: int, K: int | None):
-    if K is not None:
-        return rational.build(kind, K, interval)
-    return rational.choose_K(kind, interval, target=rational_target(delta, dim))
-
-
 def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, interval,
-                   alpha: float = DEFAULT_ALPHA, seed: int = 0, K: int | None = None,
-                   m_max: int = DEFAULT_M_MAX, n_pilot: int = DEFAULT_PILOT_N,
-                   beta: float = DEFAULT_BETA) -> TraceEstimate:
+                   alpha: float = DEFAULT_ALPHA, seed: int = 0, m_max: int = DEFAULT_M_MAX,
+                   n_pilot: int = DEFAULT_PILOT_N, beta: float = DEFAULT_BETA) -> TraceEstimate:
     """Algorithm driver for the four built-in function kinds.
 
     ``interval`` is the [a, b] the approximant is built on; the certificate
-    holds only when it contains the spectrum.  The pole count is the
-    smallest whose uniform error is at most ``rational_target(delta, n)``,
-    unless K, one of ``rational.K_SCHEDULE``, is forced.  With delta None, a
-    pilot of ``n_pilot`` probes at ``beta`` sets it (``calibrate_delta``), and
-    the pilot's last block of probes goes on into the estimate; the estimate
-    then reports the pilot in ``calibration`` and its time in
-    ``time_calibration``.
+    holds only when it contains the spectrum.  The pole count K is the
+    smallest in ``rational.K_SCHEDULE`` whose uniform error ``rational_eps``
+    is at most ``rational_target(delta, n)`` = delta / (2 n), the share of
+    the per-sample bias the certificate allows the approximant
+    (``rational.choose_K``, which raises UnreachableAccuracyError when no K
+    reaches it).  With delta None, a pilot of ``n_pilot`` probes at ``beta``
+    sets it (``calibrate_delta``), and the pilot's last block of probes goes
+    on into the estimate; the estimate then reports the pilot in
+    ``calibration`` and its time in ``time_calibration``.
     """
     _check_run(N, delta, alpha)
-    if K is not None and K not in rational.K_SCHEDULE:
-        first, last = rational.K_SCHEDULE[0], rational.K_SCHEDULE[-1]
-        raise ContractViolationError(f"K must lie in [{first}, {last}], got {K}")
     pilot = calibration = None
     time_calibration = 0.0
     if delta is None:
@@ -548,7 +542,7 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
         delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
                                                N, seed, m_max)
         time_calibration = time.perf_counter() - tic
-    r = _approximant(kind, interval, delta, op.dim, K)
+    r = rational.choose_K(kind, interval, rational_target(delta, op.dim))
     estimate = estimate_trace_with(op, r, N, delta, alpha=alpha, seed=seed, m_max=m_max,
                                    pilot=pilot)
     estimate.calibration = calibration
@@ -572,7 +566,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     f_mid = float(np.asarray(f(0.5 * (interval[0] + interval[1]))))
     scale = max(abs(f_mid), float(np.asarray(f(interval[0]))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
-    r = _approximant(kind, interval, delta_pilot, op.dim, None)
+    r = rational.choose_K(kind, interval, rational_target(delta_pilot, op.dim))
     # one buffer for the pilot blocks and, after them, the estimate's blocks
     b = probe_block_size(max(n_pilot, production_n), op.dim)
     buffer = BasisBuffer(op.dim, b)

@@ -447,6 +447,14 @@ def test_sample_fraction_outside_the_unit_interval_is_a_usage_error(fraction, ca
 MATERN_40x30 = ["--testbed", "matern", "--n1", "40", "--n2", "30", "--kind", "log"]
 
 
+def _no_operator(monkeypatch):
+    def unbuilt(*_args, **_kwargs):
+        raise AssertionError("an operator or a Lanczos run was built")
+
+    monkeypatch.setattr(cli, "make_operator", unbuilt)
+    monkeypatch.setattr(LanczosState, "__init__", unbuilt)
+
+
 @pytest.mark.parametrize("args, key", [
     # each used to fail only after the pilot's or the estimate's probes had run
     (["--n1", "30", "--n2", "30", "--kind", "log", "--K", "50"], "K"),
@@ -455,16 +463,41 @@ MATERN_40x30 = ["--testbed", "matern", "--n1", "40", "--n2", "30", "--kind", "lo
     ([*MATERN_40x30, "--n-samples", "1"], "n_samples"),
     ([*MATERN_40x30, "--pilot-n", "1"], "pilot_n"),
     ([*MATERN_40x30, "--m-max", "0"], "m_max"),
-], ids=["laplacian-K", "matern-K", "n-samples", "pilot-n", "m-max"])
+    # each used to fail inside numpy's site sampler
+    ([*MATERN_40x30, "--n1", "0"], "n1"),
+    ([*MATERN_40x30, "--n2", "0"], "n2"),
+], ids=["laplacian-K", "matern-K", "n-samples", "pilot-n", "m-max", "n1", "n2"])
 def test_count_arguments_fail_before_any_operator(args, key, capsys, monkeypatch):
-    def unbuilt(*_args, **_kwargs):
-        raise AssertionError("an operator or a Lanczos run was built")
-
-    monkeypatch.setattr(cli, "make_operator", unbuilt)
-    monkeypatch.setattr(LanczosState, "__init__", unbuilt)
+    _no_operator(monkeypatch)
     code, out, err = run_cli(["trace", *args], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"error: config key '{key}' must be")
+
+
+# inf used to fail in the truth oracle after the whole estimate had run,
+# nan inside the preconditioner's SVD
+@pytest.mark.parametrize("rule", ["inf", "nan", "0"])
+def test_a_lengthscale_rule_that_is_not_positive_fails_before_any_operator(
+        rule, capsys, monkeypatch):
+    _no_operator(monkeypatch)
+    code, out, err = run_cli(["trace", *MATERN_40x30, "--delta", "1", "--ell-rule", rule],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config key 'ell_rule' must be positive and finite, got {float(rule)}\n"
+
+
+def test_trace_rejects_a_forced_pole_count(capsys, monkeypatch):
+    # K = 1 misses delta / (2 n) by four orders of magnitude, and this run
+    # used to exit 0 as certified
+    _no_operator(monkeypatch)
+    code, out, err = run_cli(["trace", "--n1", "30", "--n2", "30", "--kind", "log",
+                              "--delta", "1", "--K", "1", "--n-samples", "10"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: config key 'K' is a bilinear-curve key")
+    assert err.count("\n") == 1
+    code, out, err = run_cli(["trace", "--n1", "8", "--n2", "8", "--kind", "log", "--K", "5"],
+                             capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
 
 
 def test_each_subcommand_has_one_flag_per_config_key():
@@ -569,7 +602,7 @@ def test_trace_reports_where_the_interval_came_from(testbed, kind, source, capsy
 
 
 @pytest.mark.parametrize("kind", ["log", "sqrt"])
-@pytest.mark.parametrize("tau", ["0", "-1e-3"])
+@pytest.mark.parametrize("tau", ["0", "-1e-3", "inf", "nan"])
 def test_matern_rejects_a_nonpositive_tau(kind, tau, capsys):
     code, out, err = run_cli(
         ["trace", "--testbed", "matern", "--n1", "10", "--n2", "10",

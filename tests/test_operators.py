@@ -138,6 +138,12 @@ def test_site_fraction_outside_the_unit_interval_is_rejected(fraction):
         sample_sites(8, 8, fraction, seed=0)
 
 
+@pytest.mark.parametrize("n1, n2", [(0, 8), (8, 0), (-1, 8)])
+def test_an_empty_site_grid_is_rejected(n1, n2):
+    with pytest.raises(ContractViolationError, match="at least 1 x 1"):
+        sample_sites(n1, n2, 0.5, seed=0)
+
+
 def test_site_fraction_one_takes_every_site():
     np.testing.assert_array_equal(sample_sites(8, 8, 1.0, seed=0), np.arange(64))
 
@@ -246,6 +252,19 @@ def test_matern_contract_errors():
     op = build_matern_operator((4, 4), [0, 5], 1.0, 1.0)
     with pytest.raises(ContractViolationError):
         op(np.ones(3))
+
+
+@pytest.mark.parametrize("ell", [0.0, -1.0, np.inf, np.nan])
+def test_matern_rejects_a_lengthscale_that_is_not_positive_and_finite(ell):
+    for ell1, ell2 in ((ell, 1.0), (1.0, ell)):
+        with pytest.raises(ContractViolationError, match="lengthscales"):
+            build_matern_operator((4, 4), [0, 5], ell1, ell2)
+
+
+@pytest.mark.parametrize("tau", [-1e-3, np.inf, np.nan])
+def test_matern_rejects_a_nugget_that_is_not_finite_and_nonnegative(tau):
+    with pytest.raises(ContractViolationError, match="nugget tau"):
+        build_matern_operator((4, 4), [0, 5], 1.0, 1.0, tau=tau)
 
 
 MAKERS = [

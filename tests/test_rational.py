@@ -12,10 +12,6 @@ from slqcert.rational import (
     KINDS,
     RationalApproximant,
     build,
-    build_exp,
-    build_log,
-    build_sqrt,
-    build_tanh_sqrt,
     choose_K,
     evaluate,
     kind_function,
@@ -49,15 +45,15 @@ def test_reference_uniform_errors(kind, K):
 
 
 def test_exp_value_at_zero():
-    r = build_exp(2, EXP_INTERVAL)
+    r = build("exp_neg", 2, EXP_INTERVAL)
     assert abs(evaluate(r, 0.0) - 1.0) <= r.eps * 1.01
 
 
 def test_exp_rejects_bad_K():
     with pytest.raises(UnsupportedParameterError):
-        build_exp(0, EXP_INTERVAL)
+        build("exp_neg", 0, EXP_INTERVAL)
     with pytest.raises(UnsupportedParameterError):
-        build_exp(41, EXP_INTERVAL)
+        build("exp_neg", 41, EXP_INTERVAL)
 
 
 # uniform errors of the CF construction from a 512 x 512 Hankel matrix; the
@@ -74,50 +70,73 @@ CF_EPS_512 = {
 
 @pytest.mark.parametrize("K", sorted(CF_EPS_512))
 def test_cf_errors_match_large_hankel(K):
-    r = build_exp(K, EXP_INTERVAL)
+    r = build("exp_neg", K, EXP_INTERVAL)
     assert r.method == "cf"
     assert r.eps == pytest.approx(CF_EPS_512[K], rel=0.01)
 
 
 def test_cf_highest_order_reaches_roundoff():
-    r = build_exp(7, EXP_INTERVAL)
+    r = build("exp_neg", 7, EXP_INTERVAL)
     assert r.method == "cf"
     assert r.eps <= 1e-13
 
 
 def test_exp_parabolic_fallback_path():
-    r = build_exp(10, EXP_INTERVAL)
+    r = build("exp_neg", 10, EXP_INTERVAL)
     assert r.method == "parabolic"
     assert r.K == 10
     assert r.eps < 1e-6
 
 
 def test_sqrt_poles_negative_real():
-    r = build_sqrt(6, INTERVAL_90x120)
+    r = build("sqrt", 6, INTERVAL_90x120)
     assert np.all(r.poles.real < 0)
     assert np.all(r.poles.imag == 0)
 
 
 def test_sqrt_value_at_one():
-    r = build_sqrt(8, (0.5, 2.0))
+    r = build("sqrt", 8, (0.5, 2.0))
     assert abs(evaluate(r, 1.0) - 1.0) <= r.eps * 1.01
 
 
 def test_sqrt_rejects_nonpositive_lower_end():
     with pytest.raises(ContractViolationError):
-        build_sqrt(6, (0.0, 1.0))
+        build("sqrt", 6, (0.0, 1.0))
     with pytest.raises(ContractViolationError):
-        build_sqrt(6, (-1.0, 1.0))
+        build("sqrt", 6, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("K", [0, 41])
+def test_build_rejects_a_pole_count_outside_the_schedule(kind, K):
+    with pytest.raises(UnsupportedParameterError,
+                       match=f"{kind} supports K in \\[1, 40\\], got {K}"):
+        build(kind, K, _interval_for(kind))
+
+
+# the lower ends each kind rejects: exp_neg is defined at 0, the others are not
+BAD_LOWER_ENDS = {"exp_neg": (-1e-3,), "sqrt": (0.0, -1.0), "log": (0.0, -1.0),
+                  "tanh_sqrt": (0.0, -1.0)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_build_rejects_a_bad_interval(kind):
+    bad = [(a, 1.0) for a in BAD_LOWER_ENDS[kind]] + [(2.0, 1.0), (1.0, 1.0),
+                                                       (np.nan, 1.0), (0.5, np.nan)]
+    for interval in bad:
+        with pytest.raises(ContractViolationError, match="interval must satisfy"):
+            build(kind, 3, interval)
+    assert build(kind, 3, (0.0 if kind == "exp_neg" else 0.5, 2.0)).K == 3
 
 
 def test_log_value_at_one():
-    r = build_log(10, (0.1, 10.0))
+    r = build("log", 10, (0.1, 10.0))
     assert abs(evaluate(r, 1.0)) <= r.eps * 1.01
 
 
 def test_log_constant_cancels_in_differences():
     a, b = 0.1, 10.0
-    r = build_log(10, (a, b))
+    r = build("log", 10, (a, b))
     assert r.constant != 0.0
     diff = evaluate(r, b) - evaluate(r, a)
     assert abs(diff - np.log(b / a)) <= 2 * r.eps
@@ -125,13 +144,13 @@ def test_log_constant_cancels_in_differences():
 
 def test_tanh_sqrt_small_argument():
     a, b = 1e-4, 4.0
-    r = build_tanh_sqrt(14, (a, b))
+    r = build("tanh_sqrt", 14, (a, b))
     x = 4e-4
     assert abs(evaluate(r, x) - np.sqrt(x)) <= r.eps + 2 * x**1.5
 
 
 def test_tanh_sqrt_saturates():
-    r = build_tanh_sqrt(16, (1e-2, 1e4))
+    r = build("tanh_sqrt", 16, (1e-2, 1e4))
     assert abs(evaluate(r, 9.0e3) - 1.0) <= r.eps + 1e-10
 
 
@@ -142,7 +161,7 @@ def test_evaluate_single_imaginary_pole():
 
 
 def test_evaluate_matches_term_by_term():
-    r = build_log(7, (0.05, 5.0))
+    r = build("log", 7, (0.05, 5.0))
     rng = np.random.default_rng(0)
     x = rng.uniform(0.05, 5.0, size=40)
     manual = np.full_like(x, r.constant)
@@ -159,7 +178,7 @@ def test_evaluate_at_real_pole_raises():
 
 
 def test_uniform_error_of_self_is_zero():
-    r = build_sqrt(6, (0.5, 2.0))
+    r = build("sqrt", 6, (0.5, 2.0))
     assert uniform_error(r, lambda x: evaluate(r, x)) <= 1e-13
 
 

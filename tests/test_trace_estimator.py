@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from slqcert import oracles, trace_estimator
+from slqcert import oracles, rational, trace_estimator
 from slqcert.error_estimator import ErrorMonitor
 from slqcert.errors import (CalibrationFailedError, ContractViolationError,
                             PivotBreakdownError)
@@ -283,15 +284,25 @@ def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
         calibrate_delta(op, "log", interval, beta=-1.0)
 
 
-@pytest.mark.parametrize("K", [0, 41])
-def test_estimate_trace_rejects_a_pole_count_outside_the_schedule(monkeypatch, K):
-    # checked with N, delta and alpha: before the calibration pilot's probes
-    def no_probe(*_args, **_kwargs):
-        raise AssertionError("a probe ran")
-
-    monkeypatch.setattr(trace_estimator, "ProbeBlock", no_probe)
-    with pytest.raises(ContractViolationError, match=f"K must lie in \\[1, 40\\], got {K}"):
-        estimate_trace(Laplacian2D(4, 4), "log", N=2, delta=None, interval=(0.1, 8.0), K=K)
+def test_an_approximant_over_the_budget_leaves_the_run_uncertified():
+    # log at K = 1 misses delta / (2 n) by four orders of magnitude: each
+    # sample's bias is then no longer bounded by delta, however well its
+    # monitor converged
+    op = Laplacian2D(30, 30)
+    interval = oracles.laplacian_extreme_eigenvalues(30, 30)
+    target = trace_estimator.rational_target(1.0, op.dim)
+    coarse = build("log", 1, interval)
+    assert coarse.eps > 1e3 * target
+    est = estimate_trace_with(op, coarse, N=10, delta=1.0, seed=101)
+    assert all(rec.converged and rec.failure is None for rec in est.records)
+    assert not est.certified
+    report = est.to_json_dict()
+    assert (report["K"], report["rational_eps"]) == (1, coarse.eps)
+    chosen = rational.choose_K("log", interval, target)
+    assert estimate_trace_with(op, chosen, N=10, delta=1.0, seed=101).certified
+    # an approximant of unknown error does not certify either
+    unknown = dataclasses.replace(chosen, eps=math.nan)
+    assert not estimate_trace_with(op, unknown, N=10, delta=1.0, seed=101).certified
 
 
 def test_estimate_trace_uncertified_on_cap():
