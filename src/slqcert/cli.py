@@ -15,8 +15,11 @@ B = P^{-1/2} A P^{-1/2} of ``operators.PreconditionedMatern``, and ``trace``
 reports log det A = log det P + tr log B: log det P is exact and is added to
 every sample, so the standard error, delta and the half-width are those of
 the estimate of tr log B.  The spectrum of B lies above 1, so the interval's
-lower end a = 1 is certified; P has rank min(256, n // 4).  The other
-Matern kinds and the Laplacian run on A itself.
+lower end a = 1 is certified.  P's rank is at least min(256, n // 4) and at
+most min(512, n // 3); between the two the pivoted Cholesky factor stops
+once its next pivot row bounds the residual kernel's largest eigenvalue by
+30 tau, and the report's ``operator.preconditioner`` says which rule
+stopped it.  The other Matern kinds and the Laplacian run on A itself.
 
 Exit codes: 0 on certified success; 2 when a sample is uncertified (its
 monitor did not converge before m_max or the operator dimension, its run
@@ -137,7 +140,10 @@ def make_operator(config: ExperimentConfig):
 
     For matern with kind log the operator is the preconditioned
     ``PreconditionedMatern``, with the certified lower end 1; the descriptor's
-    ``preconditioner`` gives its rank and log det P.  ``condition_estimate``
+    ``preconditioner`` gives its rank, log det P and the pivot stop
+    (``operators.PivotStop``): the rule that ended the factor, the trace of
+    the residual kernel and the next pivot row's bound on its largest
+    eigenvalue.  ``condition_estimate``
     is b / a of the operator returned, the one Lanczos runs on.  The
     descriptor's ``interval_source`` says where a and b came from: ``exact``
     (closed form), ``hint`` (a bound known in advance: the nugget tau, or 1
@@ -169,7 +175,8 @@ def make_operator(config: ExperimentConfig):
                       "condition_estimate": interval[1] / interval[0],
                       "interval_source": {"a": "hint", "b": "ritz"}}
         if isinstance(op, PreconditionedMatern):
-            descriptor["preconditioner"] = {"rank": op.rank, "logdet": op.logdet}
+            descriptor["preconditioner"] = {"rank": op.rank, "logdet": op.logdet,
+                                            **asdict(op.stop)}
         return op, interval, descriptor
     raise ContractViolationError(f"unknown testbed {config.testbed!r}")
 
@@ -267,8 +274,11 @@ def _truth_for(config: ExperimentConfig, op, f):
 def cmd_trace(config: ExperimentConfig) -> int:
     """Trace estimate with confidence interval; JSON or aligned-text report.
 
-    ``timings.wall_seconds`` spans the whole command: the operator and its
-    spectrum interval, calibration, the estimate and the truth oracle.
+    ``timings.wall_seconds`` spans the whole command.  Within it,
+    ``operator_seconds`` spans ``make_operator`` (the preconditioner and the
+    spectrum interval), ``calibration_seconds``, ``approximation_seconds``
+    and ``error_estimate_seconds`` the estimate, and ``truth_seconds`` the
+    truth oracle; the five do not overlap.
     Without a delta in the config, the pilot that sets it runs on the
     estimate's first probes (``trace_estimator.estimate_trace``), and the
     report's ``calibration`` describes it.  A config that sets K is a usage
@@ -280,6 +290,7 @@ def cmd_trace(config: ExperimentConfig) -> int:
             f"config key 'K' is a bilinear-curve key; trace picks K from delta, got {config.K}")
     tic = time.perf_counter()
     op, interval, descriptor = make_operator(config)
+    operator_seconds = time.perf_counter() - tic
     f = kind_function(config.kind)
     estimate = trace_estimator.estimate_trace(
         op, config.kind, config.n_samples, config.delta, interval, alpha=config.alpha,
@@ -292,12 +303,16 @@ def cmd_trace(config: ExperimentConfig) -> int:
             sample["value"] += op.logdet
     report["operator"] = descriptor
     report["config"] = config.to_dict()
+    timings = report["timings"]
+    timings["operator_seconds"] = operator_seconds
+    truth_tic = time.perf_counter()
     truth = _truth_for(config, op, f)
+    timings["truth_seconds"] = time.perf_counter() - truth_tic
     if truth is not None:
         report["truth"] = truth
         report["abs_error"] = abs(truth - report["mean"])
         report["within_half_width"] = bool(report["abs_error"] <= estimate.half_width)
-    report["timings"]["wall_seconds"] = time.perf_counter() - tic
+    timings["wall_seconds"] = time.perf_counter() - tic
     if config.format == "table":
         _emit(_format_table(report), config.output)
     else:
@@ -330,6 +345,8 @@ def _format_table(report) -> str:
     ]
     if "truth" in report:
         rows.insert(9, ("truth", f'{report["truth"]:.6g}'))
+    if "preconditioner" in report["operator"]:
+        rows.insert(4, ("preconditioner rank", report["operator"]["preconditioner"]["rank"]))
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
