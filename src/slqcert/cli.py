@@ -15,11 +15,8 @@ B = P^{-1/2} A P^{-1/2} of ``operators.PreconditionedMatern``, and ``trace``
 reports log det A = log det P + tr log B: log det P is exact and is added to
 every sample, so the standard error, delta and the half-width are those of
 the estimate of tr log B.  The spectrum of B lies above 1, so the interval's
-lower end a = 1 is certified.  P's rank is at least min(256, n // 4) and at
-most min(512, n // 3); between the two the pivoted Cholesky factor stops
-once its next pivot row bounds the residual kernel's largest eigenvalue by
-30 tau, and the report's ``operator.preconditioner`` says which rule
-stopped it.  The other Matern kinds and the Laplacian run on A itself.
+lower end a = 1 is certified; P has rank min(512, n // 3).  The other
+Matern kinds and the Laplacian run on A itself.
 
 Exit codes: 0 on certified success; 2 when a sample is uncertified (its
 monitor did not converge before m_max or the operator dimension, its run
@@ -140,10 +137,8 @@ def make_operator(config: ExperimentConfig):
 
     For matern with kind log the operator is the preconditioned
     ``PreconditionedMatern``, with the certified lower end 1; the descriptor's
-    ``preconditioner`` gives its rank, log det P and the pivot stop
-    (``operators.PivotStop``): the rule that ended the factor, the trace of
-    the residual kernel and the next pivot row's bound on its largest
-    eigenvalue.  ``condition_estimate``
+    ``preconditioner`` gives its rank, log det P and the trace of the kernel
+    residual its factor leaves.  ``condition_estimate``
     is b / a of the operator returned, the one Lanczos runs on.  The
     descriptor's ``interval_source`` says where a and b came from: ``exact``
     (closed form), ``hint`` (a bound known in advance: the nugget tau, or 1
@@ -176,7 +171,7 @@ def make_operator(config: ExperimentConfig):
                       "interval_source": {"a": "hint", "b": "ritz"}}
         if isinstance(op, PreconditionedMatern):
             descriptor["preconditioner"] = {"rank": op.rank, "logdet": op.logdet,
-                                            **asdict(op.stop)}
+                                            "residual_trace": op.residual_trace}
         return op, interval, descriptor
     raise ContractViolationError(f"unknown testbed {config.testbed!r}")
 

@@ -14,17 +14,10 @@ which is positive semidefinite, so every eigenvalue of B = P^{-1/2} A
 P^{-1/2} is at least 1: the lower end a = 1 of the spectrum interval is
 certified rather than estimated.
 
-The rank k is read from the pivot rows the factorization forms anyway.
-With S the kernel residual after i pivots and p the next pivot, S[p, :]
-bounds S from below, lambda_max(S) >= |S[p, :]|^2 / S_pp, and
-kappa(B) <= 1 + lambda_max(S) / tau.  The factorization pivots at least
-min(PRECONDITIONER_RANK, n // 4) times, then stops at the first pivot row
-whose bound is at most PRECONDITIONER_BOUND tau, at
-min(PRECONDITIONER_CAP, n // 3) pivots, or when the residual is exhausted.
-The floor keeps larger-nugget runs at that rank, which the bound alone
-would cut below it at a cost in Lanczos steps; the cap limits the O(n k^2)
-setup and, through n // 3, keeps B away from the identity, whose probes
-would all return the same sample.
+The rank is min(PRECONDITIONER_RANK, n // 3).  A higher rank narrows the
+spectrum of B, so each probe takes fewer Lanczos steps, at O(n) more per
+apply and a larger O(n k^2) setup; the n // 3 cap keeps B away from the
+identity on small site sets, whose probes would all return the same sample.
 
 Operators are immutable after construction.  ``matvec(x, out=None)`` only
 reads operator state; with ``out`` it writes A x into that buffer and
@@ -33,8 +26,6 @@ returns it, so concurrent calls are safe only on distinct ``out`` buffers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -304,82 +295,41 @@ def build_matern_operator(grid, sites, ell1, ell2, nu=1.5, tau=0.0) -> MaternOpe
     return MaternOperator(grid, sites, ell1, ell2, nu, tau)
 
 
-# the least rank of the Matern preconditioner; n // 4 lowers it on small sets
-PRECONDITIONER_RANK = 256
-# the largest rank of the Matern preconditioner; n // 3 lowers it on small sets
-PRECONDITIONER_CAP = 512
-# pivoting stops once the next pivot row bounds the residual kernel's largest
-# eigenvalue from below by at most this many nuggets; on 1080 sites of a
-# 90 x 120 grid (nu in {0.5, 1.5, 2.5}) that eigenvalue was 1.2 to 4.6 times
-# its bound and kappa(B) about half of it over tau, so kappa(B) is then
-# roughly 20 to 70
-PRECONDITIONER_BOUND = 30.0
+# the largest rank of the Matern preconditioner; n // 3 caps it on small sets
+PRECONDITIONER_RANK = 512
 
 
-@dataclass(frozen=True)
-class PivotStop:
-    """Why and where ``pivot_rows`` stopped: ``stopped_by`` is ``"bound"``,
-    ``"cap"`` or ``"exhausted"``; ``residual_trace`` is tr S for the kernel
-    residual S after the last pivot, and ``residual_bound`` is
-    |S[p, :]|^2 / S_pp for the pivot p that would come next, a lower bound
-    on lambda_max(S) (0 when S is exhausted)."""
-
-    stopped_by: str
-    residual_trace: float
-    residual_bound: float
-
-
-def pivot_rows(op: MaternOperator, floor: int, cap: int,
-               limit: float) -> tuple[np.ndarray, PivotStop]:
-    """Rows of a pivoted Cholesky factor of the kernel part of op, and where
-    it stopped.
+def pivoted_cholesky(op: MaternOperator, rank: int) -> np.ndarray:
+    """Rows of the rank-k pivoted Cholesky factor of the kernel part of op.
 
     Returns a (k, n) array F with F^T F the greedy low-rank approximation of
     the kernel matrix without the nugget (Harbrecht, Peters & Schneider,
     Appl. Numer. Math. 2012): each step takes the largest residual diagonal
     entry as pivot and one kernel row, O(n) to form and O(n k) to update,
-    O(n k^2) in total.  The row formed for pivot p after i pivots is S[p, :]
-    of the residual S = K - F^T F, and for positive semidefinite S
-
-        lambda_max(S) >= |S[p, :]|^2 / S_pp,
-
-    since S[p, :] = S e_p and e_p^T S^2 e_p <= lambda_max(S) e_p^T S e_p.
-    Pivoting stops at the first i >= ``floor`` whose bound is at most
-    ``limit`` ("bound"), at i = ``cap`` ("cap"), or once the largest
-    residual diagonal entry is not positive ("exhausted").  At the cap the
-    next row is formed for its bound and not kept.
+    O(n k^2) in total.  The factor stops short of ``rank`` rows once the
+    largest residual pivot is not positive.
     """
-    factor = np.zeros((cap, op.dim))
+    factor = np.zeros((rank, op.dim))
     residual = np.full(op.dim, matern_kernel(0.0, op.nu, 0.0))
-    for i in range(cap + 1):
+    for i in range(rank):
         pivot = int(np.argmax(residual))
         if residual[pivot] <= 0.0:
-            return factor[:i], PivotStop("exhausted", float(np.sum(residual)), 0.0)
+            return factor[:i]
         row = op.kernel_rows([pivot])[0]
         row -= factor[:i, pivot] @ factor[:i]
-        bound = float(row @ row / residual[pivot])
-        if i == cap or (i >= floor and bound <= limit):
-            rule = "cap" if i == cap else "bound"
-            return factor[:i], PivotStop(rule, float(np.sum(residual)), bound)
         factor[i] = row / np.sqrt(residual[pivot])
         residual -= factor[i] ** 2
         residual[pivot] = 0.0
-
-
-def pivoted_cholesky(op: MaternOperator, rank: int) -> np.ndarray:
-    """The rank-k factor of ``pivot_rows`` with no bound stop: ``rank``
-    rows, or fewer once the residual is exhausted."""
-    return pivot_rows(op, rank, rank, 0.0)[0]
+    return factor
 
 
 class PreconditionedMatern(LinearOperator):
     """B = P^{-1/2} A P^{-1/2} for a Matern operator A with nugget tau > 0.
 
-    P = L_k L_k^T + tau I with L_k from ``pivot_rows``: at least
-    min(PRECONDITIONER_RANK, n // 4) pivots, then on until the next pivot
-    row bounds the residual's largest eigenvalue by PRECONDITIONER_BOUND
-    tau, to at most min(PRECONDITIONER_CAP, n // 3); ``stop`` says which
-    rule ended it (see the module docstring).  A thin SVD L_k = U S V^T gives
+    P = L_k L_k^T + tau I with L_k from ``pivoted_cholesky`` at rank
+    min(PRECONDITIONER_RANK, n // 3); ``residual_trace`` is tr S for the
+    kernel residual S = K - L_k L_k^T, 0 to rounding when the factor stopped
+    short of that rank.  A thin SVD L_k = U S V^T gives
 
         P^{-1/2} x = tau^{-1/2} x + U ((S^2 + tau)^{-1/2} - tau^{-1/2}) U^T x,
         log det P  = sum_i log(s_i^2 + tau) + (n - k) log tau,
@@ -400,11 +350,11 @@ class PreconditionedMatern(LinearOperator):
                 f"the preconditioner needs a positive nugget tau, got {base.tau}")
         super().__init__(base.dim, spd_hint=True)
         self.base = base
-        tau = base.tau
-        factor, self.stop = pivot_rows(
-            base, min(PRECONDITIONER_RANK, base.dim // 4),
-            min(PRECONDITIONER_CAP, base.dim // 3), PRECONDITIONER_BOUND * tau)
+        factor = pivoted_cholesky(base, min(PRECONDITIONER_RANK, base.dim // 3))
         self.rank = len(factor)
+        self.residual_trace = float(base.dim * matern_kernel(0.0, base.nu, 0.0)
+                                    - np.vdot(factor, factor))
+        tau = base.tau
         # factor.T is L_k in Fortran order, which LAPACK takes without a copy;
         # numpy's svd of factor took about twice the workspace
         self._u, s, _ = scipy.linalg.svd(factor.T, full_matrices=False,

@@ -567,10 +567,8 @@ def test_trace_matern_desk_scale(tmp_path, capsys):
     sites = sample_sites(16, 12, 0.2, seed=5)
     op = build_matern_operator((16, 12), sites, 0.4 * 12, 0.4 * 16, nu=1.5, tau=1e-4)
     assert report["truth"] == oracles.dense_logdet(op.dense_matrix())
-    # kind log runs on the preconditioned operator, whose spectrum starts at 1;
-    # 38 sites are still ill-conditioned at the cap 38 // 3
+    # kind log runs on the preconditioned operator, whose spectrum starts at 1
     assert report["operator"]["preconditioner"]["rank"] == round(0.2 * 16 * 12) // 3
-    assert report["operator"]["preconditioner"]["stopped_by"] == "cap"
     assert report["interval"][0] == 1.0
     assert report["operator"]["condition_estimate"] == report["interval"][1]
     samples = report["per_sample"]
@@ -585,10 +583,8 @@ def test_trace_matern_log_reports_its_preconditioner_and_timings(capsys):
     assert code == 0
     report = json.loads(out)
     pre = report["operator"]["preconditioner"]
-    assert set(pre) == {"rank", "logdet", "residual_trace", "residual_bound", "stopped_by"}
-    assert pre["stopped_by"] in ("bound", "cap", "exhausted")
-    assert 120 // 4 <= pre["rank"] <= 120 // 3
-    assert 0 < pre["residual_bound"] <= pre["residual_trace"]
+    assert set(pre) == {"rank", "logdet", "residual_trace"}
+    assert pre["rank"] == 120 // 3 and 0 < pre["residual_trace"] < 120
     # the build and the oracle are timed apart from the estimate, inside the wall
     timings = report["timings"]
     assert timings["operator_seconds"] >= 0 and timings["truth_seconds"] >= 0

@@ -191,12 +191,6 @@ def test_preconditioner_identities(layout, site_seed, log_tau, nu):
     w, Q = np.linalg.eigh(factor.T @ factor + tau * np.eye(op.dim))
     root = (Q * np.sqrt(w)) @ Q.T
     assert np.linalg.norm(root @ B @ root - A, 2) <= 1e-9 * np.linalg.norm(A, 2)
-    # the next pivot row bounds the residual kernel S = K - F^T F from below,
-    # formed here from the dense S and in the factor's loop from its rows
-    S = A - tau * np.eye(op.dim) - factor.T @ factor
-    S = (S + S.T) / 2
-    pivot = int(np.argmax(np.diag(S)))
-    if S[pivot, pivot] > 0:
-        top = np.linalg.eigvalsh(S)[-1] * (1 + 1e-12)
-        assert S[pivot] @ S[pivot] / S[pivot, pivot] <= top
-        assert pre.stop.residual_bound <= top
+    # tr S for the kernel residual S = K - F^T F the factor leaves
+    residual = np.trace(A - tau * np.eye(op.dim) - factor.T @ factor)
+    assert abs(pre.residual_trace - residual) <= 1e-12 * op.dim
