@@ -2,8 +2,9 @@
 
 Four families are supported on a positive spectrum interval [a, b]:
 
-* ``exp_neg``   -- exp(-x), best-uniform (Caratheodory-Fejer) poles computed
-  from a Chebyshev transplant of the exponential; a parabolic-contour
+* ``exp_neg``   -- exp(-x), best-uniform (Caratheodory-Fejer) poles of a
+  Chebyshev transplant of the exponential, read from a table stored with
+  the package (``tests/cf_table.py`` generates it); a parabolic-contour
   quadrature serves as fallback for orders the CF construction cannot
   reach in double precision.
 * ``sqrt``      -- sqrt(x), trapezoid rule on an imaginary-axis substitution;
@@ -27,9 +28,10 @@ only its poles, weights and constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import hankel
 from scipy.special import ellipj, ellipk
 
 from .elliptic import jacobi_cplx
@@ -46,6 +48,7 @@ K_SCHEDULE = range(1, 41)
 # singular value sinks below double-precision roundoff.
 CF_MAX_K = 7
 
+# transplant scales of the stored CF candidates, in the table's order
 _CF_SCL_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0)
 
 UNIFORM_ERROR_SAMPLES = 10_000
@@ -106,53 +109,32 @@ def pole_interval_distance(poles, a, b):
 
 # ----------------------------------------------------------------------
 # exp(-x): Caratheodory-Fejer on a Chebyshev transplant of the negative
-# real axis (Trefethen, Weideman & Schmelzer, BIT 2006).  The transplanted
-# exponential's Chebyshev coefficients decay fast enough that a 75 x 75
-# Hankel matrix resolves every order up to CF_MAX_K.  Pole/residue sets
-# depend only on the order n = 2K and the transplant scale; one candidate
-# per scale is built and the best is picked by measured error on the
-# requested interval.
+# real axis (Trefethen, Weideman & Schmelzer, BIT 2006).  Pole/residue sets
+# depend only on the order n = 2K and the transplant scale, never on [a, b],
+# so the candidate sets for K <= CF_MAX_K, one per scale in _CF_SCL_GRID,
+# are stored in CF_TABLE_PATH (row 0 poles, row 1 coefficients, ordered by
+# K, then by scale).  ``PYTHONPATH=src python tests/cf_table.py`` rebuilds
+# it from a 75 x 75 Hankel matrix; a test compares it with that construction.
+# Only the choice among the scales, by measured error on the requested
+# interval, depends on [a, b].
 # ----------------------------------------------------------------------
 
-_CF_HANKEL = 75
+CF_TABLE_PATH = Path(__file__).with_name("cf_exp_neg.npy")
 
 
-def _cf_candidates(n):
-    nf = 1024
-    w = np.exp(2j * np.pi * np.arange(nf) / nf)
-    t = w.real
-    out = []
-    for scl in _CF_SCL_GRID:
-        F = np.exp(scl * (t - 1) / (t + 1 + 1e-16))
-        c = np.fft.fft(F).real / nf
-        H = hankel(c[1 : _CF_HANKEL + 1])
-        U, S, Vh = np.linalg.svd(H)
-        u = U[::-1, n]
-        v = Vh[n, :]
-        pad = np.zeros(nf - len(u))
-        blaschke = np.fft.fft(np.concatenate([u, pad])) / np.fft.fft(np.concatenate([v, pad]))
-        f_anal = np.polyval(c[_CF_HANKEL::-1], w)
-        rt = f_anal - S[n] * w**n * blaschke
-        roots = np.roots(v)
-        qk = roots[np.abs(roots) > 1.0]
-        if len(qk) != n:
-            continue
-        qc = np.poly(qk)
-        numer = (np.fft.fft(rt * np.polyval(qc, w)).real / nf)[n::-1]
-        ck = np.empty(n, dtype=complex)
-        for j in range(n):
-            others = np.poly(qk[np.arange(n) != j])
-            ck[j] = np.polyval(numer, qk[j]) / np.polyval(others, qk[j])
-        zk = scl * (qk - 1) ** 2 / (qk + 1) ** 2
-        ck = 4 * ck * zk / (qk**2 - 1)
-        # poles/coefficients of r ~ e^x on the negative axis; flip for exp(-x)
-        poles = -zk
-        coeffs = -ck
-        sel = poles.imag > 0
-        if sel.sum() != n // 2:
-            continue
-        out.append((poles[sel], 2 * coeffs[sel]))
-    return out
+@cache
+def _cf_table():
+    table = np.load(CF_TABLE_PATH)
+    table.flags.writeable = False
+    return table
+
+
+def _cf_stored(K):
+    """The stored (poles, coeffs) candidates of order 2K, one per scale."""
+    poles, coeffs = _cf_table()
+    start = len(_CF_SCL_GRID) * K * (K - 1) // 2
+    return [(poles[lo : lo + K], coeffs[lo : lo + K])
+            for lo in range(start, start + len(_CF_SCL_GRID) * K, K)]
 
 
 def _parabolic_exp_neg(K):
@@ -172,22 +154,19 @@ def _parabolic_exp_neg(K):
 def _exp_neg(K, a, b):
     """exp(-x) with K conjugate pairs kept.
 
-    Orders up to CF_MAX_K use the best-uniform (Caratheodory-Fejer)
-    construction from a 75 x 75 Hankel matrix, rebuilt on every call for
-    each transplant scale (tens of milliseconds per order); beyond that a
-    parabolic-contour quadrature is substituted (recorded in ``method``).
+    Orders up to CF_MAX_K take the stored best-uniform (Caratheodory-Fejer)
+    candidate of the transplant scale with the smallest error on 512
+    Chebyshev points of [a, b]; beyond that a parabolic-contour quadrature
+    is substituted (recorded in ``method``).
     """
     if K > CF_MAX_K:
         return (*_parabolic_exp_neg(K), 0.0, "parabolic")
-    candidates = _cf_candidates(2 * K)
-    if not candidates:
-        raise UnsupportedParameterError(f"CF construction failed for K={K}")
-    f = kind_function("exp_neg")
     probe = _chebyshev_sample(a, b, 512)
+    f_probe = kind_function("exp_neg")(probe)
     best = None
-    for poles, coeffs in candidates:
+    for poles, coeffs in _cf_stored(K):
         trial = RationalApproximant("exp_neg", (a, b), poles, coeffs, 0.0, K)
-        err = np.max(np.abs(f(probe) - evaluate(trial, probe)))
+        err = np.max(np.abs(f_probe - evaluate(trial, probe)))
         if best is None or err < best[0]:
             best = (err, poles, coeffs)
     return best[1], best[2], 0.0, "cf"

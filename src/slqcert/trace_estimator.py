@@ -514,7 +514,18 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
 
 def rational_target(delta: float, dim: int) -> float:
     """The uniform error allowed to r_K: half the scaled tolerance
-    delta / ||u||^2, with ||u||^2 = dim for Rademacher probes."""
+    delta / ||u||^2, with ||u||^2 = dim for Rademacher probes.
+
+    The budget it sets: a sample valued with f at T_J differs from
+    u^T f(A) u by at most the monitor's error at the retired step m, up to
+    delta, plus eps ||u||^2 twice, once for f - r on A and once for f - r
+    on the Ritz values of T_J, whose weights sum to ||u||^2; with
+    eps <= delta / (2 dim) that is up to 2 delta in all, while the
+    half-width adds delta.  For log, sqrt and exp(-x) the Gauss error at J
+    is at most the error at m (see ``sample_bilinear``).  For
+    tanh(sqrt(x)), whose derivatives change sign, only this budget bounds
+    a sample's error.
+    """
     return delta / (2.0 * dim)
 
 
@@ -529,10 +540,11 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
     is at most ``rational_target(delta, n)`` = delta / (2 n), the share of
     the per-sample bias the certificate allows the approximant
     (``rational.choose_K``, which raises UnreachableAccuracyError when no K
-    reaches it).  With delta None, a pilot of ``n_pilot`` probes at ``beta``
-    sets it (``calibrate_delta``), and the pilot's last block of probes goes
-    on into the estimate; the estimate then reports the pilot in
-    ``calibration`` and its time in ``time_calibration``.
+    reaches it; its time is part of ``time_approx``).  With delta None, a
+    pilot of ``n_pilot`` probes at ``beta`` sets it (``calibrate_delta``),
+    and the pilot's last block of probes goes on into the estimate; the
+    estimate then reports the pilot in ``calibration`` and its time in
+    ``time_calibration``.
     """
     _check_run(N, delta, alpha)
     pilot = calibration = None
@@ -542,9 +554,12 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
         delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
                                                N, seed, m_max)
         time_calibration = time.perf_counter() - tic
+    tic = time.perf_counter()
     r = rational.choose_K(kind, interval, rational_target(delta, op.dim))
+    time_choose = time.perf_counter() - tic
     estimate = estimate_trace_with(op, r, N, delta, alpha=alpha, seed=seed, m_max=m_max,
                                    pilot=pilot)
+    estimate.time_approx += time_choose
     estimate.calibration = calibration
     estimate.time_calibration = time_calibration
     return estimate

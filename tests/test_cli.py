@@ -596,6 +596,23 @@ def test_trace_matern_log_reports_its_preconditioner_and_timings(capsys):
                                                              out.splitlines()]
 
 
+def test_trace_times_the_choice_of_K_as_approximation(monkeypatch, capsys):
+    choose_K = rational.choose_K
+
+    def slow_choose_K(*args, **kwargs):
+        time.sleep(0.05)
+        return choose_K(*args, **kwargs)
+
+    monkeypatch.setattr(rational, "choose_K", slow_choose_K)
+    code, out, _ = run_cli(["trace", "--testbed", "laplacian", "--n1", "12", "--n2", "10",
+                            "--kind", "exp_neg", "--delta", "0.5", "--n-samples", "4"], capsys)
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert timings["approximation_seconds"] >= 0.05
+    parts = ("operator", "calibration", "approximation", "error_estimate", "truth")
+    assert sum(timings[f"{part}_seconds"] for part in parts) <= timings["wall_seconds"]
+
+
 def test_trace_matern_sqrt_is_not_preconditioned(capsys):
     code, out, _ = run_cli(
         ["trace", "--testbed", "matern", "--n1", "16", "--n2", "12",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from cf_table import cf_table
 
-from slqcert import oracles
+from slqcert import oracles, rational
 from slqcert.errors import (
     ContractViolationError,
     PoleEvaluationError,
@@ -9,6 +10,7 @@ from slqcert.errors import (
     UnsupportedParameterError,
 )
 from slqcert.rational import (
+    CF_MAX_K,
     KINDS,
     RationalApproximant,
     build,
@@ -79,6 +81,29 @@ def test_cf_highest_order_reaches_roundoff():
     r = build("exp_neg", 7, EXP_INTERVAL)
     assert r.method == "cf"
     assert r.eps <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def live_cf_table():
+    return cf_table()
+
+
+def test_stored_cf_table_is_the_construction(live_cf_table):
+    # bit-identical where the table was written; the tolerance admits another LAPACK
+    stored = rational._cf_table()
+    assert stored.shape == live_cf_table.shape == (2, 7 * 28)
+    np.testing.assert_allclose(stored, live_cf_table, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("interval", [EXP_INTERVAL, (0.0, 8.0), INTERVAL_90x120])
+@pytest.mark.parametrize("K", range(1, CF_MAX_K + 1))
+def test_stored_cf_build_picks_the_live_scale(K, interval, live_cf_table, monkeypatch):
+    stored = build("exp_neg", K, interval)
+    monkeypatch.setattr(rational, "_cf_table", lambda: live_cf_table)
+    live = build("exp_neg", K, interval)
+    np.testing.assert_allclose(stored.poles, live.poles, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stored.coeffs, live.coeffs, rtol=1e-12, atol=0)
+    assert stored.eps == pytest.approx(live.eps, rel=1e-9)
 
 
 def test_exp_parabolic_fallback_path():
