@@ -1,7 +1,8 @@
 """Three-term Lanczos recurrence with reorthogonalization, plus the Gauss
 quadrature evaluation e1^T f(T_m) e1 on the resulting Jacobi matrix.
 
-Reorthogonalization modes (each stores the whole basis):
+Reorthogonalization modes (each reads the whole basis it orthogonalizes
+against; see below for when that basis is stored):
 
 * ``partial`` -- the default: track the loss-of-orthogonality recurrence
   (Simon, Math. Comp. 1984) and orthogonalize only when the estimated inner
@@ -44,6 +45,22 @@ that never move: a step past the last chunk appends one instead of
 copying the basis, which keeps a copy off the peak memory.  A caller
 running many probes on one operator passes the same buffer to each run,
 so the later runs reuse memory that is already allocated and touched.
+
+The basis is stored only when something reads it.  A run of one column on
+an operator longer than ``PROBE_BLOCK_ELEMENTS`` (one probe of the 300 x 400
+Laplacian keeps 40 MB of basis that its 0 reorthogonalization passes never
+read) steps in the buffer's ring: its start row and three working rows, and
+no chunk.  The first reorthogonalization or ``basis()`` call rebuilds rows
+0 .. m - 1 in the chunks by replaying the three-term recurrence from the
+start with the stored alphas and betas, moves the newest row m over, and
+the run keeps every row from then on.  The replay is exact: no
+reorthogonalization has run before it, so each row was made by the
+operator apply and the elementwise updates that the replay repeats in the
+same order on the same numbers, which gives the same row bit for bit
+whenever the apply is a function of its input alone, as every operator's
+in ``operators`` is at a fixed BLAS thread count.  It costs m - 1 applies,
+which ``replayed_steps`` counts.  Any other run stores its basis from the
+start; the choice depends on the input's shape alone.
 """
 
 from __future__ import annotations
@@ -70,6 +87,15 @@ BREAKDOWN_REL_TOL = 1e-13
 _EPS = np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
 _NOISE = _EPS * 0.3          # the rounding noise of one omega update, per unit beta
+
+# The probe budget, in vector elements, of a Lanczos step's block.  The
+# trace estimator runs probes in blocks of b = min(N, max(1,
+# PROBE_BLOCK_ELEMENTS // n)), so that the four block rows a step touches
+# (v_{m-1}, v_m, A v_m and the work rows) take at most 1 MiB, half of a
+# 2 MiB L2.  An operator of dimension above it runs one probe at a time,
+# and that run keeps its basis, tens of MB per probe, only once
+# reorthogonalization or ``basis()`` reads it (see the module docstring).
+PROBE_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass
@@ -152,13 +178,18 @@ class BasisBuffer:
     them, so the next run on it pays no allocation or first touch.  Rows
     past the current run's vectors hold stale vectors of an earlier run;
     nothing reads them.  ``work`` is scratch for one block update.
+    ``ring()`` is RING_ROWS rows, allocated on first use, for a run that
+    stores no basis (see ``LanczosState``): its start and three working
+    rows.
     """
 
     CHUNK_ROWS = 16
+    RING_ROWS = 4
 
     def __init__(self, dim: int, width: int = 1):
         self.chunks: list = []
         self.work = np.empty((width, dim))
+        self._ring = None
 
     @property
     def dim(self) -> int:
@@ -174,6 +205,11 @@ class BasisBuffer:
             self.chunks.append(np.empty((self.CHUNK_ROWS, self.width, self.dim)))
         return self.chunks[c][i]
 
+    def ring(self) -> np.ndarray:
+        if self._ring is None:
+            self._ring = np.empty((self.RING_ROWS, self.width, self.dim))
+        return self._ring
+
     def column(self, j: int, count: int) -> list:
         """Views of rows 0 .. count - 1 of column j, one (rows, dim) view per chunk."""
         return [chunk[: count - c * self.CHUNK_ROWS, j]
@@ -181,7 +217,7 @@ class BasisBuffer:
 
 
 class LanczosState:
-    """State of one Lanczos run of a block of columns: the stored basis, the
+    """State of one Lanczos run of a block of columns: the basis, the
     Jacobi coefficients and the loss-of-orthogonality recurrence (partial
     mode).
 
@@ -196,7 +232,12 @@ class LanczosState:
     The basis lives in ``buffer``, which the state borrows: without one the
     state allocates its own.  A buffer shared by several runs holds only the
     latest run's basis, so ``basis()`` of an earlier state is overwritten
-    once the next run on that buffer steps.
+    once the next run on that buffer steps.  A run of one column on an
+    operator of dimension above ``PROBE_BLOCK_ELEMENTS`` steps in the
+    buffer's ring instead, and stores rows 0 .. m only when
+    reorthogonalization or ``basis()`` first needs them, by an exact replay
+    (see the module docstring); ``replayed_steps`` counts each column's
+    applies of that replay.
     """
 
     def __init__(self, op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
@@ -228,12 +269,15 @@ class LanczosState:
         self.active = np.ones(b, dtype=bool)
         self.breakdown = np.zeros(b, dtype=bool)
         self.reorth_passes = np.zeros(b, dtype=int)    # passes against the basis
+        self.replayed_steps = np.zeros(b, dtype=int)   # applies that rebuilt it
         cap = max(1, min(self.m_max, op.dim))
         self._alphas = np.zeros((b, cap))       # _alphas[:, j] = alpha_{j+1}
         self._betas = np.zeros((b, cap + 1))    # _betas[:, j] = beta_{j+1}; beta_1 = 0
         self._norm_estimate = np.zeros(b)
         self._buffer = buffer
-        np.divide(block, np.array(norms)[:, None], out=buffer.row(0)[:b])
+        # ring slot 0 holds the start, slots 1 .. 3 the rows k >= 1 in turn
+        self._ring = buffer.ring() if b == 1 and op.dim > PROBE_BLOCK_ELEMENTS else None
+        np.divide(block, np.array(norms)[:, None], out=self.row(0)[:b])
         # partial-mode state: omega rows of each column for its two latest
         # vectors, entry j in column j + 1 behind a column of zeros
         self._omega_prev = np.zeros((b, cap + 2))
@@ -243,8 +287,41 @@ class LanczosState:
 
     # -- basis bookkeeping -------------------------------------------------
 
+    def row(self, k: int) -> np.ndarray:
+        """Row k of the basis, (width, dim): in the ring while the run stores
+        no basis, else in the buffer's chunks."""
+        if self._ring is None:
+            return self._buffer.row(k)
+        return self._ring[0 if k == 0 else 1 + (k - 1) % 3]
+
+    def _materialize(self) -> np.ndarray:
+        """Store the basis from here on; returns row m.
+
+        A run in the ring replays rows 1 .. m - 1 into the chunks from the
+        start with its stored alphas and betas, in the operations and order
+        of ``lanczos_step``, and moves its start and its newest row m there.
+        """
+        if self._ring is not None:
+            start, newest = self._ring[0, :1], self.row(self.m)[:1]
+            self._ring = None
+            buffer = self._buffer
+            buffer.row(0)[:1] = start
+            work = buffer.work[:1]
+            for k in range(self.m - 1):
+                V, W = buffer.row(k)[:1], buffer.row(k + 1)[:1]
+                self.op.matvec(V, out=W)
+                np.subtract(W, np.multiply(V, self._alphas[:, k, None], out=work), out=W)
+                if k > 0:
+                    np.subtract(W, np.multiply(buffer.row(k - 1)[:1],
+                                               self._betas[:, k, None], out=work), out=W)
+                np.divide(W, self._betas[:, k + 1, None], out=W)
+            self.replayed_steps[0] += max(self.m - 1, 0)
+            buffer.row(self.m)[:1] = newest
+        return self.row(self.m)
+
     def basis(self, column: int = 0) -> np.ndarray:
         """A copy of the column's stored basis vectors, one per row."""
+        self._materialize()
         stored = self.steps[column] + (not self.breakdown[column])
         return np.concatenate(self._buffer.column(column, stored))
 
@@ -322,15 +399,15 @@ def lanczos_step(state: LanczosState):
     contiguous = idx[-1] - idx[0] + 1 == len(idx)
     sel = slice(idx[0], idx[-1] + 1) if contiguous else idx
     buffer = state._buffer
-    V = buffer.row(k)[sel]
-    W = buffer.row(k + 1)[sel] if contiguous else np.empty_like(V)
+    V = state.row(k)[sel]
+    W = state.row(k + 1)[sel] if contiguous else np.empty_like(V)
     state.op.matvec(V, out=W)
     work = buffer.work[: len(idx)]
     alpha = np.array([v @ w for v, w in zip(V, W)])
     np.subtract(W, np.multiply(V, alpha[:, None], out=work), out=W)
     beta_prev = state._betas[sel, k]
     if k > 0:
-        np.subtract(W, np.multiply(buffer.row(k - 1)[sel], beta_prev[:, None], out=work),
+        np.subtract(W, np.multiply(state.row(k - 1)[sel], beta_prev[:, None], out=work),
                     out=W)
     norm_estimate = np.maximum(state._norm_estimate[sel], np.abs(alpha) + beta_prev)
     state._norm_estimate[sel] = norm_estimate
@@ -344,6 +421,8 @@ def lanczos_step(state: LanczosState):
         reorth = state._omega_advance(sel, beta)
     else:
         reorth = np.full(len(idx), state.reorth_mode == "full")
+    if state._ring is not None and np.count_nonzero(reorth):
+        W = state._materialize()[sel]   # a ring run is one column: W is row k + 1
     for i in np.flatnonzero(reorth):
         state._orthogonalize(idx[i], W[i])
         beta_before, beta[i] = beta[i], np.linalg.norm(W[i])

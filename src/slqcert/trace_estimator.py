@@ -43,8 +43,8 @@ from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,
                      NumericalFailureError, QuadratureDomainError)
 from .error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, lookback_check
-from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, BasisBuffer, gauss_quadrature,
-                      lanczos_run, lanczos_steps, tridiag_eigen)
+from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, PROBE_BLOCK_ELEMENTS, BasisBuffer,
+                      gauss_quadrature, lanczos_run, lanczos_steps, tridiag_eigen)
 from .operators import LinearOperator
 from .rational import RationalApproximant, kind_function
 
@@ -52,13 +52,6 @@ DEFAULT_ALPHA = 3.0
 DEFAULT_N = 100
 DEFAULT_BETA = 0.1
 DEFAULT_PILOT_N = 30
-
-# Probes run in blocks of b = min(N, max(1, PROBE_BLOCK_ELEMENTS // n)): the
-# four block rows a Lanczos step touches (v_{m-1}, v_m, A v_m and the work
-# rows) then take at most 1 MiB, half of a 2 MiB L2, and an operator of
-# dimension above 2^15, whose basis alone is tens of MB per probe, runs one
-# probe at a time.
-PROBE_BLOCK_ELEMENTS = 2**15
 
 # the upper end of an estimated spectrum interval: the largest Ritz value
 # after this many Lanczos steps, times this factor
@@ -119,7 +112,8 @@ def confidence_half_width(s: float, N: int, delta: float, alpha: float) -> float
 
 
 def probe_block_size(N: int, dim: int) -> int:
-    """The number of probes ``estimate_trace_with`` steps together."""
+    """The number of probes ``estimate_trace_with`` steps together (see
+    ``lanczos.PROBE_BLOCK_ELEMENTS``)."""
     return min(N, max(1, PROBE_BLOCK_ELEMENTS // dim))
 
 
@@ -147,7 +141,9 @@ def estimate_spectrum_interval(op: LinearOperator, lower_hint: float, seed: int 
 class SampleRecord:
     """One probe's outcome: the bilinear value at the last step and the
     certificate the monitor produced at the retired step.  ``theta_min`` and
-    ``theta_max`` are the extreme Ritz values at the last step.  ``failure``
+    ``theta_max`` are the extreme Ritz values at the last step;
+    ``replayed_steps`` counts the operator applies its run spent rebuilding
+    a basis it had not stored (see ``lanczos.LanczosState``).  ``failure``
     names the error that ended a failed probe, whose value is NaN, or the
     premise of the certificate a probe with a value broke: Ritz values
     outside the approximant's interval."""
@@ -161,6 +157,7 @@ class SampleRecord:
     converged: bool
     sign_flips: int = 0
     reorth_passes: int = 0
+    replayed_steps: int = 0
     theta_min: float = math.nan
     theta_max: float = math.nan
     failure: str | None = None
@@ -212,6 +209,7 @@ class TraceEstimate:
             "average_steps": float(np.mean([r.steps_run for r in self.records])),
             "average_retired_step": float(np.mean([r.retired_step for r in self.records])),
             "reorth_passes": sum(r.reorth_passes for r in self.records),
+            "replayed_steps": sum(r.replayed_steps for r in self.records),
             "timings": {
                 "approximation_seconds": self.time_approx,
                 "error_estimate_seconds": self.time_error_estimate,
@@ -380,6 +378,7 @@ class ProbeBlock:
             converged=converged,
             sign_flips=monitor.sign_flips,
             reorth_passes=int(passes),
+            replayed_steps=int(state.replayed_steps[j]),
             theta_min=theta_min,
             theta_max=theta_max,
             failure="; ".join(filter(None, (cap, failure))) or None,
@@ -460,6 +459,8 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     reductions inside the BLAS calls change order with the thread count,
     which moves the last bits.  The mean, standard error and half-width are
     those of the samples that have a value (NaN when fewer than two do).
+    ``time_approx`` holds the probe draws and the Lanczos time of each
+    block, ``time_error_estimate`` the time in its monitors.
 
     The certificate rests on a bias of at most delta per sample, of which
     r's uniform error may take half: the run is certified only when no
@@ -484,7 +485,9 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     probes = np.empty((b, op.dim))
     for lo, hi in fresh:
         for start in range(lo, hi, b):
+            tic = time.perf_counter()
             block = _fill(probes, seed, start, min(b, hi - start))
+            t_approx += time.perf_counter() - tic
             recs, (ta, te) = sample_bilinear(op, r, block, delta, m_max=m_max,
                                              index=start, seed=seed, buffer=buffer)
             records += recs

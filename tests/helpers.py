@@ -1,6 +1,7 @@
 import numpy as np
 
-from slqcert.lanczos import DEFAULT_REORTH, LanczosState
+from slqcert.lanczos import DEFAULT_REORTH, PROBE_BLOCK_ELEMENTS, LanczosState
+from slqcert.operators import LinearOperator
 
 
 def dense_laplacian(n1, n2):
@@ -40,3 +41,24 @@ def force_reorth_mode(monkeypatch, mode):
         init(self, op, u, mode, *args, **kwargs)
 
     monkeypatch.setattr(LanczosState, "__init__", forced)
+
+
+class DiagonalOperator(LinearOperator):
+    """diag(d), applied elementwise."""
+
+    def __init__(self, d):
+        super().__init__(len(d))
+        self.d = np.asarray(d, dtype=float)
+
+    def matvec(self, x, out=None):
+        return np.multiply(self.d, x, out=out)
+
+
+def large_diagonal():
+    """A diagonal operator longer than PROBE_BLOCK_ELEMENTS whose spectrum is
+    a bulk on [1, 2] and 20 separated eigenvalues 2.5, 3, ..., 12: those
+    converge within a few steps each, so partial reorthogonalization fires
+    from about step 9 on."""
+    n = PROBE_BLOCK_ELEMENTS + 7232
+    return DiagonalOperator(np.concatenate([np.linspace(1.0, 2.0, n - 20),
+                                            2.0 + 0.5 * np.arange(1, 21)]))

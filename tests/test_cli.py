@@ -572,8 +572,9 @@ def test_trace_matern_desk_scale(tmp_path, capsys):
     assert report["interval"][0] == 1.0
     assert report["operator"]["condition_estimate"] == report["interval"][1]
     samples = report["per_sample"]
-    assert all(type(s["reorth_passes"]) is int for s in samples)
-    assert report["reorth_passes"] == sum(s["reorth_passes"] for s in samples)
+    for counter in ("reorth_passes", "replayed_steps"):
+        assert all(type(s[counter]) is int for s in samples)
+        assert report[counter] == sum(s[counter] for s in samples)
 
 
 def test_trace_matern_log_reports_its_preconditioner_and_timings(capsys):

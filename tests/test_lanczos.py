@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slqcert import oracles
+from slqcert import lanczos, oracles
 from slqcert.errors import ContractViolationError, QuadratureDomainError
 from slqcert.lanczos import (
     BasisBuffer,
@@ -25,7 +25,7 @@ from slqcert.operators import (
 from slqcert.rational import build
 from slqcert.trace_estimator import rademacher_vector, sample_bilinear
 
-from helpers import max_basis_inner_product, random_spd
+from helpers import large_diagonal, max_basis_inner_product, random_spd
 
 
 def bilinear(state, u, f):
@@ -450,3 +450,51 @@ def test_buffer_reuse_appends_only_the_chunks_a_longer_run_needs():
     # a longer one appends a chunk behind the first ones, which stay in place
     longer = run(40)
     assert len(longer) == 3 and longer[:2] == first
+
+
+def _stepped(op, u, steps, buffer=None):
+    state = LanczosState(op, u, buffer=buffer)
+    for _ in range(steps):
+        lanczos_step(state)
+        if state.breakdown[0]:
+            break
+    return state
+
+
+@pytest.mark.parametrize("case", ["reorthogonalizing", "no reorth", "breakdown"])
+def test_ring_run_rebuilds_the_kept_basis_bit_for_bit(monkeypatch, case):
+    # a one-probe run longer than PROBE_BLOCK_ELEMENTS stores no basis until
+    # reorthogonalization or basis() reads it, then replays it from the
+    # start: its coefficients, passes and basis are those of the same run
+    # with the basis kept from the start, bit for bit
+    if case == "no reorth":
+        op, steps = Laplacian2D(200, 200), 40
+        u = rademacher_vector(op.dim, seed=5)[None]
+    else:
+        # partial reorthogonalization fires at step 9 and again after the
+        # replay; an eigenvector start breaks down at step 1
+        op, steps = large_diagonal(), 60
+        u = (rademacher_vector(op.dim, seed=5) if case == "reorthogonalizing"
+             else np.eye(1, op.dim, op.dim - 1).ravel())[None]
+    assert op.dim > lanczos.PROBE_BLOCK_ELEMENTS
+    buffer = BasisBuffer(op.dim)
+    ring = _stepped(op, u, steps, buffer)
+    if case == "no reorth":
+        assert ring.reorth_passes[0] == 0 and buffer.chunks == []
+    elif case == "reorthogonalizing":
+        # the replay's step and the one after make at most 4 passes
+        assert 0 < ring.replayed_steps[0] < 20 and ring.reorth_passes[0] > 4
+    else:
+        assert ring.breakdown[0] and ring.m == 1
+    replayed = ring.replayed_steps[0]
+    basis = ring.basis()
+    assert ring.replayed_steps[0] == (steps - 1 if case == "no reorth" else replayed)
+    if case == "breakdown":
+        np.testing.assert_array_equal(basis, u)
+    monkeypatch.setattr(lanczos, "PROBE_BLOCK_ELEMENTS", 2**62)
+    kept = _stepped(op, u, steps)
+    assert kept.replayed_steps[0] == 0
+    np.testing.assert_array_equal(ring._alphas, kept._alphas)
+    np.testing.assert_array_equal(ring._betas, kept._betas)
+    np.testing.assert_array_equal(ring.reorth_passes, kept.reorth_passes)
+    np.testing.assert_array_equal(basis, kept.basis())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from slqcert.trace_estimator import (
     sample_bilinear,
 )
 
-from helpers import force_reorth_mode
+from helpers import force_reorth_mode, large_diagonal
 
 
 def test_rademacher_is_pm_one_with_exact_norm():
@@ -543,6 +544,34 @@ def test_block_size_reported_on_both_sides_of_the_rule():
     assert big.dim > PROBE_BLOCK_ELEMENTS
     large = estimate_trace(big, "exp_neg", N=2, delta=50.0, interval=(0.0, 8.0))
     assert large.block_size == 1 and large.to_json_dict()["block_size"] == 1
+
+
+def test_samples_count_the_applies_that_replayed_a_basis():
+    # a one-probe run above PROBE_BLOCK_ELEMENTS stores its basis only when
+    # reorthogonalization reads it: never on this Laplacian run, after 8
+    # steps on the diagonal operator, whose record counts the replay
+    lap = Laplacian2D(200, 200)
+    r = build("log", 8, oracles.laplacian_extreme_eigenvalues(200, 200))
+    (rec,), _ = sample_bilinear(lap, r, rademacher_vector(lap.dim, 3)[None], 30.0)
+    assert rec.reorth_passes == 0 and rec.replayed_steps == 0
+    diag = large_diagonal()
+    r = build("log", 8, (1.0, 12.0))
+    (rec,), _ = sample_bilinear(diag, r, rademacher_vector(diag.dim, 3)[None], 1e-6)
+    assert rec.converged and rec.reorth_passes > 0 and rec.replayed_steps > 0
+
+
+def test_probe_draws_count_as_approximation_time(monkeypatch):
+    draw = trace_estimator.rademacher_vector
+
+    def slow_draw(*args, **kwargs):
+        time.sleep(0.01)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(trace_estimator, "rademacher_vector", slow_draw)
+    op = Laplacian2D(8, 9)
+    N = 6
+    est = estimate_trace_with(op, build("exp_neg", 4, (0.0, 8.0)), N, 0.5)
+    assert est.time_approx >= N * 0.01
 
 
 def test_preconditioned_block_matches_per_probe_runs():
