@@ -452,15 +452,6 @@ def test_buffer_reuse_appends_only_the_chunks_a_longer_run_needs():
     assert len(longer) == 3 and longer[:2] == first
 
 
-def _stepped(op, u, steps, buffer=None):
-    state = LanczosState(op, u, buffer=buffer)
-    for _ in range(steps):
-        lanczos_step(state)
-        if state.breakdown[0]:
-            break
-    return state
-
-
 @pytest.mark.parametrize("case", ["reorthogonalizing", "no reorth", "breakdown"])
 def test_ring_run_rebuilds_the_kept_basis_bit_for_bit(monkeypatch, case):
     # a one-probe run longer than PROBE_BLOCK_ELEMENTS stores no basis until
@@ -478,7 +469,8 @@ def test_ring_run_rebuilds_the_kept_basis_bit_for_bit(monkeypatch, case):
              else np.eye(1, op.dim, op.dim - 1).ravel())[None]
     assert op.dim > lanczos.PROBE_BLOCK_ELEMENTS
     buffer = BasisBuffer(op.dim)
-    ring = _stepped(op, u, steps, buffer)
+    for ring in lanczos_steps(op, u, m_max=steps, buffer=buffer):
+        pass
     if case == "no reorth":
         assert ring.reorth_passes[0] == 0 and buffer.chunks == []
     elif case == "reorthogonalizing":
@@ -492,7 +484,7 @@ def test_ring_run_rebuilds_the_kept_basis_bit_for_bit(monkeypatch, case):
     if case == "breakdown":
         np.testing.assert_array_equal(basis, u)
     monkeypatch.setattr(lanczos, "PROBE_BLOCK_ELEMENTS", 2**62)
-    kept = _stepped(op, u, steps)
+    kept = lanczos_run(op, u, steps)
     assert kept.replayed_steps[0] == 0
     np.testing.assert_array_equal(ring._alphas, kept._alphas)
     np.testing.assert_array_equal(ring._betas, kept._betas)
