@@ -271,9 +271,11 @@ def cmd_trace(config: ExperimentConfig) -> int:
 
     ``timings.wall_seconds`` spans the whole command.  Within it,
     ``operator_seconds`` spans ``make_operator`` (the preconditioner and the
-    spectrum interval), ``calibration_seconds``, ``approximation_seconds``
-    and ``error_estimate_seconds`` the estimate, and ``truth_seconds`` the
-    truth oracle; the five do not overlap.
+    spectrum interval), ``truth_seconds`` the truth oracle, and three parts
+    split the span of ``trace_estimator.estimate_trace``:
+    ``calibration_seconds`` the pilot, ``error_estimate_seconds`` the
+    estimate's time in its monitors and ``approximation_seconds`` the rest.
+    The five do not overlap.
     Without a delta in the config, the pilot that sets it runs on the
     estimate's first probes (``trace_estimator.estimate_trace``), and the
     report's ``calibration`` describes it.  A config that sets K is a usage

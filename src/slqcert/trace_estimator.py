@@ -15,11 +15,13 @@ given, a pilot sets it to beta alpha s_pilot / sqrt(N) from the spread of
 the first ``n_pilot`` probes, each stopped at a loose tolerance: 1e-2 of
 the rough trace scale n max(|f(mid)|, f(a)) on the interval [a, b], where
 f(a) keeps exp(-x) on a wide interval from a scale that underflows.  The
-pilot and the estimate are two phases on one Lanczos run of those probes:
-the pilot's monitors watch the block until each has stopped its column, while
-every column keeps stepping; then a fresh monitor per column at delta
-reads the stored coefficients and the same run steps on until those
-monitors retire their columns.  Each sample therefore equals the probe's
+pilot and the estimate walk the probes in the same blocks.  Only the
+pilot's last block goes on into the estimate: its pilot monitors watch it
+until each has stopped its column, while every column keeps stepping; then
+a fresh monitor per column at delta reads the stored coefficients and the
+same run steps on until those monitors retire their columns.  A probe of
+an earlier pilot block leaves its run at its pilot stop, and the estimate
+steps it again from the start.  Each sample therefore equals the probe's
 own run at delta, and its value is the one a run with that delta given
 would report.  The bias bound holds for any delta, one taken from the same
 probes' loose values included: the monitor certifies each probe's run
@@ -250,7 +252,8 @@ class ProbeBlock:
     before.  A watch of approximant r records the Gauss quadrature of f =
     ``kind_function(r.kind)``, the function r approximates, and checks the
     Ritz values against r's interval.  The basis goes into ``buffer`` when
-    one is given (see ``lanczos.LanczosState``).
+    one is given (see ``lanczos.LanczosState``); the records do not depend
+    on what the buffer held before.
     """
 
     def __init__(self, op: LinearOperator, u, m_max: int = DEFAULT_M_MAX,
@@ -263,6 +266,7 @@ class ProbeBlock:
         self.seed = seed
         self.buffer = buffer
         self.state = None
+        self.monitor_seconds = 0.0
         self._steps = lanczos_steps(op, u, m_max=m_max, buffer=buffer)
         self._passes = []          # each column's reorth passes after each step
 
@@ -277,18 +281,18 @@ class ProbeBlock:
         that is once per step; on a block that has stepped, the first yield is
         the catch-up, which applies no operator.  ``monitors`` maps a column
         to its monitor and ``ends`` an ended column to its end (see ``_feed``);
-        both are updated in place, and ``monitor_seconds`` is the follow's
-        time in the monitors.  A column ends when its monitor converges
-        or fails, its run breaks down or it reaches min(m_max, n).  Without
-        ``hold`` a column leaves the run when it ends, and the columns not
-        followed leave it at once; a held follow keeps every column, so that
-        one later follow can go on from where it stopped.
+        both are updated in place, and the follow's time in the monitors
+        adds to the block's running ``monitor_seconds``.  A column ends when
+        its monitor converges or fails, its run breaks down or it reaches
+        min(m_max, n).  Without ``hold`` a column leaves the run when it
+        ends, and the columns not followed leave it at once; a held follow
+        keeps every column, so that one later follow can go on from where it
+        stopped.
         """
         count = len(self.norm_sq) if count is None else count
         monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j]) for j in range(count)}
         ends = {}
         running = np.arange(len(self.norm_sq)) < count
-        self.monitor_seconds = 0.0
         while True:
             if self.state is not None:
                 tic = time.perf_counter()
@@ -310,17 +314,13 @@ class ProbeBlock:
             self._passes.append(state.reorth_passes.copy())
 
     def watch(self, r: RationalApproximant, delta: float, count: int | None = None,
-              hold: bool = False):
-        """(records, (lanczos seconds, monitor seconds)) of a ``follow`` run
-        to its end: each followed column's record, taken at its end.  The
-        Lanczos seconds are the watch's time outside the monitors."""
-        tic = time.perf_counter()
+              hold: bool = False) -> list:
+        """The records of a ``follow`` run to its end: each followed column's
+        record, taken at its end."""
         monitors, ends = {}, {}
         for monitors, ends in self.follow(r, delta, count, hold):
             pass
-        records = [self._record(j, monitor, ends.get(j)) for j, monitor in monitors.items()]
-        seconds = time.perf_counter() - tic
-        return records, (seconds - self.monitor_seconds, self.monitor_seconds)
+        return [self._record(j, monitor, ends.get(j)) for j, monitor in monitors.items()]
 
     def _feed(self, j: int, monitor: ErrorMonitor):
         """Feed column j's monitor the stored steps it has not seen: the
@@ -386,11 +386,10 @@ class ProbeBlock:
 
 
 def sample_bilinear(op: LinearOperator, r: RationalApproximant, u, delta: float,
-                    m_max: int = DEFAULT_M_MAX, index: int = 0, seed: int = 0,
-                    buffer: BasisBuffer | None = None):
+                    m_max: int = DEFAULT_M_MAX, index: int = 0, seed: int = 0) -> list:
     """Error-monitored Lanczos runs for a (b, n) block of probes.
 
-    Returns (records, time_split): row j of ``u`` gets the record with index
+    Returns the records: row j of ``u`` gets the record with index
     ``index + j``.  The probes share one Lanczos recurrence, each with its
     own ErrorMonitor, and a probe leaves the block when its monitor
     converges, its run breaks down or it reaches min(m_max, n).  A record
@@ -415,12 +414,9 @@ def sample_bilinear(op: LinearOperator, r: RationalApproximant, u, delta: float,
     quadrature is exact and the certificate is a zero error estimate.  A
     probe whose pole recurrence, eigensolver or quadrature raises one of
     SAMPLE_FAILURES retires unconverged, with a NaN value and the error in
-    ``failure``; the other probes go on.  The basis goes into ``buffer``
-    when one is given; the records do not depend on what the buffer held
-    before.
+    ``failure``; the other probes go on.
     """
-    block = ProbeBlock(op, u, m_max, buffer, index=index, seed=seed)
-    return block.watch(r, delta)
+    return ProbeBlock(op, u, m_max, index=index, seed=seed).watch(r, delta)
 
 
 def _statistics(records):
@@ -433,12 +429,37 @@ def _statistics(records):
     return count, mean, float(np.sqrt(np.sum((values - mean) ** 2) / (count - 1)))
 
 
-def _fill(probes: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    """Probes start .. start + count - 1 in the first rows of ``probes``."""
-    block = probes[:count]
-    for j, row in enumerate(block):
-        row[:] = rademacher_vector(probes.shape[1], seed, index=start + j)
-    return block
+def _watch_probes(op: LinearOperator, r: RationalApproximant, delta: float, count: int,
+                  b: int, seed: int, m_max: int, buffer: BasisBuffer,
+                  live: ProbeBlock | None = None, hold: bool = False):
+    """(records in index order, seconds in the monitors, last block) of
+    probes 0 .. count - 1 of ``seed`` watched at delta in blocks of b, block
+    k holding probes k b .. (k + 1) b - 1, in ``buffer``.  ``live`` is a
+    block that stepped in ``buffer`` from a block boundary: its probes go on
+    in its run, before the fresh blocks overwrite the buffer (and the ring)
+    that run lives in.  With ``hold`` the last block keeps its columns.
+    """
+    records, seconds, block = [], 0.0, live
+    probes = np.empty((b, op.dim))
+    taken = range(0)
+    if live is not None:
+        taken = range(live.index, min(count, live.index + len(live.norm_sq)))
+        seconds -= live.monitor_seconds
+        records = live.watch(r, delta, count=len(taken))
+        seconds += live.monitor_seconds
+    for start in range(0, count, b):
+        stop = min(start + b, count)
+        if start in taken:
+            start = taken.stop
+        if start < stop:
+            u = probes[:stop - start]
+            for j, row in enumerate(u):
+                row[:] = rademacher_vector(op.dim, seed, index=start + j)
+            block = ProbeBlock(op, u, m_max, buffer, index=start, seed=seed)
+            records += block.watch(r, delta, hold=hold and stop == count)
+            seconds += block.monitor_seconds
+    records.sort(key=lambda rec: rec.index)
+    return records, seconds, block
 
 
 def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delta: float,
@@ -448,19 +469,20 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     """N independent error-monitored samples -> mean, standard error, interval.
 
     Probe i is ``rademacher_vector(n, seed, i)``, and each sample values the
-    function of r's kind, ``kind_function(r.kind)``.  The probes run through
-    ``sample_bilinear`` in blocks of ``probe_block_size(N, n)``, which the
-    estimate reports; all blocks share one basis buffer and one probe
-    buffer.  ``pilot`` is the live last block of a calibration pilot on the
-    same probes: its columns with an index below N go on in its run (see
-    ``calibrate_delta``), the others stop, and the blocks of the remaining
-    probes reuse its buffer.  The reduction order is fixed, so identical inputs
-    reproduce the estimate bit for bit at a fixed BLAS thread count; the
-    reductions inside the BLAS calls change order with the thread count,
-    which moves the last bits.  The mean, standard error and half-width are
-    those of the samples that have a value (NaN when fewer than two do).
-    ``time_approx`` holds the probe draws and the Lanczos time of each
-    block, ``time_error_estimate`` the time in its monitors.
+    function of r's kind, ``kind_function(r.kind)``.  The probes run as
+    ``ProbeBlock`` watches, each the run ``sample_bilinear`` makes, in blocks
+    of ``probe_block_size(N, n)``, which the estimate reports; all blocks
+    share one basis buffer.  ``pilot`` is the live last block of a
+    calibration pilot on the same probes: its columns with an index below N
+    go on in its run (see ``calibrate_delta``), the others stop, and the
+    blocks of the remaining probes reuse its buffer after it.  The reduction
+    order is fixed, so identical inputs reproduce the estimate bit for bit
+    at a fixed BLAS thread count; the reductions inside the BLAS calls
+    change order with the thread count, which moves the last bits.  The
+    mean, standard error and half-width are those of the samples that have
+    a value (NaN when fewer than two do).  ``time_error_estimate`` is the
+    time in the monitors, and ``time_approx`` the rest of the call after the
+    argument checks: probe draws, Lanczos steps, quadratures and statistics.
 
     The certificate rests on a bias of at most delta per sample, of which
     r's uniform error may take half: the run is certified only when no
@@ -468,32 +490,10 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     delta / (2 n).  An r of unknown (NaN) error does not certify.
     """
     _check_run(N, delta, alpha)
+    tic = time.perf_counter()
     b = probe_block_size(N, op.dim)
-    records = []
-    t_approx = 0.0
-    t_err = 0.0
-    fresh = [(0, N)]
-    if pilot is None:
-        buffer = BasisBuffer(op.dim, b)
-    else:
-        buffer = pilot.buffer
-        start = pilot.index
-        stop = max(start, min(N, start + len(pilot.norm_sq)))
-        fresh = [(0, min(N, start)), (stop, N)]
-        if stop > start:
-            records, (t_approx, t_err) = pilot.watch(r, delta, count=stop - start)
-    probes = np.empty((b, op.dim))
-    for lo, hi in fresh:
-        for start in range(lo, hi, b):
-            tic = time.perf_counter()
-            block = _fill(probes, seed, start, min(b, hi - start))
-            t_approx += time.perf_counter() - tic
-            recs, (ta, te) = sample_bilinear(op, r, block, delta, m_max=m_max,
-                                             index=start, seed=seed, buffer=buffer)
-            records += recs
-            t_approx += ta
-            t_err += te
-    records.sort(key=lambda rec: rec.index)
+    buffer = BasisBuffer(op.dim, b) if pilot is None else pilot.buffer
+    records, t_err, _ = _watch_probes(op, r, delta, N, b, seed, m_max, buffer, live=pilot)
     count, mean, std_err = _statistics(records)
     half = confidence_half_width(std_err, count, delta, alpha) if count >= 2 else math.nan
     return TraceEstimate(
@@ -509,7 +509,7 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
         seed=seed,
         certified=(r.eps <= rational_target(delta, op.dim)
                    and all(rec.converged and rec.failure is None for rec in records)),
-        time_approx=t_approx,
+        time_approx=time.perf_counter() - tic - t_err,
         time_error_estimate=t_err,
         block_size=b,
     )
@@ -543,28 +543,29 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
     is at most ``rational_target(delta, n)`` = delta / (2 n), the share of
     the per-sample bias the certificate allows the approximant
     (``rational.choose_K``, which raises UnreachableAccuracyError when no K
-    reaches it; its time is part of ``time_approx``).  With delta None, a
-    pilot of ``n_pilot`` probes at ``beta`` sets it (``calibrate_delta``),
-    and the pilot's last block of probes goes on into the estimate; the
-    estimate then reports the pilot in ``calibration`` and its time in
-    ``time_calibration``.
+    reaches it).  With delta None, a pilot of ``n_pilot`` probes at ``beta``
+    sets it (``calibrate_delta``), and the pilot's last block of probes goes
+    on into the estimate; the estimate then reports the pilot in
+    ``calibration``.  The call is timed as one span after the argument
+    checks: ``time_calibration`` is the pilot, ``time_error_estimate`` the
+    estimate's time in its monitors, and ``time_approx`` the rest, so the
+    three add up to the span.
     """
     _check_run(N, delta, alpha)
+    tic = time.perf_counter()
     pilot = calibration = None
     time_calibration = 0.0
     if delta is None:
-        tic = time.perf_counter()
         delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
                                                N, seed, m_max)
         time_calibration = time.perf_counter() - tic
-    tic = time.perf_counter()
     r = rational.choose_K(kind, interval, rational_target(delta, op.dim))
-    time_choose = time.perf_counter() - tic
     estimate = estimate_trace_with(op, r, N, delta, alpha=alpha, seed=seed, m_max=m_max,
                                    pilot=pilot)
-    estimate.time_approx += time_choose
     estimate.calibration = calibration
     estimate.time_calibration = time_calibration
+    estimate.time_approx = (time.perf_counter() - tic - time_calibration
+                            - estimate.time_error_estimate)
     return estimate
 
 
@@ -585,18 +586,12 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     scale = max(abs(f_mid), float(np.asarray(f(interval[0]))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     r = rational.choose_K(kind, interval, rational_target(delta_pilot, op.dim))
-    # one buffer for the pilot blocks and, after them, the estimate's blocks
+    # one buffer for the pilot blocks and, after them, the estimate's blocks;
+    # the estimate goes on with the last block only, if it has any of its probes
     b = probe_block_size(max(n_pilot, production_n), op.dim)
-    buffer = BasisBuffer(op.dim, b)
-    probes = np.empty((b, op.dim))
-    records = []
-    for start in range(0, n_pilot, b):
-        block = ProbeBlock(op, _fill(probes, seed, start, min(b, n_pilot - start)),
-                           m_max, buffer, index=start, seed=seed)
-        # the estimate goes on with the last block only, if it has any of its probes
-        hold = start + b >= n_pilot and start < production_n
-        recs, _ = block.watch(r, delta_pilot, hold=hold)
-        records += recs
+    records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, b, seed, m_max,
+                                      BasisBuffer(op.dim, b),
+                                      hold=(n_pilot - 1) // b * b < production_n)
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
         raise CalibrationFailedError(

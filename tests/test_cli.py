@@ -706,14 +706,20 @@ def calibrated_and_given(args, capsys):
     return calibrated, json.loads(out)
 
 
-@pytest.mark.parametrize("n_samples,pilot_n,reused", [
-    (10, 30, 10), (30, 30, 30), (40, 30, 30),
+@pytest.mark.parametrize("grid,n_samples,pilot_n,reused", [
+    ((20, 30), 10, 30, 10), ((20, 30), 30, 30, 30), ((20, 30), 40, 30, 30),
     # 600 unknowns make pilot blocks of 54: only probes 54 .. 57 go on
-    (58, 60, 4)])
-def test_calibrated_trace_continues_the_pilot_probes(n_samples, pilot_n, reused, capsys):
+    ((20, 30), 58, 60, 4),
+    # blocks of 9: probes 27 .. 29 go on, and probes 30 .. 39 run fresh after them
+    ((60, 60), 40, 30, 3),
+    # 36 000 unknowns: one-probe blocks in the basis ring; only probe 2 goes on
+    ((200, 180), 4, 3, 1),
+], ids=["10-30-10", "30-30-30", "40-30-30", "58-60-4", "60x60-40-30-3", "200x180-4-3-1"])
+def test_calibrated_trace_continues_the_pilot_probes(grid, n_samples, pilot_n, reused,
+                                                     capsys):
     calibrated, given = calibrated_and_given(
-        [*LAPLACIAN_20x30, "--n-samples", str(n_samples), "--pilot-n", str(pilot_n)],
-        capsys)
+        ["--n1", str(grid[0]), "--n2", str(grid[1]), "--kind", "log", "--seed", "3",
+         "--n-samples", str(n_samples), "--pilot-n", str(pilot_n)], capsys)
     assert calibrated["calibration"]["reused_probes"] == reused
     assert calibrated["per_sample"] == given["per_sample"]
     assert calibrated["mean"] == given["mean"]

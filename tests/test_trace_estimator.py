@@ -150,7 +150,7 @@ def test_sample_bilinear_identity_breakdown():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 2, (0.0, 2.0))
     u = rademacher_vector(n, seed=2)
-    (rec,), (t_lan, t_mon) = sample_bilinear(op, r, u[None], delta=1e-3)
+    (rec,) = sample_bilinear(op, r, u[None], delta=1e-3)
     assert rec.converged
     assert rec.steps_run == 1 and rec.retired_step == 1
     assert rec.value == pytest.approx(n * f(1.0), rel=1e-12)
@@ -163,7 +163,7 @@ def test_sample_bilinear_laplacian_retires_early():
     f = lambda x: np.exp(-x)
     r = build("exp_neg", 3, (0.0, interval[1]))
     u = rademacher_vector(op.dim, seed=0, index=0)
-    (rec,), _ = sample_bilinear(op, r, u[None], delta=0.5)
+    (rec,) = sample_bilinear(op, r, u[None], delta=0.5)
     assert rec.converged
     assert rec.retired_step < rec.steps_run <= 12
     # certificate honest against the sine-transform oracle
@@ -176,7 +176,7 @@ def test_sample_bilinear_flags_unconverged_at_cap():
     interval = oracles.laplacian_extreme_eigenvalues(12, 12)
     r = build("log", 12, interval)
     u = rademacher_vector(op.dim, seed=1)
-    (rec,), _ = sample_bilinear(op, r, u[None], delta=1e-10, m_max=4)
+    (rec,) = sample_bilinear(op, r, u[None], delta=1e-10, m_max=4)
     assert not rec.converged
     assert rec.steps_run == 4
     assert rec.failure == "stopped at m_max = 4 before its monitor converged"
@@ -256,7 +256,7 @@ def test_infinite_delta_alpha_and_beta_are_rejected(monkeypatch):
     def no_probe(*_args, **_kwargs):
         raise AssertionError("a probe ran")
 
-    monkeypatch.setattr(trace_estimator, "sample_bilinear", no_probe)
+    monkeypatch.setattr(trace_estimator, "ProbeBlock", no_probe)
     op = Laplacian2D(4, 4)
     interval = (0.1, 8.0)
     with pytest.raises(ContractViolationError, match="delta must be positive and finite"):
@@ -271,7 +271,7 @@ def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
     def no_probe(*_args, **_kwargs):
         raise AssertionError("a probe ran")
 
-    monkeypatch.setattr(trace_estimator, "sample_bilinear", no_probe)
+    monkeypatch.setattr(trace_estimator, "ProbeBlock", no_probe)
     op = Laplacian2D(4, 4)
     interval = (0.1, 8.0)
     with pytest.raises(ContractViolationError, match="alpha must be positive"):
@@ -410,7 +410,7 @@ def test_shared_basis_buffer_replays_fresh_runs(monkeypatch, mode):
                for rec in est.records)
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 2, index=i)
-        (fresh,), _ = sample_bilinear(op, r, u[None], 1e-9, index=i, seed=2)
+        (fresh,) = sample_bilinear(op, r, u[None], 1e-9, index=i, seed=2)
         assert fresh == rec
 
 
@@ -492,7 +492,7 @@ def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
     block = ProbeBlock(op, u, index=0, seed=7)
     block.watch(r, delta1, hold=True)
     held = len(rows)
-    records, _ = block.watch(r, delta2, count=3)
+    records = block.watch(r, delta2, count=3)
     later = rows[held:]
     if delta2 < delta1:
         assert later and max(later) <= 3
@@ -500,7 +500,7 @@ def test_probe_block_goes_on_under_a_second_watch(monkeypatch, delta1, delta2):
         assert sum(later) == 0
     assert len(records) == 3
     for j, rec in enumerate(records):
-        (alone,), _ = sample_bilinear(op, r, u[j:j + 1], delta2, index=j, seed=7)
+        (alone,) = sample_bilinear(op, r, u[j:j + 1], delta2, index=j, seed=7)
         assert rec == alone
 
 
@@ -516,7 +516,7 @@ def test_calibration_holds_only_the_block_the_estimate_goes_on_with(monkeypatch)
     applied = sum(rows)
     r = build("log", est.calibration["pilot_K"], interval)
     pilot = [sample_bilinear(op, r, rademacher_vector(op.dim, 5, index=i)[None],
-                             est.calibration["pilot_delta"])[0][0].steps_run
+                             est.calibration["pilot_delta"])[0].steps_run
              for i in range(30)]
     steps = [rec.steps_run for rec in est.records]
     held = max(pilot[27:])
@@ -552,11 +552,11 @@ def test_samples_count_the_applies_that_replayed_a_basis():
     # steps on the diagonal operator, whose record counts the replay
     lap = Laplacian2D(200, 200)
     r = build("log", 8, oracles.laplacian_extreme_eigenvalues(200, 200))
-    (rec,), _ = sample_bilinear(lap, r, rademacher_vector(lap.dim, 3)[None], 30.0)
+    (rec,) = sample_bilinear(lap, r, rademacher_vector(lap.dim, 3)[None], 30.0)
     assert rec.reorth_passes == 0 and rec.replayed_steps == 0
     diag = large_diagonal()
     r = build("log", 8, (1.0, 12.0))
-    (rec,), _ = sample_bilinear(diag, r, rademacher_vector(diag.dim, 3)[None], 1e-6)
+    (rec,) = sample_bilinear(diag, r, rademacher_vector(diag.dim, 3)[None], 1e-6)
     assert rec.converged and rec.reorth_passes > 0 and rec.replayed_steps > 0
 
 
@@ -574,6 +574,26 @@ def test_probe_draws_count_as_approximation_time(monkeypatch):
     assert est.time_approx >= N * 0.01
 
 
+@pytest.mark.parametrize("delta", [0.5, None])
+def test_time_after_the_probes_counts_as_approximation(monkeypatch, delta):
+    # the statistics run after the last block, in the pilot and in the
+    # estimate; the three timings fill the span of the call
+    statistics = trace_estimator._statistics
+
+    def slow_statistics(records):
+        time.sleep(0.05)
+        return statistics(records)
+
+    monkeypatch.setattr(trace_estimator, "_statistics", slow_statistics)
+    tic = time.perf_counter()
+    est = estimate_trace(Laplacian2D(8, 9), "exp_neg", N=4, delta=delta,
+                         interval=(0.0, 8.0), n_pilot=4)
+    span = time.perf_counter() - tic
+    assert est.time_approx >= 0.05
+    assert (est.time_calibration >= 0.05) if delta is None else (est.time_calibration == 0.0)
+    assert est.time_calibration + est.time_approx + est.time_error_estimate <= span
+
+
 def test_preconditioned_block_matches_per_probe_runs():
     # the block P^{-1/2} is a matrix product, so the block run agrees with
     # the per-probe runs to roundoff rather than bit for bit; the gap grows
@@ -587,7 +607,7 @@ def test_preconditioned_block_matches_per_probe_runs():
     assert est.block_size == 6
     for i, rec in enumerate(est.records):
         u = rademacher_vector(op.dim, 3, index=i)
-        (fresh,), _ = sample_bilinear(op, r, u[None], 1e-6, index=i, seed=3)
+        (fresh,) = sample_bilinear(op, r, u[None], 1e-6, index=i, seed=3)
         assert fresh.steps_run == rec.steps_run
         assert fresh.retired_step == rec.retired_step
         assert abs(fresh.value - rec.value) <= 1e-12 * abs(fresh.value)
