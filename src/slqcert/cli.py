@@ -202,8 +202,9 @@ def cmd_rational_check(config: ExperimentConfig) -> int:
 def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     """Per-step CSV: true bilinear error, |d_m|, and the lookback window.
 
-    The run is one follow of a ``ProbeBlock`` of one probe at tolerance 0; a
-    failed monitor is an error.  It ends at m_max, at the operator dimension,
+    The run is one follow of a ``ProbeBlock`` of one probe at tolerance 0,
+    whose monitor's column 0 gives the increments and windows; a failed
+    monitor is an error.  It ends at m_max, at the operator dimension,
     on breakdown, or after the first increment d_m at most machine epsilon
     times the quadrature value Q_m it moves: later steps change nothing the
     columns can show.  Row m's window is d_{m, m'} at the first later m'
@@ -227,12 +228,12 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
                                              u / np.linalg.norm(u))
     block = trace_estimator.ProbeBlock(op, u[None], config.m_max)
     quad_values = []
-    for monitors, ends in block.follow(r, 0.0):
-        if 0 in ends and ends[0][-1] is not None:
-            raise NumericalFailureError(ends[0][-1])
+    for monitor, (end,) in block.follow(r, 0.0):
+        if end is not None and end[-1] is not None:
+            raise NumericalFailureError(end[-1])
         quad_values.append(quadrature_value(block.state.tridiagonal(), f))
-        d = monitors[0].history
-        if d and abs(d[-1]) <= np.finfo(float).eps * abs(quad_values[-2]):
+        d = monitor.history[0]
+        if len(d) and abs(d[-1]) <= np.finfo(float).eps * abs(quad_values[-2]):
             break
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -240,8 +241,8 @@ def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     for m in range(1, len(quad_values) + 1):
         window = ""
         for mp in range(m + 1, len(d) + 1):
-            if abs(d[mp - 1]) <= monitors[0].t * abs(d[m - 1]):
-                window = f"{abs(cumulative_error(monitors[0], m, mp)):.6e}"
+            if abs(d[mp - 1]) <= monitor.t * abs(d[m - 1]):
+                window = f"{abs(cumulative_error(monitor, m, mp)):.6e}"
                 break
         writer.writerow([m, f"{abs(truth - quad_values[m - 1]):.6e}",
                          f"{abs(d[m - 1]):.6e}" if m <= len(d) else "", window])

@@ -27,11 +27,13 @@ class NumericalFailureError(RuntimeError):
 
 
 class PivotBreakdownError(NumericalFailureError):
-    """A pivot in the shifted-LU recurrence fell below the underflow guard."""
+    """A pivot in the shifted-LU recurrence fell below the underflow guard;
+    ``column`` is the monitored column it broke."""
 
-    def __init__(self, message, pole=None):
+    def __init__(self, message, pole=None, column=None):
         super().__init__(message)
         self.pole = pole
+        self.column = column
 
 
 class QuadratureDomainError(ValueError):

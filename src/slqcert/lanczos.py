@@ -448,9 +448,9 @@ def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
     min(m_max, op.dim) steps and retires a column after its breakdown step,
     whose quadrature is exact; the caller may retire a column between steps
     by clearing its ``state.active`` entry.  The loop ends when no column is
-    active.  A step's coefficients are read from the state
-    (``state.tridiagonal(column=j)``), which is how ``ProbeBlock`` feeds its
-    monitors.  The basis goes into ``buffer`` when one is given (see
+    active.  A step's coefficients are read from the state: ``ProbeBlock``
+    feeds its monitor the running columns' entries of ``state._alphas`` and
+    ``state._betas``.  The basis goes into ``buffer`` when one is given (see
     ``LanczosState``).
     """
     if m_max < 1:

@@ -15,15 +15,15 @@ given, a pilot sets it to beta alpha s_pilot / sqrt(N) from the spread of
 the first ``n_pilot`` probes, each stopped at a loose tolerance: 1e-2 of
 the rough trace scale n max(|f(mid)|, f(a)) on the interval [a, b], where
 f(a) keeps exp(-x) on a wide interval from a scale that underflows.  The
-pilot and the estimate walk the probes in the same blocks.  Only the
-pilot's last block goes on into the estimate: its pilot monitors watch it
-until each has stopped its column, while every column keeps stepping; then
-a fresh monitor per column at delta reads the stored coefficients and the
-same run steps on until those monitors retire their columns.  A probe of
-an earlier pilot block leaves its run at its pilot stop, and the estimate
-steps it again from the start.  Each sample therefore equals the probe's
-own run at delta, and its value is the one a run with that delta given
-would report.  The bias bound holds for any delta, one taken from the same
+pilot and the estimate walk the probes in the same blocks, one monitor
+per block.  Only the pilot's last block goes on into the estimate: its
+pilot monitor watches it until it has stopped every column, while every
+column keeps stepping; then a fresh monitor at delta reads the stored
+coefficients and the same run steps on until it retires the columns.  A
+probe of an earlier pilot block leaves its run at its pilot stop, and the
+estimate steps it again from the start.  Each sample therefore equals the
+probe's own run at delta, and its value is the one a run with that delta
+given would report.  The bias bound holds for any delta, one taken from the same
 probes' loose values included: the monitor certifies each probe's run
 against the delta it is given, whatever that delta depends on, so every
 sample is within delta of its probe's exact bilinear form.  The
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,
-                     NumericalFailureError, QuadratureDomainError)
+                     NumericalFailureError, PivotBreakdownError, QuadratureDomainError)
 from .error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, lookback_check
 from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, PROBE_BLOCK_ELEMENTS, BasisBuffer,
                       gauss_quadrature, lanczos_run, lanczos_steps, tridiag_eigen)
@@ -244,16 +244,15 @@ def _ritz_outside(theta_min: float, theta_max: float, interval) -> str | None:
 
 class ProbeBlock:
     """A (b, n) block of probes on one Lanczos run that outlives the monitors
-    watching it: the one loop that steps a Lanczos run under ErrorMonitors.
+    watching it: the one loop that steps a Lanczos run under an ErrorMonitor.
 
-    Row j of ``u`` is the probe with index ``index + j``.  A monitor is a
-    function of its column's stored Jacobi coefficients alone, so a record
-    equals the probe's own run at the watch's delta, whatever watched the run
-    before.  A watch of approximant r records the Gauss quadrature of f =
-    ``kind_function(r.kind)``, the function r approximates, and checks the
-    Ritz values against r's interval.  The basis goes into ``buffer`` when
-    one is given (see ``lanczos.LanczosState``); the records do not depend
-    on what the buffer held before.
+    Row j of ``u`` is the probe with index ``index + j``.  A monitor's column
+    j is a function of column j's stored Jacobi coefficients alone, so a
+    record equals the probe's own run at the watch's delta, whatever watched
+    the run before.  A watch of approximant r records the Gauss quadrature of
+    f = ``kind_function(r.kind)`` and checks the Ritz values against r's
+    interval.  The basis goes into ``buffer`` when one is given (see
+    ``lanczos.LanczosState``), whatever it held before.
     """
 
     def __init__(self, op: LinearOperator, u, m_max: int = DEFAULT_M_MAX,
@@ -261,7 +260,7 @@ class ProbeBlock:
         u = np.asarray(u, dtype=float)
         if u.ndim != 2:
             raise ContractViolationError(f"probe block of shape {u.shape} is not (b, n)")
-        self.norm_sq = [float(row @ row) for row in u]
+        self.norm_sq = np.array([float(row @ row) for row in u])
         self.index = index
         self.seed = seed
         self.buffer = buffer
@@ -272,39 +271,32 @@ class ProbeBlock:
 
     def follow(self, r: RationalApproximant, delta: float, count: int | None = None,
                hold: bool = False):
-        """Step the run under one ErrorMonitor at tolerance delta for each of
-        the first ``count`` columns (all by default) until each has ended its
-        column; yields (monitors, ends) after each catch-up of the monitors.
-
-        A catch-up feeds every monitor the steps of its column that it has
-        not seen, read from the stored Jacobi coefficients.  On a fresh block
-        that is once per step; on a block that has stepped, the first yield is
-        the catch-up, which applies no operator.  ``monitors`` maps a column
-        to its monitor and ``ends`` an ended column to its end (see ``_feed``);
-        both are updated in place, and the follow's time in the monitors
-        adds to the block's running ``monitor_seconds``.  A column ends when
-        its monitor converges or fails, its run breaks down or it reaches
+        """Step the run under one ErrorMonitor at tolerance delta over the
+        first ``count`` columns (all by default) until each has ended; yields
+        (monitor, ends) after each catch-up, which feeds the running columns
+        the stored steps the monitor has not seen, one ``advance`` per step:
+        once per step on a fresh block, and first all the stored steps, with
+        no operator applied, on a block that has stepped.  ``ends[j]`` is
+        None while column j runs, then its (step, retired step, estimate,
+        failure); both are updated in place, and the time in the monitor adds
+        to the block's running ``monitor_seconds``.  A column ends when it
+        converges or fails in the monitor, its run breaks down or it reaches
         min(m_max, n).  Without ``hold`` a column leaves the run when it
         ends, and the columns not followed leave it at once; a held follow
-        keeps every column, so that one later follow can go on from where it
-        stopped.
+        keeps every column, so that a later follow can go on.
         """
         count = len(self.norm_sq) if count is None else count
-        monitors = {j: ErrorMonitor(r, delta / self.norm_sq[j]) for j in range(count)}
-        ends = {}
+        monitor = ErrorMonitor(r, delta / self.norm_sq[:count])
+        ends = [None] * count
         running = np.arange(len(self.norm_sq)) < count
         while True:
             if self.state is not None:
                 tic = time.perf_counter()
-                for j in running.nonzero()[0].tolist():
-                    end = self._feed(j, monitors[j])
-                    if end is not None:
-                        ends[j] = end
-                        running[j] = False
+                self._catch_up(monitor, ends, running)
                 if not hold:
                     self.state.active &= running
                 self.monitor_seconds += time.perf_counter() - tic
-                yield monitors, ends
+                yield monitor, ends
             if not running.any():
                 return
             state = next(self._steps, None)
@@ -313,55 +305,59 @@ class ProbeBlock:
             self.state = state
             self._passes.append(state.reorth_passes.copy())
 
+    def _catch_up(self, monitor: ErrorMonitor, ends: list, running):
+        """Feed the running columns the run's stored steps; ended columns leave ``running``."""
+        state = self.state
+        idx = running.nonzero()[0]
+        m = int(monitor.m[idx[0]]) + 1 if len(idx) else 0      # the step to feed
+        while len(idx) and m <= state.m:
+            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
+            try:
+                monitor.advance(state._alphas[cols, m - 1], state._betas[cols, m - 1], cols)
+            except PivotBreakdownError as exc:
+                ends[exc.column] = (m, m, None, f"{type(exc).__name__}: {exc}")
+                running[exc.column] = False
+                idx = running.nonzero()[0]
+                continue
+            converged, retired, estimate = lookback_check(monitor, cols)
+            if np.count_nonzero(state.breakdown[cols]):
+                # invariant subspace found: the quadrature at T_m is exact
+                exact = state.breakdown[cols] & (state.steps[cols] == m)
+                converged[exact], retired[exact], estimate[exact] = True, m, 0.0
+            if np.count_nonzero(converged):
+                for i in np.flatnonzero(converged).tolist():
+                    ends[idx[i]] = (m, int(retired[i]), float(estimate[i]), None)
+                    running[idx[i]] = False
+                idx = running.nonzero()[0]
+            m += 1
+
     def watch(self, r: RationalApproximant, delta: float, count: int | None = None,
               hold: bool = False) -> list:
-        """The records of a ``follow`` run to its end: each followed column's
-        record, taken at its end."""
-        monitors, ends = {}, {}
-        for monitors, ends in self.follow(r, delta, count, hold):
+        """The records of a ``follow`` run to its end, one per followed column."""
+        monitor, ends = None, []
+        for monitor, ends in self.follow(r, delta, count, hold):
             pass
-        return [self._record(j, monitor, ends.get(j)) for j, monitor in monitors.items()]
+        history, flips = (monitor.history, monitor.sign_flips) if ends else ([], [])
+        return [self._record(j, monitor.approximant, end, history[j], int(flips[j]))
+                for j, end in enumerate(ends)]
 
-    def _feed(self, j: int, monitor: ErrorMonitor):
-        """Feed column j's monitor the stored steps it has not seen: the
-        column's end (step, reorth passes, retired step, estimate, converged,
-        failure), or None while it runs on."""
-        state = self.state
-        steps = int(state.steps[j])
-        T = state.tridiagonal(column=j)
-        for m in range(monitor.m + 1, steps + 1):
-            beta = float(T.betas[m - 2]) if m > 1 else 0.0
-            passes = self._passes[m - 1][j]
-            try:
-                monitor.advance(float(T.alphas[m - 1]), beta)
-                result = lookback_check(monitor)
-            except SAMPLE_FAILURES as exc:
-                return m, passes, m, None, False, f"{type(exc).__name__}: {exc}"
-            if state.breakdown[j] and m == steps:
-                # invariant subspace found: the quadrature at T_m is exact
-                return m, passes, m, 0.0, True, None
-            if result.converged:
-                return m, passes, result.retired_step, result.estimate, True, None
-        return None
-
-    def _record(self, j: int, monitor: ErrorMonitor, end) -> SampleRecord:
-        """Column j's record; ``end`` is None for a column the run's cap stopped."""
-        state = self.state
-        cap = None
+    def _record(self, j: int, r: RationalApproximant, end, history, sign_flips) -> SampleRecord:
+        """Column j's record from its monitor column's increments and sign
+        flips; ``end`` is None for a column the run's cap stopped."""
+        state, cap = self.state, None
         if end is None:
-            steps = int(state.steps[j])
             cap = (f"stopped at m_max = {state.m_max}" if state.m_max < state.op.dim
                    else f"stopped at the operator dimension {state.op.dim}")
             cap += " before its monitor converged"
-            end = (steps, self._passes[steps - 1][j], steps, None, False, None)
-        steps, passes, retired, estimate, converged, failure = end
-        if estimate is None:
-            estimate = monitor.history[-1] if monitor.history else np.inf
+            end = (int(state.steps[j]), int(state.steps[j]), None, None)
+        steps, retired, estimate, failure = end
+        converged = cap is None and failure is None
+        if estimate is None:        # the latest increment stands in
+            estimate = history[-1] if len(history) else np.inf
         value = theta_min = theta_max = math.nan
-        r = monitor.approximant
         if failure is None:
             try:
-                eig = tridiag_eigen(state.tridiagonal(int(steps), column=j))
+                eig = tridiag_eigen(state.tridiagonal(steps, column=j))
                 theta_min, theta_max = float(eig.thetas[0]), float(eig.thetas[-1])
                 value = self.norm_sq[j] * gauss_quadrature(eig, kind_function(r.kind))
             except SAMPLE_FAILURES as exc:
@@ -371,13 +367,13 @@ class ProbeBlock:
         return SampleRecord(
             index=self.index + j,
             value=float(value),
-            steps_run=int(steps),
-            retired_step=int(retired),
+            steps_run=steps,
+            retired_step=retired,
             error_estimate=float(abs(estimate) * self.norm_sq[j]),
             seed=self.seed,
             converged=converged,
-            sign_flips=monitor.sign_flips,
-            reorth_passes=int(passes),
+            sign_flips=sign_flips,
+            reorth_passes=int(self._passes[steps - 1][j]),
             replayed_steps=int(state.replayed_steps[j]),
             theta_min=theta_min,
             theta_max=theta_max,
@@ -390,14 +386,14 @@ def sample_bilinear(op: LinearOperator, r: RationalApproximant, u, delta: float,
     """Error-monitored Lanczos runs for a (b, n) block of probes.
 
     Returns the records: row j of ``u`` gets the record with index
-    ``index + j``.  The probes share one Lanczos recurrence, each with its
-    own ErrorMonitor, and a probe leaves the block when its monitor
-    converges, its run breaks down or it reaches min(m_max, n).  A record
+    ``index + j``.  The probes share one Lanczos recurrence and one
+    ErrorMonitor, and a probe leaves the block when it converges in the
+    monitor, its run breaks down or it reaches min(m_max, n).  A record
     therefore equals the probe's own run as a block of one: bit for bit when
     each row of the operator's block apply equals its vector apply (every
     operator here but ``PreconditionedMatern``), to roundoff otherwise.
     This is one watch of a fresh ``ProbeBlock``; a run that goes on under
-    other monitors is a ``ProbeBlock`` watched more than once.  A record's
+    another monitor is a ``ProbeBlock`` watched more than once.  A record's
     value is taken at the last step J = ``steps_run`` with the function f of
     r's kind (``kind_function(r.kind)``, not r itself) on the Ritz values;
     ``retired_step`` m and ``error_estimate`` are the step the monitor
@@ -617,11 +613,9 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFA
 
     The pilot is the first phase of ``estimate_trace`` with delta None,
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
-    in blocks of ``probe_block_size(n_pilot, n)``, with a loose tolerance
-    (1e-2 of the rough trace scale n max(|f(mid)|, f(a)) on [a, b]) and no
-    certification; s is the standard error of their values.  The last
-    block keeps every column until each of its pilot monitors has stopped,
-    so that the estimate can go on with its run; a column of an earlier
-    block leaves it when its own monitor stops.
+    at the loose tolerance of the module docstring, with no certification;
+    s is the standard error of their values.  Its last block keeps every
+    column until its monitor has stopped each of them, so that the
+    estimate can go on with that run.
     """
     return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed, m_max)[0]

@@ -1,5 +1,7 @@
 import numpy as np
 
+from slqcert.error_estimator import LOOKBACK_THRESHOLD, PIVOT_GUARD
+from slqcert.errors import PivotBreakdownError
 from slqcert.lanczos import DEFAULT_REORTH, PROBE_BLOCK_ELEMENTS, LanczosState
 from slqcert.operators import LinearOperator
 
@@ -62,3 +64,65 @@ def large_diagonal():
     n = PROBE_BLOCK_ELEMENTS + 7232
     return DiagonalOperator(np.concatenate([np.linspace(1.0, 2.0, n - 20),
                                             2.0 + 0.5 * np.arange(1, 21)]))
+
+
+class ReferenceMonitor:
+    """The one-column monitor as a scalar loop, the oracle the block
+    ``ErrorMonitor`` must match bit for bit: ``history`` and
+    ``prefix_sums`` are lists, and ``advance`` takes floats."""
+
+    def __init__(self, approximant, tol, t=LOOKBACK_THRESHOLD):
+        self.approximant = approximant
+        self.tol = tol
+        self.t = t
+        self.m = 0
+        self.u = self.eta = np.zeros(len(approximant.poles), dtype=complex)
+        self.history = []
+        self.prefix_sums = []
+        self.sign_flips = 0
+
+    def advance(self, alpha, beta):
+        poles = self.approximant.poles
+        u = alpha - poles if self.m == 0 else alpha - poles - beta**2 / self.u
+        tiny = np.abs(u) < PIVOT_GUARD
+        if np.any(tiny):
+            bad = poles[tiny][0]
+            raise PivotBreakdownError(
+                f"pivot underflow at step {self.m + 1} for pole {bad}", pole=bad
+            )
+        eta_prev = self.eta
+        self.u = u
+        self.eta = 1.0 / u if self.m == 0 else -beta * eta_prev / u
+        self.m += 1
+        if self.m == 1:
+            return None
+        d = float(-np.sum(self.approximant.coeffs * beta * self.eta * eta_prev).real)
+        if self.history and self.history[-1] * d < 0:
+            self.sign_flips += 1
+        self.history.append(d)
+        self.prefix_sums.append((self.prefix_sums[-1] if self.prefix_sums else 0.0) + d)
+        return d
+
+
+def with_history(monitor, history):
+    """A one-column ``monitor``, fed one step, that has then recorded
+    ``history`` as its increments."""
+    monitor.advance(1.0, 0.0)
+    for n, d in enumerate(history):
+        monitor._append(np.array([d]), slice(None), n)
+    return monitor
+
+
+def reference_lookback(monitor):
+    """(converged, retired step or None, estimate or None) of the scalar
+    lookback rule on a ``ReferenceMonitor``."""
+    J = len(monitor.history)
+    if J < 2:
+        return False, None, None
+    d_latest = abs(monitor.history[-1])
+    for mbar in range(J - 1, 0, -1):
+        if d_latest <= monitor.t * abs(monitor.history[mbar - 1]):
+            lower = monitor.prefix_sums[mbar - 2] if mbar >= 2 else 0.0
+            estimate = float(monitor.prefix_sums[J - 2] - lower)
+            return abs(estimate) < monitor.tol, mbar, estimate
+    return False, None, None

@@ -8,7 +8,7 @@ from slqcert.operators import DenseOperator, Laplacian2D
 from slqcert.rational import RationalApproximant, build, evaluate
 from slqcert.trace_estimator import ProbeBlock
 
-from helpers import random_spd
+from helpers import random_spd, with_history
 
 
 def single_pole_monitor(pole=1j, coeff=1.0, tol=1e-8, t=0.1):
@@ -20,29 +20,29 @@ def single_pole_monitor(pole=1j, coeff=1.0, tol=1e-8, t=0.1):
 def test_pivot_first_step():
     monitor = single_pole_monitor()
     monitor.advance(2.0, 0.0)
-    assert monitor.m == 1
-    assert monitor.u[0] == pytest.approx(2.0 - 1j)
-    assert monitor.eta[0] == pytest.approx((2.0 + 1j) / 5.0)
+    assert monitor.m.tolist() == [1]
+    assert monitor.u[0, 0] == pytest.approx(2.0 - 1j)
+    assert monitor.eta[0, 0] == pytest.approx((2.0 + 1j) / 5.0)
 
 
 def test_pivot_second_step_hand_values():
     monitor = single_pole_monitor()
     monitor.advance(1.0, 0.0)
     monitor.advance(2.0, 1.0)
-    assert monitor.u[0] == pytest.approx((3.0 - 3.0j) / 2.0)
-    assert monitor.eta[0] == pytest.approx(-1j / 3.0)
+    assert monitor.u[0, 0] == pytest.approx((3.0 - 3.0j) / 2.0)
+    assert monitor.eta[0, 0] == pytest.approx(-1j / 3.0)
     # direct solve cross-check: (T2 - iI) x = e1, eta = x[-1]
     T = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex) - 1j * np.eye(2)
     x = np.linalg.solve(T, np.array([1.0, 0.0], dtype=complex))
-    assert monitor.eta[0] == pytest.approx(x[-1])
+    assert monitor.eta[0, 0] == pytest.approx(x[-1])
 
 
 def test_pivot_guard_raises():
     monitor = single_pole_monitor(pole=0.0)  # pole on the real axis
     with pytest.raises(PivotBreakdownError) as err:
         monitor.advance(0.0, 0.0)
-    assert err.value.pole == 0.0
-    assert monitor.m == 0
+    assert err.value.pole == 0.0 and err.value.column == 0
+    assert monitor.m.tolist() == [0]
 
 
 def test_pivot_guard_leaves_the_monitor_at_its_last_step():
@@ -52,7 +52,9 @@ def test_pivot_guard_leaves_the_monitor_at_its_last_step():
     u, eta = monitor.u.copy(), monitor.eta.copy()
     with pytest.raises(PivotBreakdownError, match="at step 2"):
         monitor.advance(1.0, 1.0)
-    assert monitor.m == 1 and monitor.history == [] and monitor.prefix_sums == []
+    assert monitor.m.tolist() == [1] and monitor.history[0].size == 0
+    with pytest.raises(ContractViolationError):
+        cumulative_error(monitor, 1, 2)
     np.testing.assert_array_equal(monitor.u, u)
     np.testing.assert_array_equal(monitor.eta, eta)
 
@@ -69,23 +71,23 @@ def test_eta_matches_dense_resolvent_along_run(pole):
         T = SymTridiagonal(alphas[:m], betas[: m - 1]).to_dense().astype(complex)
         T -= pole * np.eye(m)
         x = np.linalg.solve(T, np.eye(m)[0])
-        assert monitor.eta[0] == pytest.approx(x[-1], rel=1e-10)
+        assert monitor.eta[0, 0] == pytest.approx(x[-1], rel=1e-10)
 
 
 def test_incremental_error_hand_value():
     monitor = single_pole_monitor()
     monitor.advance(1.0, 0.0)
-    d1 = monitor.advance(2.0, 1.0)
+    (d1,) = monitor.advance(2.0, 1.0)
     assert d1 == pytest.approx(-1.0 / 6.0, abs=1e-15)
     # equals Re{e1 (T2 - iI)^-1 e1 - e1 (T1 - iI)^-1 e1} = Re{(-1+i)/6}
-    assert monitor.history == [d1]
+    assert monitor.history[0].tolist() == [d1]
 
 
 def test_incremental_error_zero_after_breakdown():
     monitor = single_pole_monitor()
     monitor.advance(1.0, 0.0)
     d = monitor.advance(5.0, 0.0)  # beta = 0: decoupled block
-    assert d == 0.0
+    assert d.tolist() == [0.0]
 
 
 def test_increments_match_eigen_route_differences():
@@ -96,12 +98,12 @@ def test_increments_match_eigen_route_differences():
     r = build("log", 10, (lam[0] * 0.99, lam[-1] * 1.01))
     block = ProbeBlock(DenseOperator(A), rng.standard_normal((1, 40)), m_max=30)
     quad = []
-    for monitors, ends in block.follow(r, 0.0):
+    for monitor, ends in block.follow(r, 0.0):
         eig = tridiag_eigen(block.state.tridiagonal())
         quad.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
-    assert block.state.m == 30 and not ends
+    assert block.state.m == 30 and ends == [None]
     direct = np.diff(quad)
-    np.testing.assert_allclose(monitors[0].history, direct, atol=1e-12)
+    np.testing.assert_allclose(monitor.history[0], direct, atol=1e-12)
 
 
 def test_prefix_sums_invariant():
@@ -110,34 +112,35 @@ def test_prefix_sums_invariant():
     monitor.advance(rng.uniform(1, 2), 0.0)
     for _ in range(30):
         monitor.advance(rng.uniform(1, 2), rng.uniform(0.1, 0.5))
-    direct = np.cumsum(monitor.history)
-    np.testing.assert_allclose(monitor.prefix_sums, direct, rtol=1e-15)
+    direct = np.cumsum(monitor.history[0])
+    prefix_sums = [cumulative_error(monitor, 1, m) for m in range(2, len(direct) + 2)]
+    np.testing.assert_allclose(prefix_sums, direct, rtol=1e-15)
 
 
 def _monitor_with_history(values, tol=1e-8, t=0.1):
-    monitor = single_pole_monitor(tol=tol, t=t)
-    monitor.history = list(values)
-    monitor.prefix_sums = list(np.cumsum(values))
-    return monitor
+    return with_history(single_pole_monitor(tol=tol, t=t), values)
+
+
+def _lookback(monitor):
+    """(converged, retired step or None, estimate or None) of the one column."""
+    (converged,), (retired,), (estimate,) = lookback_check(monitor)
+    return (bool(converged), int(retired) if retired else None,
+            float(estimate) if retired else None)
 
 
 def test_lookback_direct_rule():
     monitor = _monitor_with_history([1.0, 0.5, 0.09], tol=np.inf)
-    result = lookback_check(monitor)
-    assert result.converged
-    assert result.retired_step == 1
-    assert result.estimate == pytest.approx(1.5)
+    assert _lookback(monitor) == (True, 1, pytest.approx(1.5))
 
 
 def test_lookback_pending_when_no_ratio():
     monitor = _monitor_with_history([1.0, 0.5, 0.2])
-    assert not lookback_check(monitor).converged
-    assert lookback_check(monitor).retired_step is None
+    assert _lookback(monitor) == (False, None, None)
 
 
 def test_lookback_needs_two_entries():
     monitor = _monitor_with_history([1.0])
-    assert not lookback_check(monitor).converged
+    assert _lookback(monitor) == (False, None, None)
 
 
 def test_lookback_geometric_first_trigger():
@@ -145,10 +148,9 @@ def test_lookback_geometric_first_trigger():
     d = [2.0**-i for i in range(1, 6)]
     for J in range(2, 5):
         monitor = _monitor_with_history(d[:J], tol=np.inf)
-        assert lookback_check(monitor).retired_step is None
+        assert _lookback(monitor)[1] is None
     monitor = _monitor_with_history(d, tol=np.inf)
-    result = lookback_check(monitor)
-    assert result.retired_step == 1
+    assert _lookback(monitor)[1] == 1
     # infinite tail vs window: ratio equals t/(1-t) at t = 2^{-(J-1)} ... bounded by 1/9 at t=0.1
     window = sum(d[:4])
     tail = 2.0 ** -4  # sum_{i>=5} 2^{-i}
@@ -157,18 +159,12 @@ def test_lookback_geometric_first_trigger():
 
 def test_lookback_pending_when_window_above_tol():
     monitor = _monitor_with_history([1.0, 0.5, 0.09], tol=1e-3)
-    result = lookback_check(monitor)
-    assert not result.converged
-    assert result.retired_step == 1
-    assert result.estimate == pytest.approx(1.5)
+    assert _lookback(monitor) == (False, 1, pytest.approx(1.5))
 
 
 def test_lookback_zero_increment_qualifies():
     monitor = _monitor_with_history([0.4, 0.2, 0.0], tol=0.25)
-    result = lookback_check(monitor)
-    assert result.converged
-    assert result.retired_step == 2
-    assert result.estimate == pytest.approx(0.2)
+    assert _lookback(monitor) == (True, 2, pytest.approx(0.2))
 
 
 def test_cumulative_error_windows():
@@ -191,12 +187,11 @@ def test_cumulative_telescopes_to_eigen_route():
     f = lambda x: np.exp(-x)
     block = ProbeBlock(op, rng.standard_normal((1, 42)), m_max=20)
     quad_r = []
-    for monitors, ends in block.follow(r, 0.0):
+    for monitor, ends in block.follow(r, 0.0):
         eig = tridiag_eigen(block.state.tridiagonal())
         quad_r.append(float(np.sum(eig.first_row**2 * evaluate(r, eig.thetas))))
-    assert block.state.m == 20 and not ends
-    monitor = monitors[0]
-    total = cumulative_error(monitor, 1, len(monitor.history) + 1)
+    assert block.state.m == 20 and ends == [None]
+    total = cumulative_error(monitor, 1, len(monitor.history[0]) + 1)
     assert total == pytest.approx(quad_r[-1] - quad_r[0], abs=1e-12)
 
 
@@ -206,8 +201,8 @@ def test_sign_flip_counter():
     monitor = single_pole_monitor(pole=0.0)
     for alpha, beta in [(1.0, 0.0), (1.0, 0.1), (-1.0, 0.1), (1.0, 0.1), (1.0, 0.1)]:
         monitor.advance(alpha, beta)
-    assert np.sign(monitor.history).tolist() == [1.0, -1.0, 1.0, 1.0]
-    assert monitor.sign_flips == 2
+    assert np.sign(monitor.history[0]).tolist() == [1.0, -1.0, 1.0, 1.0]
+    assert monitor.sign_flips.tolist() == [2]
 
 
 def test_constant_sign_on_laplacian_runs():
@@ -220,10 +215,10 @@ def test_constant_sign_on_laplacian_runs():
         iv = (0.0, interval[1]) if kind == "exp_neg" else interval
         r = build(kind, 10, iv)
         block = ProbeBlock(op, rng.standard_normal((1, 110)), m_max=30)
-        for monitors, ends in block.follow(r, 0.0):
+        for monitor, ends in block.follow(r, 0.0):
             pass
-        assert not ends
-        d = np.array(monitors[0].history)
+        assert ends == [None]
+        d = monitor.history[0]
         big = d[np.abs(d) > 10 * r.eps]
         assert len(big) > 3
         assert np.all(big > 0) or np.all(big < 0), kind

@@ -1,8 +1,8 @@
-"""Property tests: monitor prefix sums, the lookback rule, the config's JSON
-round-trip, the partial reorthogonalization bound, Ritz containment and the
-identities of the Matern preconditioner."""
+"""Property tests: monitor prefix sums, the lookback rule, the block monitor
+against the scalar reference, the config's JSON round-trip, the partial
+reorthogonalization bound, Ritz containment and the identities of the
+Matern preconditioner."""
 
-import itertools
 import json
 import math
 import typing
@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from slqcert.cli import CHOICES, MINIMUM, POSITIVE, ExperimentConfig
 from slqcert.error_estimator import ErrorMonitor, cumulative_error, lookback_check
+from slqcert.errors import PivotBreakdownError
 from slqcert.lanczos import lanczos_run, tridiag_eigen
 from slqcert.operators import (SUPPORTED_NU, DenseOperator, PreconditionedMatern,
                                build_matern_operator, pivoted_cholesky)
 from slqcert.oracles import dense_logdet
-from slqcert.rational import K_SCHEDULE, RationalApproximant
+from slqcert.rational import K_SCHEDULE, RationalApproximant, build
+
+from helpers import ReferenceMonitor, reference_lookback, with_history
 
 EPS = np.finfo(float).eps
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -32,7 +35,7 @@ def test_cumulative_error_is_the_direct_sum(alphas, betas):
     monitor = ErrorMonitor(r, tol=0.0)
     for alpha, beta in zip(alphas, [0.0, *betas]):
         monitor.advance(alpha, beta)
-    d = monitor.history
+    d = monitor.history[0].tolist()
     J = len(d)
     assert J == len(alphas) - 1
     scale = 2 * J * EPS * math.fsum(abs(x) for x in d)
@@ -52,16 +55,13 @@ INCREMENTS = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
 def _monitor_after(history, tol, t):
     """A monitor that has recorded ``history`` as its increments."""
     r = RationalApproximant("log", (0.1, 1.0), np.array([1j]), np.array([1.0]), 0.0, 1)
-    monitor = ErrorMonitor(r, tol=tol, t=t)
-    monitor.history = list(history)
-    monitor.prefix_sums = list(itertools.accumulate(history))
-    return monitor
+    return with_history(ErrorMonitor(r, tol=tol, t=t), history)
 
 
 def _first_convergence(d, tol, t):
     """The first increment count at which the lookback rule converges, or None."""
     return next((J for J in range(2, len(d) + 1)
-                 if lookback_check(_monitor_after(d[:J], tol, t)).converged), None)
+                 if lookback_check(_monitor_after(d[:J], tol, t))[0][0]), None)
 
 
 @given(d=st.lists(INCREMENTS, min_size=2, max_size=30),
@@ -70,22 +70,98 @@ def _first_convergence(d, tol, t):
 def test_lookback_rule(d, tols, t):
     tol, looser = 10.0 ** tols[0], 10.0 ** tols[1]
     for J in range(2, len(d) + 1):
-        result = lookback_check(_monitor_after(d[:J], tol, t))
+        (converged,), (retired,), (estimate,) = lookback_check(_monitor_after(d[:J], tol, t))
         # mbar is the largest earlier step whose increment dominates d_J by t
         mbar = max((m for m in range(1, J) if abs(d[J - 1]) <= t * abs(d[m - 1])),
-                   default=None)
-        assert result.retired_step == mbar
-        if mbar is None:
-            assert not result.converged and result.estimate is None
+                   default=0)
+        assert retired == mbar
+        if mbar == 0:
+            assert not converged and math.isnan(estimate)
             continue
         # the estimate is the window d_mbar + ... + d_{J-1}, to the roundoff
         # of the prefix sums it is read from
         scale = 2 * J * EPS * math.fsum(abs(x) for x in d[:J])
-        assert abs(result.estimate - math.fsum(d[mbar - 1:J - 1])) <= scale
-        assert result.converged == (abs(result.estimate) < tol)
+        assert abs(estimate - math.fsum(d[mbar - 1:J - 1])) <= scale
+        assert converged == (abs(estimate) < tol)
     # a looser tolerance converges no later
     first, first_looser = _first_convergence(d, tol, t), _first_convergence(d, looser, t)
     assert first is None or first_looser <= first
+
+
+# the real poles of a sqrt approximant, which a pivot can hit exactly, and
+# two complex ones
+_SQRT = build("sqrt", 6, (0.1, 10.0))
+MIXED = RationalApproximant("sqrt", (0.1, 10.0),
+                            np.concatenate([_SQRT.poles, [1j, 2.0 - 0.5j]]),
+                            np.concatenate([_SQRT.coeffs, [1.0, 0.3 + 0.2j]]), 0.0, 8)
+
+
+@st.composite
+def block_feeds(draw):
+    """(alphas, betas, last step fed, tolerances) of b in 1..4 columns; one
+    column may take alpha_m = z and beta_m = 0 at some step m, which makes
+    its pivot u_m = alpha_m - z - beta_m^2 / u_{m-1} exactly 0."""
+    b, steps = draw(st.integers(1, 4)), draw(st.integers(1, 25))
+    # drawn from a seed, so that the values carry full mantissas: beta^2 by
+    # C pow and by x * x differ in the last bit for about 1 beta in 1000
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas = rng.uniform(0.1, 10.0, (b, steps))
+    betas = rng.uniform(0.0, 5.0, (b, steps))
+    betas[:, 0] = 0.0
+    if draw(st.booleans()):
+        j, m = draw(st.integers(0, b - 1)), draw(st.integers(0, steps - 1))
+        alphas[j, m] = draw(st.sampled_from(_SQRT.poles.real.tolist()))
+        betas[j, m] = 0.0
+    last = draw(st.lists(st.integers(1, steps), min_size=b, max_size=b))
+    tols = [10.0 ** e for e in draw(st.lists(st.floats(-12.0, 0.0), min_size=b,
+                                             max_size=b))]
+    return alphas, betas, last, tols
+
+
+@settings(max_examples=150)
+@given(feed=block_feeds(), t=st.floats(0.01, 0.99))
+def test_block_monitor_matches_the_scalar_reference(feed, t):
+    # step m goes to the columns whose last step is at least m and that have
+    # not failed, a slice when they are adjacent and an index array when not;
+    # a failed pivot leaves its column behind, and the other columns take
+    # the step
+    alphas, betas, last, tols = feed
+    b = len(tols)
+    block = ErrorMonitor(MIXED, tols, t=t)
+    refs = [ReferenceMonitor(MIXED, tol, t=t) for tol in tols]
+    failed, ref_failed = {}, {}
+    for m in range(1, alphas.shape[1] + 1):
+        fed = [j for j in range(b) if m <= last[j] and j not in ref_failed]
+        for j in fed:
+            try:
+                refs[j].advance(float(alphas[j, m - 1]), float(betas[j, m - 1]))
+            except PivotBreakdownError as exc:
+                ref_failed[j] = str(exc)
+        while True:
+            idx = np.array([j for j in range(b) if m <= last[j] and j not in failed])
+            if not len(idx):
+                break
+            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
+            try:
+                block.advance(alphas[idx, m - 1], betas[idx, m - 1], cols)
+                break
+            except PivotBreakdownError as exc:
+                failed[exc.column] = str(exc)
+        assert failed == ref_failed
+        if len(idx):
+            checked = zip(*lookback_check(block, cols))
+            for j, (converged, retired, estimate) in zip(idx.tolist(), checked):
+                expected = reference_lookback(refs[j])
+                assert (converged, retired) == (expected[0], expected[1] or 0)
+                assert (math.isnan(estimate) if expected[2] is None
+                        else estimate == expected[2])
+        for j, ref in enumerate(refs):
+            assert block.m[j] == ref.m and block.sign_flips[j] == ref.sign_flips
+            assert block.history[j].tolist() == ref.history
+            # a window from step 1 is a prefix sum minus 0.0, which keeps it
+            assert [cumulative_error(block, 1, i + 2, j)
+                    for i in range(len(ref.history))] == ref.prefix_sums
+            np.testing.assert_array_equal(block.eta[j], ref.eta)
 
 
 _SCALARS = {

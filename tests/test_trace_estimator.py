@@ -26,7 +26,7 @@ from slqcert.trace_estimator import (
     sample_bilinear,
 )
 
-from helpers import force_reorth_mode, large_diagonal
+from helpers import ReferenceMonitor, force_reorth_mode, large_diagonal
 
 
 def test_rademacher_is_pm_one_with_exact_norm():
@@ -435,13 +435,15 @@ def test_follow_feeds_each_monitor_the_beta_above_each_alpha():
     u = np.random.default_rng(3).standard_normal((2, 42))
     r = build("log", 8, oracles.laplacian_extreme_eigenvalues(6, 7))
     block = ProbeBlock(op, u, m_max=12)
-    by_hand = [ErrorMonitor(r, tol=0.0) for _ in u]
-    for count, (monitors, _) in enumerate(block.follow(r, 0.0), 1):
+    by_hand = [ReferenceMonitor(r, tol=0.0) for _ in u]
+    for count, (monitor, _) in enumerate(block.follow(r, 0.0), 1):
+        assert monitor.m.tolist() == [count, count]
         for j, hand in enumerate(by_hand):
             T = block.state.tridiagonal(column=j)
-            hand.advance(T.alphas[count - 1], T.betas[count - 2] if count > 1 else 0.0)
-            assert monitors[j].history == hand.history
-            np.testing.assert_array_equal(monitors[j].eta, hand.eta)
+            hand.advance(float(T.alphas[count - 1]),
+                         float(T.betas[count - 2]) if count > 1 else 0.0)
+            assert monitor.history[j].tolist() == hand.history
+            np.testing.assert_array_equal(monitor.eta[j], hand.eta)
     assert count == 12
 
 
@@ -454,10 +456,10 @@ def test_follow_yields_once_per_catch_up(monkeypatch):
     # run when it ends
     block = ProbeBlock(op, u)
     running = 3
-    for count, (monitors, ends) in enumerate(block.follow(r, 1e-2), 1):
+    for count, (monitor, ends) in enumerate(block.follow(r, 1e-2), 1):
         assert len(rows) == count == block.state.m and rows[-1] == running
-        running = 3 - len(ends)
-    assert running == 0 and len({end[0] for end in ends.values()}) > 1
+        running = ends.count(None)
+    assert running == 0 and len({end[0] for end in ends}) > 1
     # a held watch keeps every column to its last end; a second follow of the
     # first two columns yields its catch-up first, with no row applied, and
     # the third column leaves the run at once
@@ -467,16 +469,15 @@ def test_follow_yields_once_per_catch_up(monkeypatch):
     m = block.state.m
     assert rows == [3] * m
     follow = block.follow(r, 1e-6, count=2)
-    monitors, ends = next(follow)
+    monitor, ends = next(follow)
     assert len(rows) == m and block.state.m == m
-    for j in range(2):
-        assert monitors[j].m == (ends[j][0] if j in ends else m)
+    assert monitor.m.tolist() == [m if end is None else end[0] for end in ends]
     assert not block.state.active[2]
-    running = 2 - len(ends)
-    for monitors, ends in follow:
+    running = ends.count(None)
+    for monitor, ends in follow:
         m += 1
         assert len(rows) == m == block.state.m and rows[-1] == running
-        running = 2 - len(ends)
+        running = ends.count(None)
     assert running == 0
 
 
@@ -614,22 +615,18 @@ def test_preconditioned_block_matches_per_probe_runs():
 
 
 def test_a_failing_probe_retires_alone(monkeypatch):
-    # the monitor of probe 3 raises on its third step: that probe retires
-    # unconverged with the error, and the other seven finish as without it
+    # the block's monitor raises for probe 3 on its third step: that probe
+    # retires unconverged with the error, and the other seven finish as
+    # without it
     op = _paired_operator(30)
     r = build("log", 8, (1.0, 10.0))
     clean = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
-    made = []
 
     class FlakyMonitor(ErrorMonitor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-        def advance(self, alpha, beta):
-            if self is made[3] and self.m == 2:
-                raise PivotBreakdownError("pivot underflow at step 3", pole=0j)
-            return super().advance(alpha, beta)
+        def advance(self, alpha, beta, columns=slice(None)):
+            if 3 in np.arange(len(self.m))[columns] and self.m[3] == 2:
+                raise PivotBreakdownError("pivot underflow at step 3", pole=0j, column=3)
+            return super().advance(alpha, beta, columns)
 
     monkeypatch.setattr(trace_estimator, "ErrorMonitor", FlakyMonitor)
     est = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)

@@ -1,7 +1,8 @@
-"""The benchmark tracer (bench/tracer.py) finds every layer it wraps.
+"""The benchmark tracer (bench/tracer.py) finds every layer it wraps, and an
+estimate calls the monitor layers through the names it wraps.
 
-A renamed or removed function would leave its traced metrics at zero; this
-test makes the rename fail instead.  The tracer is loaded from its file,
+A renamed, removed or bypassed function would leave its traced metrics at
+zero; these tests make that fail instead.  The tracer is loaded from its file,
 unchanged.
 """
 
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import slqcert
 import slqcert.cli  # noqa: F401  (its references are rebound too)
+from slqcert import oracles, rational, trace_estimator
+from slqcert.operators import Laplacian2D
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -52,3 +55,19 @@ def test_tracer_finds_every_layer_and_restores_it():
     after = namespaces()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_a_traced_estimate_spans_the_monitor_layers():
+    # the benchmark's per-layer monitor times read these spans: an estimate
+    # that went round advance or lookback_check would zero them
+    tracer = load_tracer()
+    op = Laplacian2D(20, 30)
+    r = rational.build("log", 8, oracles.laplacian_extreme_eigenvalues(20, 30))
+    installed = tracer.Tracer().install()
+    try:
+        trace_estimator.estimate_trace_with(op, r, N=4, delta=1.0)
+    finally:
+        installed.uninstall()
+    summary = installed.summary()
+    assert summary["error_estimator.advance"]["calls"] > 0
+    assert summary["error_estimator.lookback_check"]["calls"] > 0
