@@ -28,8 +28,10 @@ returns it, so concurrent calls are safe only on distinct ``out`` buffers.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
+# numpy 2 loads these submodules on first use; importing them here keeps
+# that out of the first Matern apply and the first site draw
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import ContractViolationError, UnsupportedParameterError
 from .oracles import DENSE_ORACLE_MAX_DIM
@@ -203,9 +205,9 @@ class MaternOperator(LinearOperator):
     The data fill only the first n1 x n2 quarter of the embedding and only
     that quarter of the result is read, so the apply runs four 1-D
     transforms that skip the rest: a real FFT of length 2 n2 on the n1 data
-    rows, a complex FFT of length 2 n1 down the columns (the zero rows are
-    implicit), the inverse of that, and an inverse real FFT on the first
-    n1 rows only.  The embedded kernel block is even along both axes, so
+    rows, a complex FFT of length 2 n1 down the columns (whose last n1
+    entries are zero), the inverse of that, and an inverse real FFT on the
+    first n1 rows only.  The embedded kernel block is even along both axes, so
     its transform ``symbol`` is real and is stored as a real array of shape
     (2 n1, n2 + 1).
 
@@ -221,7 +223,9 @@ class MaternOperator(LinearOperator):
         sites = np.asarray(sites, dtype=np.int64)
         if sites.size == 0:
             raise ContractViolationError("site list must not be empty")
-        if len(np.unique(sites)) != len(sites):
+        # a sort, not np.unique, which loads numpy.ma on its first call
+        ordered = np.sort(sites)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ContractViolationError("sites must be distinct")
         if sites.min() < 0 or sites.max() >= n1 * n2:
             raise ContractViolationError("site index outside the grid")
@@ -241,7 +245,7 @@ class MaternOperator(LinearOperator):
         d2 = np.minimum(np.arange(2 * n2), 2 * n2 - np.arange(2 * n2))
         r = np.sqrt((d1[:, None] / ell2) ** 2 + (d2[None, :] / ell1) ** 2)
         block = matern_kernel(r, nu, tau)
-        self.symbol = np.ascontiguousarray(scipy.fft.rfft2(block).real)
+        self.symbol = np.ascontiguousarray(np.fft.rfft2(block).real)
         # flat positions of the sites in the (n1, 2 n2) inverse transform
         self._gather = (sites // n2) * (2 * n2) + sites % n2
         # grid coordinates of the sites, as floats for the kernel rows
@@ -251,14 +255,17 @@ class MaternOperator(LinearOperator):
         n1, n2 = self.grid
         grid = np.zeros((n1, n2))
         grid.reshape(-1)[self.sites] = x
-        spec = scipy.fft.rfft(grid, n=2 * n2, axis=1)
-        spec = scipy.fft.fft(spec, n=2 * n1, axis=0)
+        # every transform but the last writes into this call's own spectrum,
+        # whose rows n1 .. 2 n1 - 1 stay zero as the column transform's
+        # padding; fft(n=2 n1) and a fresh array per transform made the
+        # FFTs of the 90 x 120 benchmark workload 15-20% slower (one
+        # thread of a 2-core x86-64 host)
+        spec = np.zeros((2 * n1, n2 + 1), dtype=complex)
+        np.fft.rfft(grid, n=2 * n2, axis=1, out=spec[:n1])
+        np.fft.fft(spec, axis=0, out=spec)
         spec *= self.symbol
-        # spec is this call's own temporary, so the inverse may reuse it; a
-        # fresh complex array here put about 15% on the traced apply time of
-        # the 90 x 120 benchmark workload (one thread of 2 cores, scipy 1.17)
-        spec = scipy.fft.ifft(spec, axis=0, overwrite_x=True)
-        conv = scipy.fft.irfft(spec[:n1], n=2 * n2, axis=1)
+        np.fft.ifft(spec, axis=0, out=spec)
+        conv = np.fft.irfft(spec[:n1], n=2 * n2, axis=1)
         # the indices are in range; mode "raise" would buffer a copy of out
         return np.take(conv.reshape(-1), self._gather, out=out, mode="clip")
 
@@ -355,10 +362,8 @@ class PreconditionedMatern(LinearOperator):
         self.residual_trace = float(base.dim * matern_kernel(0.0, base.nu, 0.0)
                                     - np.vdot(factor, factor))
         tau = base.tau
-        # factor.T is L_k in Fortran order, which LAPACK takes without a copy;
-        # numpy's svd of factor took about twice the workspace
-        self._u, s, _ = scipy.linalg.svd(factor.T, full_matrices=False,
-                                         overwrite_a=True, check_finite=False)
+        # the thin SVD of L_k = factor.T (n x k); P^{-1/2} reads its left factor
+        self._u, s, _ = np.linalg.svd(factor.T, full_matrices=False)
         self._inv_sqrt_tau = 1.0 / np.sqrt(tau)
         self._scale = 1.0 / np.sqrt(s**2 + tau) - self._inv_sqrt_tau
         self.logdet = float(np.sum(np.log(s**2 + tau))

@@ -3,15 +3,14 @@
 The 2D Dirichlet Laplacian has a known spectrum, so traces and bilinear
 forms can be computed exactly: traces by summing f over the eigenvalue
 grid, bilinear forms through the orthonormal type-I discrete sine
-transform (the eigenvector basis).  Small dense problems get full
-eigendecomposition or Cholesky references.
+transform (the eigenvector basis), applied along each grid axis as a
+product with the symmetric n x n sine matrix.  Small dense problems get
+full eigendecomposition or Cholesky references from numpy's LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import ContractViolationError, NumericalFailureError
 
@@ -38,19 +37,30 @@ def exact_trace_laplacian(f, n1: int, n2: int) -> float:
     return float(np.sum(f(lam1[:, None] + lam2[None, :])))
 
 
+def _dst1_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix S_jk = sqrt(2/(n+1)) sin(pi j k/(n+1)),
+    j, k = 1 .. n: the eigenvectors of tridiag(-1, 2, -1), symmetric and its
+    own inverse.  j k is reduced modulo 2(n + 1), the sine's period, so
+    every argument lies in [0, 2 pi)."""
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * jk)
+
+
 def exact_bilinear_laplacian(f, n1: int, n2: int, v) -> float:
-    """v^T f(A) v for the 2D Laplacian through the fast sine transform.
+    """v^T f(A) v for the 2D Laplacian through the sine transform.
 
     The orthonormal DST-I diagonalizes A, so the bilinear form is the sum
     of f over the eigenvalue grid weighted by squared transform
-    coefficients.  Vector layout matches Laplacian2D (first index fastest).
+    coefficients, S_{n2} V S_{n1} for V the (n2, n1) view of v, at
+    O(n1 n2 (n1 + n2)).  Vector layout matches Laplacian2D (first index
+    fastest).
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (n1 * n2,):
         raise ContractViolationError(
             f"expected vector of length {n1 * n2}, got shape {v.shape}"
         )
-    omega = scipy.fft.dstn(v.reshape(n2, n1), type=1, norm="ortho")
+    omega = _dst1_matrix(n2) @ v.reshape(n2, n1) @ _dst1_matrix(n1)
     lam1 = laplacian_eigenvalues_1d(n1)
     lam2 = laplacian_eigenvalues_1d(n2)
     return float(np.sum(omega**2 * f(lam2[:, None] + lam1[None, :])))
@@ -101,14 +111,15 @@ def dense_f_oracle(matrix, f) -> DenseFOracle:
 def dense_logdet(matrix) -> float:
     """log det of a small dense SPD matrix via Cholesky.
 
-    LAPACK factors one copy of ``matrix``, so the oracle holds one n x n
-    array besides its argument, and leaves the argument as it was.
+    numpy's LAPACK wrapper factors a copy of ``matrix`` and returns the
+    factor in another, so while it runs the oracle holds two n x n arrays
+    besides its argument, which it leaves as it was.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[0] > DENSE_ORACLE_MAX_DIM:
         raise ContractViolationError(f"dense logdet capped at dim {DENSE_ORACLE_MAX_DIM}")
     try:
-        chol = scipy.linalg.cholesky(matrix, lower=True)
+        chol = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise ContractViolationError(f"matrix is not positive definite: {exc}") from exc
     return float(2.0 * np.sum(np.log(np.diag(chol))))

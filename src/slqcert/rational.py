@@ -32,9 +32,8 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ellipj, ellipk
 
-from .elliptic import jacobi_cplx
+from .elliptic import ellipj, ellipk, jacobi_cplx
 from .errors import (
     ContractViolationError,
     PoleEvaluationError,
@@ -183,7 +182,7 @@ def _sqrt(K, a, b):
     m = a / b
     Kp = ellipk(1.0 - m)
     y = (np.arange(K) + 0.5) * Kp / K
-    s1, c1, d1, _ = ellipj(y, 1.0 - m)
+    s1, c1, d1 = ellipj(y, 1.0 - m)
     t = np.sqrt(a) * s1 / c1
     dt = np.sqrt(a) * d1 / c1**2
     pref = 2.0 * Kp / (np.pi * K)

@@ -40,6 +40,9 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+# numpy 2 loads it on first use; importing it here keeps that out of the
+# first probe draw
+import numpy.random  # noqa: F401
 
 from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from slqcert import lanczos, oracles
-from slqcert.errors import ContractViolationError, QuadratureDomainError
+from slqcert.errors import (ContractViolationError, NumericalFailureError,
+                            QuadratureDomainError)
 from slqcert.lanczos import (
     BasisBuffer,
     LanczosState,
@@ -201,10 +202,26 @@ def test_tridiag_eigen_vs_dense(m):
         rng = np.random.default_rng(m)
         T = SymTridiagonal(rng.standard_normal(m), np.abs(rng.standard_normal(m - 1)))
     eig = tridiag_eigen(T)
-    lam, Q = np.linalg.eigh(T.to_dense())
+    # the reference is LAPACK's tridiagonal solver, as scipy wraps it
+    lam, Q = scipy.linalg.eigh_tridiagonal(T.alphas, T.betas)
     np.testing.assert_allclose(eig.thetas, lam, atol=1e-10 * max(1, np.abs(lam).max()))
     np.testing.assert_allclose(np.abs(eig.first_row), np.abs(Q[0]), atol=1e-10)
     assert np.sum(eig.first_row**2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tridiag_eigen_solver_failure_is_a_numerical_failure(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        tridiag_eigen(SymTridiagonal([2.0, 2.0], [1.0]))
+
+
+@pytest.mark.parametrize("alphas,betas", [([np.nan, 2.0], [1.0]), ([2.0, 2.0], [np.inf])])
+def test_tridiag_eigen_rejects_a_non_finite_entry(alphas, betas):
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        tridiag_eigen(SymTridiagonal(alphas, betas))
 
 
 def test_tridiag_eigen_with_zero_couplings():

@@ -247,6 +247,8 @@ def test_matern_contract_errors():
         build_matern_operator((4, 4), [], 1.0, 1.0)
     with pytest.raises(ContractViolationError):
         build_matern_operator((4, 4), [1, 1], 1.0, 1.0)
+    with pytest.raises(ContractViolationError, match="distinct"):
+        build_matern_operator((4, 4), [3, 0, 3], 1.0, 1.0)
     with pytest.raises(ContractViolationError):
         build_matern_operator((4, 4), [99], 1.0, 1.0)
     op = build_matern_operator((4, 4), [0, 5], 1.0, 1.0)

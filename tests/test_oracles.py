@@ -69,6 +69,24 @@ def test_bilinear_matches_dense_eigenroute():
                 assert dst_val == pytest.approx(dense_val, abs=1e-10 * max(1, abs(dense_val))), name
 
 
+@pytest.mark.parametrize("n1,n2", [(1, 9), (9, 1), (7, 9), (1, 1)])
+def test_bilinear_matches_the_fast_sine_transform_and_the_dense_oracle(n1, n2):
+    from scipy.fft import dstn
+
+    rng = np.random.default_rng(n1 * 100 + n2)
+    A = dense_laplacian(n1, n2)
+    lam = (oracles.laplacian_eigenvalues_1d(n2)[:, None]
+           + oracles.laplacian_eigenvalues_1d(n1)[None, :])
+    for _ in range(5):
+        v = rng.standard_normal(n1 * n2)
+        omega = dstn(v.reshape(n2, n1), type=1, norm="ortho")
+        for name, f in FUNCTIONS.items():
+            got = oracles.exact_bilinear_laplacian(f, n1, n2, v)
+            assert got == pytest.approx(float(np.sum(omega**2 * f(lam))), rel=1e-13), name
+            assert got == pytest.approx(oracles.DenseFOracle(A, f).bilinear(v),
+                                        rel=1e-12), name
+
+
 def test_bilinear_rejects_bad_shape():
     with pytest.raises(ContractViolationError):
         oracles.exact_bilinear_laplacian(np.sqrt, 3, 3, np.ones(5))
@@ -117,6 +135,11 @@ def test_dense_logdet():
     assert oracles.dense_logdet(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0))
     with pytest.raises(ContractViolationError):
         oracles.dense_logdet(np.diag([1.0, -1.0]))
+    # symmetric with a positive diagonal and determinant 5, yet indefinite
+    # (eigenvalues 5, -1, -1): the factorization, not a sign test, rejects it
+    indefinite = np.full((3, 3), 2.0) - np.eye(3)
+    with pytest.raises(ContractViolationError, match="not positive definite"):
+        oracles.dense_logdet(indefinite)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
