@@ -53,15 +53,16 @@ an operator longer than ``PROBE_BLOCK_ELEMENTS`` (one probe of the 300 x 400
 Laplacian keeps 40 MB of basis that its 0 reorthogonalization passes never
 read) steps in the buffer's ring: its start row and three working rows, and
 no chunk.  The first reorthogonalization or ``basis()`` call rebuilds rows
-0 .. m - 1 in the chunks by replaying the three-term recurrence from the
-start with the stored alphas and betas, moves the newest row m over, and
-the run keeps every row from then on.  The replay is exact: no
-reorthogonalization has run before it, so each row was made by the
-operator apply and the elementwise updates that the replay repeats in the
-same order on the same numbers, which gives the same row bit for bit
-whenever the apply is a function of its input alone, as every operator's
-in ``operators`` is at a fixed BLAS thread count.  It costs m - 1 applies,
-which ``replayed_steps`` counts.  Any other run stores its basis from the
+0 .. m - 1 in the chunks by replaying the recurrence from the start, moves
+the newest row m over, and the run keeps every row from then on.  The
+replay calls the step's own three-term update, ``_three_term``, with the
+stored alphas and betas, and divides by the stored betas as the step
+does.  It is exact: no reorthogonalization has run before it, so each row
+was made by that update and division, and the replay runs the same code on
+the same numbers, which gives the same row bit for bit whenever the apply
+is a function of its input alone, as every operator's in ``operators`` is
+at a fixed BLAS thread count.  It costs m - 1 applies, which
+``replayed_steps`` counts.  Any other run stores its basis from the
 start; the choice depends on the input's shape alone.
 """
 
@@ -311,22 +312,20 @@ class LanczosState:
         """Store the basis from here on; returns row m.
 
         A run in the ring replays rows 1 .. m - 1 into the chunks from the
-        start with its stored alphas and betas, in the operations and order
-        of ``lanczos_step``, and moves its start and its newest row m there.
+        start: each row is ``lanczos_step``'s own three-term update,
+        ``_three_term``, with the stored alpha and beta, divided by the
+        stored next beta.  The start and the newest row m move there too.
         """
         if self._ring is not None:
             start, newest = self._ring[0, :1], self.row(self.m)[:1]
             self._ring = None
             buffer = self._buffer
             buffer.row(0)[:1] = start
-            work = buffer.work[:1]
             for k in range(self.m - 1):
-                V, W = buffer.row(k)[:1], buffer.row(k + 1)[:1]
-                self.op.matvec(V, out=W)
-                np.subtract(W, np.multiply(V, self._alphas[:, k, None], out=work), out=W)
-                if k > 0:
-                    np.subtract(W, np.multiply(buffer.row(k - 1)[:1],
-                                               self._betas[:, k, None], out=work), out=W)
+                W = buffer.row(k + 1)[:1]
+                _three_term(self.op, buffer.row(k)[:1], W,
+                            buffer.row(k - 1)[:1] if k > 0 else None,
+                            self._betas[:, k], buffer.work[:1], self._alphas[:, k])
                 np.divide(W, self._betas[:, k + 1, None], out=W)
             self.replayed_steps[0] += max(self.m - 1, 0)
             buffer.row(self.m)[:1] = newest
@@ -389,6 +388,19 @@ class LanczosState:
         return reorth
 
 
+def _three_term(op: LinearOperator, V, W, V_prev, beta, work, alpha=None) -> np.ndarray:
+    """W = A V - alpha V - beta V_prev, row by row, with ``work`` holding each
+    product before its subtraction; V_prev None drops the beta term.  alpha
+    None takes each row's v^T A v.  Returns alpha."""
+    op.matvec(V, out=W)
+    if alpha is None:
+        alpha = np.array([v @ w for v, w in zip(V, W)])
+    np.subtract(W, np.multiply(V, alpha[:, None], out=work), out=W)
+    if V_prev is not None:
+        np.subtract(W, np.multiply(V_prev, beta[:, None], out=work), out=W)
+    return alpha
+
+
 def lanczos_step(state: LanczosState):
     """One Lanczos step of every active column: returns (alpha_m, beta_{m+1}),
     arrays over the columns, 0 for the columns that did not step.
@@ -411,17 +423,11 @@ def lanczos_step(state: LanczosState):
     # set is gathered, and its new vectors are scattered back at the end
     contiguous = idx[-1] - idx[0] + 1 == len(idx)
     sel = slice(idx[0], idx[-1] + 1) if contiguous else idx
-    buffer = state._buffer
     V = state.row(k)[sel]
     W = state.row(k + 1)[sel] if contiguous else np.empty_like(V)
-    state.op.matvec(V, out=W)
-    work = buffer.work[: len(idx)]
-    alpha = np.array([v @ w for v, w in zip(V, W)])
-    np.subtract(W, np.multiply(V, alpha[:, None], out=work), out=W)
     beta_prev = state._betas[sel, k]
-    if k > 0:
-        np.subtract(W, np.multiply(state.row(k - 1)[sel], beta_prev[:, None], out=work),
-                    out=W)
+    alpha = _three_term(state.op, V, W, state.row(k - 1)[sel] if k > 0 else None,
+                        beta_prev, state._buffer.work[: len(idx)])
     norm_estimate = np.maximum(state._norm_estimate[sel], np.abs(alpha) + beta_prev)
     state._norm_estimate[sel] = norm_estimate
 
@@ -449,7 +455,7 @@ def lanczos_step(state: LanczosState):
     np.divide(W, np.where(broke, 1.0, beta)[:, None], out=W)
     state._betas[sel, k + 1] = beta
     if not contiguous:
-        buffer.row(k + 1)[idx] = W
+        state._buffer.row(k + 1)[idx] = W
     return state._alphas[:, k].copy(), state._betas[:, k + 1].copy()
 
 

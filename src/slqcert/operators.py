@@ -19,10 +19,11 @@ spectrum of B, so each probe takes fewer Lanczos steps, at O(n) more per
 apply and a larger O(n k^2) setup; the n // 3 cap keeps B away from the
 identity on small site sets, whose probes would all return the same sample.
 
-Operators are immutable after construction.  ``matvec(x, out=None)`` only
-reads operator state; with ``out`` it writes A x into that buffer and
-returns it, so concurrent calls are safe only on distinct ``out`` buffers.
-``x`` is one vector or a (b, n) block of b vectors, one per row.
+Operators are immutable after construction.  ``matvec(x, out=None)`` takes
+a (b, n) block of b vectors, one per row, and only reads operator state;
+with ``out`` it writes A x into that buffer and returns it, so concurrent
+calls are safe only on distinct ``out`` buffers.  Calling an operator
+applies it to one vector or to a block.
 """
 
 from __future__ import annotations
@@ -40,17 +41,18 @@ from .oracles import DENSE_ORACLE_MAX_DIM
 class LinearOperator:
     """Matrix-free symmetric operator: a dimension and an apply map.
 
-    ``matvec(x, out=None)`` takes a vector of length ``dim`` or a (b, dim)
-    block whose rows are b vectors, and gives A x (row by row for a block)
-    in a fresh array, or written into ``out`` and ``out`` returned.  ``out``
-    has the shape of ``x``, its rows are contiguous, it does not overlap
-    ``x``, and every entry is overwritten.  Rows are independent: a row of
-    the result does not depend on the other rows of the block.
+    ``matvec(x, out=None)`` takes a (b, dim) block whose rows are b
+    vectors, and gives A x row by row in a fresh array, or written into
+    ``out`` and ``out`` returned.  ``out`` has the shape of ``x``, its rows
+    are contiguous, it does not overlap ``x``, and every entry is
+    overwritten.  Rows are independent: a row of the result does not depend
+    on the other rows of the block.  Calling the operator takes one vector
+    of length ``dim`` or a block, checks its shape and returns A x in a
+    fresh array of that shape; a vector is applied as a block of one.
 
     Subclasses implement either ``_apply(x, out)`` for one vector, and
     inherit a ``matvec`` that applies it to each row of a block, or
-    ``matvec`` itself.  Calling the operator checks the shape of ``x`` and
-    returns a fresh array.  ``spd_hint`` asserts symmetric
+    ``matvec`` itself.  ``spd_hint`` asserts symmetric
     positive-definiteness; the trace estimator requires it.
     """
 
@@ -61,15 +63,13 @@ class LinearOperator:
         self.spd_hint = bool(spd_hint)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if x.ndim == 1:
-            return self._apply(x, out)
         if out is None:
             out = np.empty(x.shape)
         for row, row_out in zip(x, out):
             self._apply(row, row_out)
         return out
 
-    def _apply(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class LinearOperator:
             raise ContractViolationError(
                 f"operator of dim {self.dim} applied to an array of shape {x.shape}"
             )
-        return self.matvec(x)
+        return self.matvec(x) if x.ndim == 2 else self.matvec(x[None])[0]
 
 
 class DenseOperator(LinearOperator):
@@ -123,17 +123,16 @@ class Laplacian2D(LinearOperator):
         if out is None:
             out = np.empty(x.shape)
         n1, n2 = self.n1, self.n2
-        x2, y2 = x.reshape(-1, self.dim), out.reshape(-1, self.dim)
         X, Y = x.reshape(-1, n2, n1), out.reshape(-1, n2, n1)
-        np.multiply(x2, 4.0, out=y2)
-        y2[:, 1:] -= x2[:, :-1]
+        np.multiply(x, 4.0, out=out)
+        out[:, 1:] -= x[:, :-1]
         np.multiply(X[:, 1:, 0], 4.0, out=Y[:, 1:, 0])
-        y2[:, :-1] -= x2[:, 1:]
+        out[:, :-1] -= x[:, 1:]
         np.multiply(X[:, :-1, -1], 4.0, out=Y[:, :-1, -1])
         if n1 > 1:
             Y[:, :-1, -1] -= X[:, :-1, -2]
-        y2[:, n1:] -= x2[:, :-n1]
-        y2[:, :-n1] -= x2[:, n1:]
+        out[:, n1:] -= x[:, :-n1]
+        out[:, :-n1] -= x[:, n1:]
         return out
 
 
@@ -343,12 +342,12 @@ class PreconditionedMatern(LinearOperator):
 
     both exact; only U and the k scale factors are kept.  Every eigenvalue
     of B is at least 1 (see the module docstring).  An apply costs one
-    Matern apply plus O(n k); at k = 0, B = A / tau.  On a (b, n) block
-    P^{-1/2} is one (b, n) (n, k) and one (b, k) (k, n) product, which
-    streams U once per block instead of once per vector; the Matern apply
-    stays row by row, since a block FFT along the leading axis was slower
-    per vector than one FFT at a time.  A block row agrees with the
-    vector apply to roundoff, not bit for bit.
+    Matern apply plus O(n k) per vector; at k = 0, B = A / tau.  On a
+    (b, n) block P^{-1/2} is one (b, n) (n, k) and one (b, k) (k, n)
+    product, which streams U once per block instead of once per vector;
+    the Matern apply stays row by row, since a block FFT along the leading
+    axis was slower per vector than one FFT at a time.  A block row agrees
+    with that row's apply as a block of one to roundoff, not bit for bit.
     """
 
     def __init__(self, base: MaternOperator):
@@ -370,7 +369,8 @@ class PreconditionedMatern(LinearOperator):
                             + (base.dim - self.rank) * np.log(tau))
 
     def inv_sqrt(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P^{-1/2} x in O(n k) per vector, into ``out`` when it is given."""
+        """P^{-1/2} x for a (b, n) block x in O(n k) per vector, into
+        ``out`` when it is given."""
         out = np.multiply(x, self._inv_sqrt_tau, out=out)
         out += (x @ self._u) * self._scale @ self._u.T
         return out

@@ -16,11 +16,12 @@ the first ``n_pilot`` probes, each stopped at a loose tolerance: 1e-2 of
 the rough trace scale n max(|f(mid)|, f(a)) on the interval [a, b], where
 f(a) keeps exp(-x) on a wide interval from a scale that underflows.  The
 pilot and the estimate walk the probes in the same blocks, one monitor
-per block.  Only the pilot's last block goes on into the estimate: its
-pilot monitor watches it until it has stopped every column, while every
-column keeps stepping; then a fresh monitor at delta reads the stored
+per block.  Only the pilot's last block goes on into the estimate, and only
+when it holds a probe of the estimate (it starts below N): its pilot
+monitor watches it until it has stopped every column, while every column
+keeps stepping; then a fresh monitor at delta reads the stored
 coefficients and the same run steps on until it retires the columns.  A
-probe of an earlier pilot block leaves its run at its pilot stop, and the
+probe of any other pilot block leaves its run at its pilot stop, and the
 estimate steps it again from the start.  Each sample therefore equals the
 probe's own run at delta, and its value is the one a run with that delta
 given would report.  The bias bound holds for any delta, one taken from the same
@@ -337,11 +338,9 @@ class ProbeBlock:
     def watch(self, r: RationalApproximant, delta: float, count: int | None = None,
               hold: bool = False) -> list:
         """The records of a ``follow`` run to its end, one per followed column."""
-        monitor, ends = None, []
         for monitor, ends in self.follow(r, delta, count, hold):
             pass
-        history, flips = (monitor.history, monitor.sign_flips) if ends else ([], [])
-        return [self._record(j, monitor.approximant, end, history[j], int(flips[j]))
+        return [self._record(j, r, end, monitor.history[j], int(monitor.sign_flips[j]))
                 for j, end in enumerate(ends)]
 
     def _record(self, j: int, r: RationalApproximant, end, history, sign_flips) -> SampleRecord:
@@ -472,12 +471,13 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     ``ProbeBlock`` watches, each the run ``sample_bilinear`` makes, in blocks
     of ``probe_block_size(N, n)``, which the estimate reports; all blocks
     share one basis buffer.  ``pilot`` is the live last block of a
-    calibration pilot on the same probes: its columns with an index below N
-    go on in its run (see ``calibrate_delta``), the others stop, and the
-    blocks of the remaining probes reuse its buffer after it.  The reduction
-    order is fixed, so identical inputs reproduce the estimate bit for bit
-    at a fixed BLAS thread count; the reductions inside the BLAS calls
-    change order with the thread count, which moves the last bits.  The
+    calibration pilot on the same probes, starting below N: its columns
+    with an index below N go on in its run (see ``calibrate_delta``), the
+    others stop, and the blocks of the remaining probes reuse its buffer
+    after it.  The reduction order is fixed, so identical inputs reproduce
+    the estimate bit for bit at a fixed BLAS thread count; the reductions
+    inside the BLAS calls change order with the thread count, which moves
+    the last bits.  The
     mean, standard error and half-width are those of the samples that have
     a value (NaN when fewer than two do).  ``time_error_estimate`` is the
     time in the monitors, and ``time_approx`` the rest of the call after the
@@ -570,7 +570,8 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
 
 def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
                alpha: float, production_n: int, seed: int, m_max: int):
-    """The pilot phase: (delta, the pilot's report, its live last block).
+    """The pilot phase: (delta, the pilot's report, its live last block, or
+    None when that block holds no probe of the estimate).
 
     The pilot tolerance is 1e-2 n max(|f(mid)|, f(a), 1e-12) on the
     interval [a, b] with midpoint mid: f(a) stands in where f(mid)
@@ -586,11 +587,13 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     delta_pilot = 1e-2 * op.dim * scale
     r = rational.choose_K(kind, interval, rational_target(delta_pilot, op.dim))
     # one buffer for the pilot blocks and, after them, the estimate's blocks;
-    # the estimate goes on with the last block only, if it has any of its probes
+    # the estimate goes on with the last block, and in this buffer, only if
+    # that block has any of its probes
     b = probe_block_size(max(n_pilot, production_n), op.dim)
+    hold = (n_pilot - 1) // b * b < production_n
     records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, b, seed, m_max,
-                                      BasisBuffer(op.dim, b),
-                                      hold=(n_pilot - 1) // b * b < production_n)
+                                      BasisBuffer(op.dim, b), hold=hold)
+    block = block if hold else None
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
         raise CalibrationFailedError(
@@ -603,7 +606,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
         "pilot_K": r.K,
         "pilot_std_err": std_err,
         "pilot_average_steps": float(np.mean([rec.steps_run for rec in records])),
-        "reused_probes": max(0, min(production_n, n_pilot) - block.index),
+        "reused_probes": min(production_n, n_pilot) - block.index if hold else 0,
     }
     return float(beta * alpha * std_err / np.sqrt(production_n)), calibration, block
 

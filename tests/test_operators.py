@@ -311,12 +311,17 @@ def test_operator_positive_definite(make):
     lambda: DenseOperator(random_spd(7, np.random.default_rng(5)))])
 def test_matvec_writes_into_out(make):
     op = make()
-    x = np.random.default_rng(29).standard_normal(op.dim)
+    x = np.random.default_rng(29).standard_normal((1, op.dim))
     x_before = x.copy()
-    out = np.full(op.dim, np.nan)
+    out = np.full((1, op.dim), np.nan)
     assert op.matvec(x, out=out) is out
     np.testing.assert_array_equal(out, op(x))
     np.testing.assert_array_equal(x, x_before)
+    # calling the operator on one vector applies it as a block of one
+    v = x[0]
+    assert op(v).shape == (op.dim,)
+    np.testing.assert_array_equal(op(v), op.matvec(v[None])[0])
+    np.testing.assert_array_equal(op(v), out[0])
     # a (b, n) block: each row is that row's own apply, bit for bit except for
     # the preconditioned operator, whose block P^{-1/2} is a matrix product
     for b in (1, 3):

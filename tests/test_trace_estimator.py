@@ -526,6 +526,29 @@ def test_calibration_holds_only_the_block_the_estimate_goes_on_with(monkeypatch)
                        + sum(max(s, held) for s in steps[27:]))
 
 
+def test_a_pilot_block_past_the_estimate_is_not_handed_over(monkeypatch):
+    # 60x60 with N = 4 and 30 pilot probes: blocks of 9, and the last pilot
+    # block (27 .. 29) holds no probe of the estimate, so the estimate walks
+    # probes 0 .. 3 afresh and watches no finished pilot run
+    op = Laplacian2D(60, 60)
+    interval = oracles.laplacian_extreme_eigenvalues(60, 60)
+    assert probe_block_size(30, op.dim) == 9
+    counts = []
+    watch = ProbeBlock.watch
+
+    def recording(self, r, delta, count=None, hold=False):
+        counts.append(count)
+        return watch(self, r, delta, count, hold)
+
+    monkeypatch.setattr(ProbeBlock, "watch", recording)
+    est = estimate_trace(op, "log", N=4, delta=None, interval=interval, seed=5, n_pilot=30)
+    assert 0 not in counts
+    assert est.calibration["reused_probes"] == 0
+    given = estimate_trace(op, "log", N=4, delta=est.delta, interval=interval, seed=5)
+    assert est.records == given.records
+    assert (est.mean, est.half_width) == (given.mean, given.half_width)
+
+
 def test_probe_block_size_rule():
     # the three benchmark operators: 1080 Matern sites, the 90x120 and the
     # 300x400 Laplacian
