@@ -53,7 +53,8 @@ class LinearOperator:
     Subclasses implement either ``_apply(x, out)`` for one vector, and
     inherit a ``matvec`` that applies it to each row of a block, or
     ``matvec`` itself.  ``spd_hint`` asserts symmetric
-    positive-definiteness; the trace estimator requires it.
+    positive-definiteness; only ``trace_estimator.estimate_spectrum_interval``
+    reads it, and refuses an operator without it.
     """
 
     def __init__(self, dim: int, spd_hint: bool = True):

@@ -14,15 +14,17 @@ Probe i of a run is ``rademacher_vector(n, seed, i)``.  When delta is not
 given, a pilot sets it to beta alpha s_pilot / sqrt(N) from the spread of
 the first ``n_pilot`` probes, each stopped at a loose tolerance: 1e-2 of
 the rough trace scale n max(|f(mid)|, f(a)) on the interval [a, b], where
-f(a) keeps exp(-x) on a wide interval from a scale that underflows.  The
-pilot and the estimate walk the probes in the same blocks, one monitor
-per block.  Only the pilot's last block goes on into the estimate, and only
-when it holds a probe of the estimate (it starts below N): its pilot
-monitor watches it until it has stopped every column, while every column
-keeps stepping; then a fresh monitor at delta reads the stored
-coefficients and the same run steps on until it retires the columns.  A
-probe of any other pilot block leaves its run at its pilot stop, and the
-estimate steps it again from the start.  Each sample therefore equals the
+f(a) keeps exp(-x) on a wide interval from a scale that underflows.  One
+walker, ``_watch_probes``, steps the pilot's probes and the estimate's: it
+sizes the blocks for the larger of the two probe counts, one monitor per
+block, and steps them all in one basis buffer.  It holds the pilot's last
+block, and hands it to the estimate, only when that block starts below N,
+so holds a probe of the estimate: its pilot monitor watches it until it
+has stopped every column, while every column keeps stepping; then a fresh
+monitor at delta reads the stored coefficients and the same run steps on,
+in the same buffer, until it retires the columns.  A probe of any other
+pilot block leaves its run at its pilot stop, and the estimate steps it
+again from the start.  Each sample therefore equals the
 probe's own run at delta, and its value is the one a run with that delta
 given would report.  The bias bound holds for any delta, one taken from the same
 probes' loose values included: the monitor certifies each probe's run
@@ -118,8 +120,8 @@ def confidence_half_width(s: float, N: int, delta: float, alpha: float) -> float
 
 
 def probe_block_size(N: int, dim: int) -> int:
-    """The number of probes ``estimate_trace_with`` steps together (see
-    ``lanczos.PROBE_BLOCK_ELEMENTS``)."""
+    """The number of probes ``_watch_probes`` steps together in a walk of N
+    (see ``lanczos.PROBE_BLOCK_ELEMENTS``)."""
     return min(N, max(1, PROBE_BLOCK_ELEMENTS // dim))
 
 
@@ -282,8 +284,8 @@ class ProbeBlock:
         once per step on a fresh block, and first all the stored steps, with
         no operator applied, on a block that has stepped.  ``ends[j]`` is
         None while column j runs, then its (step, retired step, estimate,
-        failure); both are updated in place, and the time in the monitor adds
-        to the block's running ``monitor_seconds``.  A column ends when it
+        failure); both are updated in place, and ``monitor_seconds`` holds
+        this follow's time in the monitor.  A column ends when it
         converges or fails in the monitor, its run breaks down or it reaches
         min(m_max, n).  Without ``hold`` a column leaves the run when it
         ends, and the columns not followed leave it at once; a held follow
@@ -291,6 +293,7 @@ class ProbeBlock:
         """
         count = len(self.norm_sq) if count is None else count
         monitor = ErrorMonitor(r, delta / self.norm_sq[:count])
+        self.monitor_seconds = 0.0
         ends = [None] * count
         running = np.arange(len(self.norm_sq)) < count
         while True:
@@ -340,8 +343,8 @@ class ProbeBlock:
         """The records of a ``follow`` run to its end, one per followed column."""
         for monitor, ends in self.follow(r, delta, count, hold):
             pass
-        return [self._record(j, r, end, monitor.history[j], int(monitor.sign_flips[j]))
-                for j, end in enumerate(ends)]
+        columns = zip(ends, monitor.history, monitor.sign_flips.tolist())
+        return [self._record(j, r, *column) for j, column in enumerate(columns)]
 
     def _record(self, j: int, r: RationalApproximant, end, history, sign_flips) -> SampleRecord:
         """Column j's record from its monitor column's increments and sign
@@ -428,21 +431,27 @@ def _statistics(records):
 
 
 def _watch_probes(op: LinearOperator, r: RationalApproximant, delta: float, count: int,
-                  b: int, seed: int, m_max: int, buffer: BasisBuffer,
-                  live: ProbeBlock | None = None, hold: bool = False):
-    """(records in index order, seconds in the monitors, last block) of
-    probes 0 .. count - 1 of ``seed`` watched at delta in blocks of b, block
-    k holding probes k b .. (k + 1) b - 1, in ``buffer``.  ``live`` is a
-    block that stepped in ``buffer`` from a block boundary: its probes go on
-    in its run, before the fresh blocks overwrite the buffer (and the ring)
-    that run lives in.  With ``hold`` the last block keeps its columns.
+                  seed: int, m_max: int, live: ProbeBlock | None = None, keep: int = 0):
+    """(records in index order, seconds in the monitors, held block) of
+    probes 0 .. count - 1 of ``seed`` watched at delta: the one place that
+    lays out probe blocks.
+
+    The blocks hold b = ``probe_block_size(max(count, keep), n)`` probes,
+    block k probes k b .. (k + 1) b - 1, and all step in one basis buffer:
+    that of ``live``, or else one of width b.  ``live`` is a block that
+    stepped from a block boundary: its probes below count go on in its run,
+    before the fresh blocks overwrite the buffer (and the ring) that run
+    lives in.  ``keep`` is the probe count of an estimate that goes on with
+    this walk: the last block keeps its columns, and is returned, only when
+    it starts below ``keep``; otherwise the held block is None.
     """
-    records, seconds, block = [], 0.0, live
+    b = probe_block_size(max(count, keep), op.dim)
+    buffer = BasisBuffer(op.dim, b) if live is None else live.buffer
+    records, seconds, held = [], 0.0, None
     probes = np.empty((b, op.dim))
     taken = range(0)
     if live is not None:
         taken = range(live.index, min(count, live.index + len(live.norm_sq)))
-        seconds -= live.monitor_seconds
         records = live.watch(r, delta, count=len(taken))
         seconds += live.monitor_seconds
     for start in range(0, count, b):
@@ -454,10 +463,11 @@ def _watch_probes(op: LinearOperator, r: RationalApproximant, delta: float, coun
             for j, row in enumerate(u):
                 row[:] = rademacher_vector(op.dim, seed, index=start + j)
             block = ProbeBlock(op, u, m_max, buffer, index=start, seed=seed)
-            records += block.watch(r, delta, hold=hold and stop == count)
+            held = block if stop == count and start < keep else None
+            records += block.watch(r, delta, hold=held is not None)
             seconds += block.monitor_seconds
     records.sort(key=lambda rec: rec.index)
-    return records, seconds, block
+    return records, seconds, held
 
 
 def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delta: float,
@@ -468,16 +478,16 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
 
     Probe i is ``rademacher_vector(n, seed, i)``, and each sample values the
     function of r's kind, ``kind_function(r.kind)``.  The probes run as
-    ``ProbeBlock`` watches, each the run ``sample_bilinear`` makes, in blocks
-    of ``probe_block_size(N, n)``, which the estimate reports; all blocks
-    share one basis buffer.  ``pilot`` is the live last block of a
-    calibration pilot on the same probes, starting below N: its columns
-    with an index below N go on in its run (see ``calibrate_delta``), the
-    others stop, and the blocks of the remaining probes reuse its buffer
-    after it.  The reduction order is fixed, so identical inputs reproduce
-    the estimate bit for bit at a fixed BLAS thread count; the reductions
-    inside the BLAS calls change order with the thread count, which moves
-    the last bits.  The
+    ``ProbeBlock`` watches, each the run ``sample_bilinear`` makes, in the
+    blocks of ``probe_block_size(N, n)`` probes that ``_watch_probes`` lays
+    out and steps in its one basis buffer; the estimate reports that block
+    size.  ``pilot`` is the live last block of a calibration pilot on the
+    same probes, starting below N: its columns with an index below N go on
+    in its run (see ``calibrate_delta``), the others stop, and the walker
+    steps the remaining probes in that block's buffer.  The reduction order
+    is fixed, so identical inputs reproduce the estimate bit for bit at a
+    fixed BLAS thread count; the reductions inside the BLAS calls change
+    order with the thread count, which moves the last bits.  The
     mean, standard error and half-width are those of the samples that have
     a value (NaN when fewer than two do).  ``time_error_estimate`` is the
     time in the monitors, and ``time_approx`` the rest of the call after the
@@ -490,9 +500,7 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
     """
     _check_run(N, delta, alpha)
     tic = time.perf_counter()
-    b = probe_block_size(N, op.dim)
-    buffer = BasisBuffer(op.dim, b) if pilot is None else pilot.buffer
-    records, t_err, _ = _watch_probes(op, r, delta, N, b, seed, m_max, buffer, live=pilot)
+    records, t_err, _ = _watch_probes(op, r, delta, N, seed, m_max, live=pilot)
     count, mean, std_err = _statistics(records)
     half = confidence_half_width(std_err, count, delta, alpha) if count >= 2 else math.nan
     return TraceEstimate(
@@ -510,7 +518,7 @@ def estimate_trace_with(op: LinearOperator, r: RationalApproximant, N: int, delt
                    and all(rec.converged and rec.failure is None for rec in records)),
         time_approx=time.perf_counter() - tic - t_err,
         time_error_estimate=t_err,
-        block_size=b,
+        block_size=probe_block_size(N, op.dim),
     )
 
 
@@ -571,7 +579,10 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
 def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
                alpha: float, production_n: int, seed: int, m_max: int):
     """The pilot phase: (delta, the pilot's report, its live last block, or
-    None when that block holds no probe of the estimate).
+    None when that block holds no probe of the estimate).  ``_watch_probes``
+    lays out the pilot's blocks for max(n_pilot, production_n) probes, so
+    that they match the estimate's, and holds the last block only when it
+    starts below production_n.
 
     The pilot tolerance is 1e-2 n max(|f(mid)|, f(a), 1e-12) on the
     interval [a, b] with midpoint mid: f(a) stands in where f(mid)
@@ -586,14 +597,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     scale = max(abs(f_mid), float(np.asarray(f(interval[0]))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     r = rational.choose_K(kind, interval, rational_target(delta_pilot, op.dim))
-    # one buffer for the pilot blocks and, after them, the estimate's blocks;
-    # the estimate goes on with the last block, and in this buffer, only if
-    # that block has any of its probes
-    b = probe_block_size(max(n_pilot, production_n), op.dim)
-    hold = (n_pilot - 1) // b * b < production_n
-    records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, b, seed, m_max,
-                                      BasisBuffer(op.dim, b), hold=hold)
-    block = block if hold else None
+    records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, seed, m_max, keep=production_n)
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
         raise CalibrationFailedError(
@@ -606,7 +610,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
         "pilot_K": r.K,
         "pilot_std_err": std_err,
         "pilot_average_steps": float(np.mean([rec.steps_run for rec in records])),
-        "reused_probes": min(production_n, n_pilot) - block.index if hold else 0,
+        "reused_probes": min(production_n, n_pilot) - block.index if block else 0,
     }
     return float(beta * alpha * std_err / np.sqrt(production_n)), calibration, block
 
@@ -620,8 +624,10 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFA
     The pilot is the first phase of ``estimate_trace`` with delta None,
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
     at the loose tolerance of the module docstring, with no certification;
-    s is the standard error of their values.  Its last block keeps every
-    column until its monitor has stopped each of them, so that the
-    estimate can go on with that run.
+    s is the standard error of their values.  When its last block starts
+    below ``production_n`` that block keeps every column until its monitor
+    has stopped each of them, as the pilot of an estimate does so that the
+    estimate can go on with that run, although here nothing goes on with
+    it.
     """
     return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed, m_max)[0]

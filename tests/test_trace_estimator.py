@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -547,6 +548,77 @@ def test_a_pilot_block_past_the_estimate_is_not_handed_over(monkeypatch):
     given = estimate_trace(op, "log", N=4, delta=est.delta, interval=interval, seed=5)
     assert est.records == given.records
     assert (est.mean, est.half_width) == (given.mean, given.half_width)
+
+
+def test_a_calibrated_run_steps_every_block_in_one_buffer(monkeypatch):
+    # 60x60 with N = 40 and 30 pilot probes: blocks of 9; the last pilot
+    # block (27 .. 29) goes on into the estimate, whose fresh blocks skip it,
+    # and the estimate's blocks step in the pilot's buffer
+    op = Laplacian2D(60, 60)
+    interval = oracles.laplacian_extreme_eigenvalues(60, 60)
+    blocks = []                  # (index, probes, buffer) of each ProbeBlock made
+    init = ProbeBlock.__init__
+
+    def recording(self, op, u, m_max=trace_estimator.DEFAULT_M_MAX, buffer=None, index=0,
+                  seed=0):
+        blocks.append((index, len(u), buffer))
+        init(self, op, u, m_max, buffer, index, seed)
+
+    monkeypatch.setattr(ProbeBlock, "__init__", recording)
+    estimate_trace(op, "log", N=40, delta=None, interval=interval, seed=5, n_pilot=30)
+    assert [block[:2] for block in blocks] == [
+        (0, 9), (9, 9), (18, 9), (27, 3),                   # the pilot
+        (0, 9), (9, 9), (18, 9), (30, 6), (36, 4)]          # the estimate
+    buffer = blocks[0][2]
+    assert buffer is not None and all(block[2] is buffer for block in blocks)
+    # with N = 4 no pilot block goes on, and the estimate steps its one
+    # block of 4 in a buffer of its own
+    blocks.clear()
+    estimate_trace(op, "log", N=4, delta=None, interval=interval, seed=5, n_pilot=30)
+    pilot, (estimate,) = blocks[:4], blocks[4:]
+    assert all(block[2] is pilot[0][2] for block in pilot)
+    assert estimate[:2] == (0, 4) and estimate[2] is not pilot[0][2]
+    assert estimate[2].width == 4
+
+
+def test_the_estimates_monitor_time_leaves_out_the_pilots(monkeypatch):
+    # a clock that ticks once per call makes each catch-up of a follow one
+    # second: the held pilot block of probes 0 .. 5 catches up once on its
+    # m_pilot stored steps and then once per step it takes, and the fresh
+    # block of probes 6 .. 9 once per step; the pilot's own catch-ups stay out
+    op = Laplacian2D(20, 30)
+    interval = oracles.laplacian_extreme_eigenvalues(20, 30)
+    rows = _count_laplacian_rows(monkeypatch)
+    calibrate_delta(op, "log", interval, n_pilot=6, production_n=10, seed=3)
+    assert set(rows) == {6}
+    m_pilot = len(rows)
+    clock = itertools.count()
+    monkeypatch.setattr(trace_estimator.time, "perf_counter", lambda: float(next(clock)))
+    est = estimate_trace(op, "log", N=10, delta=None, interval=interval, seed=3, n_pilot=6)
+    steps = [rec.steps_run for rec in est.records]
+    assert est.time_error_estimate == 1 + max(0, max(steps[:6]) - m_pilot) + max(steps[6:])
+
+
+def test_a_watch_reads_its_monitors_history_once(monkeypatch):
+    # the records take each column's increments and sign flips from one
+    # read of each monitor property, not one per column
+    reads = []
+    history = ErrorMonitor.history
+
+    def counted(monitor):
+        reads.append(monitor)
+        return history.fget(monitor)
+
+    op = Laplacian2D(20, 30)
+    r = build("log", 12, oracles.laplacian_extreme_eigenvalues(20, 30))
+    u = np.array([rademacher_vector(op.dim, 7, index=i) for i in range(4)])
+    block = ProbeBlock(op, u, index=0, seed=7)
+    monkeypatch.setattr(ErrorMonitor, "history", property(counted))
+    records = block.watch(r, 1e-2)
+    assert len(records) == 4 and 1 <= len(reads) <= 2
+    for j, rec in enumerate(records):
+        (alone,) = sample_bilinear(op, r, u[j:j + 1], 1e-2, index=j, seed=7)
+        assert rec == alone and type(rec.sign_flips) is int
 
 
 def test_probe_block_size_rule():
