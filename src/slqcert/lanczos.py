@@ -468,7 +468,7 @@ def lanczos_steps(op: LinearOperator, u, reorth_mode: str = DEFAULT_REORTH,
     whose quadrature is exact; the caller may retire a column between steps
     by clearing its ``state.active`` entry.  The loop ends when no column is
     active.  A step's coefficients are read from the state: ``ProbeBlock``
-    feeds its monitor the running columns' entries of ``state._alphas`` and
+    feeds its monitor the followed columns' entries of ``state._alphas`` and
     ``state._betas``.  The basis goes into ``buffer`` when one is given (see
     ``LanczosState``).
     """

@@ -26,21 +26,26 @@ in the same buffer, until it retires the columns.  A probe of any other
 pilot block leaves its run at its pilot stop, and the estimate steps it
 again from the start.  Each sample therefore equals the
 probe's own run at delta, and its value is the one a run with that delta
-given would report.  The bias bound holds for any delta, one taken from the same
-probes' loose values included: the monitor certifies each probe's run
-against the delta it is given, whatever that delta depends on, so every
-sample is within delta of its probe's exact bilinear form.  The
-statistical part of the half-width is the spread of those exact forms,
-which no choice of delta moves; s, the spread of the computed samples,
-differs from it by at most delta sqrt(N / (N - 1)), the term the
-half-width adds.
+given would report.  The bias bound rests on the monitor's estimate at
+each probe's retired step, for any delta, one taken from the same probes'
+loose values included: a sample counts as within delta of its probe's
+exact bilinear form when that estimate is below delta.  The estimate is
+not a bound.  When f is flat over the bulk of the spectrum (exp_neg,
+tanh_sqrt), the increments can plateau near zero until Lanczos finds a
+small cluster of low eigenvalues, and the lookback window then reads an
+error near zero for a sample that is far off: three eigenvalues 1 below a
+bulk on [5, 2e4] give a certified exp_neg run 68 half-widths from the
+truth.  The statistical part of the half-width is the spread of the exact
+forms, which no choice of delta moves; s, the spread of the computed
+samples, differs from it by at most delta sqrt(N / (N - 1)) when each
+sample is within delta, the term the half-width adds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 # numpy 2 loads it on first use; importing it here keeps that out of the
@@ -49,7 +54,7 @@ import numpy.random  # noqa: F401
 
 from . import rational
 from .errors import (CalibrationFailedError, ContractViolationError,
-                     NumericalFailureError, PivotBreakdownError, QuadratureDomainError)
+                     NumericalFailureError, QuadratureDomainError)
 from .error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, lookback_check
 from .lanczos import (DEFAULT_M_MAX, DEFAULT_REORTH, PROBE_BLOCK_ELEMENTS, BasisBuffer,
                       gauss_quadrature, lanczos_run, lanczos_steps, tridiag_eigen)
@@ -70,8 +75,9 @@ SPECTRUM_SAFETY = 1.005
 # share of b, the roundoff of the eigensolve, before the sample is flagged
 RITZ_SLACK = 1e-12
 
-# the errors that end one probe's run without ending the others'
-# (PivotBreakdownError is a NumericalFailureError)
+# the errors of a probe's eigensolve or quadrature that end its sample
+# without ending the others'; a pivot breakdown of its pole recurrence the
+# monitor records itself (ErrorMonitor._failures)
 SAMPLE_FAILURES = (QuadratureDomainError, NumericalFailureError)
 
 
@@ -231,8 +237,8 @@ class TraceEstimate:
 
 
 def _sample_json(r: SampleRecord) -> dict:
-    """The record's fields, without ``failure`` when it is None."""
-    sample = asdict(r)
+    """The record's fields in order, without ``failure`` when it is None."""
+    sample = dict(vars(r))
     if r.failure is None:
         del sample["failure"]
     return sample
@@ -279,8 +285,9 @@ class ProbeBlock:
                hold: bool = False):
         """Step the run under one ErrorMonitor at tolerance delta over the
         first ``count`` columns (all by default) until each has ended; yields
-        (monitor, ends) after each catch-up, which feeds the running columns
-        the stored steps the monitor has not seen, one ``advance`` per step:
+        (monitor, ends) after each catch-up, which feeds every followed
+        column, an ended one too, the stored steps the monitor has not seen
+        while a column runs, one ``advance`` per step:
         once per step on a fresh block, and first all the stored steps, with
         no operator applied, on a block that has stepped.  ``ends[j]`` is
         None while column j runs, then its (step, retired step, estimate,
@@ -313,42 +320,39 @@ class ProbeBlock:
             self._passes.append(state.reorth_passes.copy())
 
     def _catch_up(self, monitor: ErrorMonitor, ends: list, running):
-        """Feed the running columns the run's stored steps; ended columns leave ``running``."""
-        state = self.state
-        idx = running.nonzero()[0]
-        m = int(monitor.m[idx[0]]) + 1 if len(idx) else 0      # the step to feed
-        while len(idx) and m <= state.m:
-            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
-            try:
-                monitor.advance(state._alphas[cols, m - 1], state._betas[cols, m - 1], cols)
-            except PivotBreakdownError as exc:
-                ends[exc.column] = (m, m, None, f"{type(exc).__name__}: {exc}")
-                running[exc.column] = False
-                idx = running.nonzero()[0]
-                continue
-            converged, retired, estimate = lookback_check(monitor, cols)
-            if np.count_nonzero(state.breakdown[cols]):
+        """Feed the followed columns the run's stored steps, one ``advance``
+        and one ``lookback_check`` per step, while a column runs; ended
+        columns leave ``running``, those that failed first."""
+        state, count = self.state, len(ends)
+        while monitor.m < state.m and running.any():
+            m = monitor.m + 1
+            monitor.advance(state._alphas[:count, m - 1], state._betas[:count, m - 1])
+            converged, retired, estimate = lookback_check(monitor)
+            if np.count_nonzero(state.breakdown[:count]):
                 # invariant subspace found: the quadrature at T_m is exact
-                exact = state.breakdown[cols] & (state.steps[cols] == m)
+                exact = state.breakdown[:count] & (state.steps[:count] == m)
                 converged[exact], retired[exact], estimate[exact] = True, m, 0.0
+            for j, exc in monitor._failures.items():
+                if running[j]:
+                    ends[j] = (m, m, None, f"{type(exc).__name__}: {exc}")
+                    running[j] = False
+            converged &= running[:count]
             if np.count_nonzero(converged):
-                for i in np.flatnonzero(converged).tolist():
-                    ends[idx[i]] = (m, int(retired[i]), float(estimate[i]), None)
-                    running[idx[i]] = False
-                idx = running.nonzero()[0]
-            m += 1
+                for j in np.flatnonzero(converged).tolist():
+                    ends[j] = (m, int(retired[j]), float(estimate[j]), None)
+                    running[j] = False
 
     def watch(self, r: RationalApproximant, delta: float, count: int | None = None,
               hold: bool = False) -> list:
         """The records of a ``follow`` run to its end, one per followed column."""
         for monitor, ends in self.follow(r, delta, count, hold):
             pass
-        columns = zip(ends, monitor.history, monitor.sign_flips.tolist())
-        return [self._record(j, r, *column) for j, column in enumerate(columns)]
+        return [self._record(j, r, end, history)
+                for j, (end, history) in enumerate(zip(ends, monitor.history))]
 
-    def _record(self, j: int, r: RationalApproximant, end, history, sign_flips) -> SampleRecord:
-        """Column j's record from its monitor column's increments and sign
-        flips; ``end`` is None for a column the run's cap stopped."""
+    def _record(self, j: int, r: RationalApproximant, end, history) -> SampleRecord:
+        """Column j's record from its monitor column's increments, cut at
+        the column's end; ``end`` is None for a column the run's cap stopped."""
         state, cap = self.state, None
         if end is None:
             cap = (f"stopped at m_max = {state.m_max}" if state.m_max < state.op.dim
@@ -356,6 +360,8 @@ class ProbeBlock:
             cap += " before its monitor converged"
             end = (int(state.steps[j]), int(state.steps[j]), None, None)
         steps, retired, estimate, failure = end
+        # d_1 .. d_{steps - 1}, less the 0 a failed pivot's step adds
+        history = history[:max(steps - 1 - (failure is not None), 0)]
         converged = cap is None and failure is None
         if estimate is None:        # the latest increment stands in
             estimate = history[-1] if len(history) else np.inf
@@ -377,7 +383,7 @@ class ProbeBlock:
             error_estimate=float(abs(estimate) * self.norm_sq[j]),
             seed=self.seed,
             converged=converged,
-            sign_flips=sign_flips,
+            sign_flips=int(np.count_nonzero(history[1:] * history[:-1] < 0)),
             reorth_passes=int(self._passes[steps - 1][j]),
             replayed_steps=int(state.replayed_steps[j]),
             theta_min=theta_min,
@@ -413,9 +419,10 @@ def sample_bilinear(op: LinearOperator, r: RationalApproximant, u, delta: float,
     ``failure``.  Hitting m_max or n yields an unconverged record that
     says so in ``failure``, instead of an exception.  On breakdown the
     quadrature is exact and the certificate is a zero error estimate.  A
-    probe whose pole recurrence, eigensolver or quadrature raises one of
-    SAMPLE_FAILURES retires unconverged, with a NaN value and the error in
-    ``failure``; the other probes go on.
+    probe whose pole recurrence breaks down (a PivotBreakdownError the
+    monitor records), or whose eigensolver or quadrature raises one of
+    SAMPLE_FAILURES, retires unconverged, with a NaN value and the error
+    in ``failure``; the other probes go on.
     """
     return ProbeBlock(op, u, m_max, index=index, seed=seed).watch(r, delta)
 
@@ -564,7 +571,7 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
     time_calibration = 0.0
     if delta is None:
         delta, calibration, pilot = _calibrate(op, kind, interval, n_pilot, beta, alpha,
-                                               N, seed, m_max)
+                                               N, N, seed, m_max)
         time_calibration = time.perf_counter() - tic
     r = rational.choose_K(kind, interval, rational_target(delta, op.dim))
     estimate = estimate_trace_with(op, r, N, delta, alpha=alpha, seed=seed, m_max=m_max,
@@ -577,12 +584,13 @@ def estimate_trace(op: LinearOperator, kind: str, N: int, delta: float | None, i
 
 
 def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: float,
-               alpha: float, production_n: int, seed: int, m_max: int):
+               alpha: float, production_n: int, keep: int, seed: int, m_max: int):
     """The pilot phase: (delta, the pilot's report, its live last block, or
-    None when that block holds no probe of the estimate).  ``_watch_probes``
-    lays out the pilot's blocks for max(n_pilot, production_n) probes, so
-    that they match the estimate's, and holds the last block only when it
-    starts below production_n.
+    None when that block holds no probe of the estimate).  ``keep`` is the
+    probe count of the estimate that goes on with the pilot's probes, 0 when
+    none does.  ``_watch_probes`` lays out the pilot's blocks for
+    max(n_pilot, keep) probes, so that they match the estimate's, and holds
+    the last block only when it starts below ``keep``.
 
     The pilot tolerance is 1e-2 n max(|f(mid)|, f(a), 1e-12) on the
     interval [a, b] with midpoint mid: f(a) stands in where f(mid)
@@ -597,7 +605,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
     scale = max(abs(f_mid), float(np.asarray(f(interval[0]))), 1e-12)
     delta_pilot = 1e-2 * op.dim * scale
     r = rational.choose_K(kind, interval, rational_target(delta_pilot, op.dim))
-    records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, seed, m_max, keep=production_n)
+    records, _, block = _watch_probes(op, r, delta_pilot, n_pilot, seed, m_max, keep=keep)
     _, _, std_err = _statistics(records)
     if not std_err > 0.0:
         raise CalibrationFailedError(
@@ -610,7 +618,7 @@ def _calibrate(op: LinearOperator, kind: str, interval, n_pilot: int, beta: floa
         "pilot_K": r.K,
         "pilot_std_err": std_err,
         "pilot_average_steps": float(np.mean([rec.steps_run for rec in records])),
-        "reused_probes": min(production_n, n_pilot) - block.index if block else 0,
+        "reused_probes": min(keep, n_pilot) - block.index if block else 0,
     }
     return float(beta * alpha * std_err / np.sqrt(production_n)), calibration, block
 
@@ -624,10 +632,9 @@ def calibrate_delta(op: LinearOperator, kind: str, interval, n_pilot: int = DEFA
     The pilot is the first phase of ``estimate_trace`` with delta None,
     stopped there: probes 0 .. n_pilot - 1 of ``seed`` run on ``interval``
     at the loose tolerance of the module docstring, with no certification;
-    s is the standard error of their values.  When its last block starts
-    below ``production_n`` that block keeps every column until its monitor
-    has stopped each of them, as the pilot of an estimate does so that the
-    estimate can go on with that run, although here nothing goes on with
-    it.
+    s is the standard error of their values.  ``production_n`` follows
+    ``estimate_trace``'s rule, N >= 2, checked before the pilot runs.
     """
-    return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, seed, m_max)[0]
+    _check_run(production_n, None, alpha)
+    return _calibrate(op, kind, interval, n_pilot, beta, alpha, production_n, 0, seed,
+                      m_max)[0]

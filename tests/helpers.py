@@ -79,7 +79,6 @@ class ReferenceMonitor:
         self.u = self.eta = np.zeros(len(approximant.poles), dtype=complex)
         self.history = []
         self.prefix_sums = []
-        self.sign_flips = 0
 
     def advance(self, alpha, beta):
         poles = self.approximant.poles
@@ -97,8 +96,6 @@ class ReferenceMonitor:
         if self.m == 1:
             return None
         d = float(-np.sum(self.approximant.coeffs * beta * self.eta * eta_prev).real)
-        if self.history and self.history[-1] * d < 0:
-            self.sign_flips += 1
         self.history.append(d)
         self.prefix_sums.append((self.prefix_sums[-1] if self.prefix_sums else 0.0) + d)
         return d
@@ -109,7 +106,7 @@ def with_history(monitor, history):
     ``history`` as its increments."""
     monitor.advance(1.0, 0.0)
     for n, d in enumerate(history):
-        monitor._append(np.array([d]), slice(None), n)
+        monitor._append(np.array([d]), n)
     return monitor
 
 

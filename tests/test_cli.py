@@ -752,13 +752,34 @@ def test_calibrated_trace_steps_each_pilot_probe_once(monkeypatch, capsys):
     monkeypatch.setattr(Laplacian2D, "matvec", counting)
     args = [*LAPLACIAN_20x30, "--n-samples", "10", "--pilot-n", "6"]
     code, _, _ = run_cli(["calibrate-delta", *args], capsys)
-    assert code == 0 and set(rows) == {6}
+    # no estimate goes on with calibrate-delta's pilot, so its columns leave
+    # the run as they stop
+    assert code == 0 and rows[0] == 6 > rows[-1] and rows == sorted(rows, reverse=True)
     m_pilot = len(rows)
     rows.clear()
     code, out, _ = run_cli(["trace", *args], capsys)
     assert code == 0
     steps = [sample["steps_run"] for sample in json.loads(out)["per_sample"]]
     assert sum(rows) == sum(max(s, m_pilot) for s in steps[:6]) + sum(steps[6:])
+
+
+def test_calibrate_delta_steps_each_pilot_probe_to_its_own_stop(monkeypatch, capsys):
+    # the pilot's rows add up to its probes' own steps, which the calibrated
+    # trace reports as pilot_average_steps
+    args = [*LAPLACIAN_20x30, "--n-samples", "10", "--pilot-n", "6"]
+    code, out, _ = run_cli(["trace", *args], capsys)
+    assert code == 0
+    average = json.loads(out)["calibration"]["pilot_average_steps"]
+    rows = []
+    matvec = Laplacian2D.matvec
+
+    def counting(self, x, out=None):
+        rows.append(len(x))
+        return matvec(self, x, out)
+
+    monkeypatch.setattr(Laplacian2D, "matvec", counting)
+    code, _, _ = run_cli(["calibrate-delta", *args], capsys)
+    assert code == 0 and sum(rows) == 6 * average == 56
 
 
 def test_calibrated_trace_reports_its_pilot(capsys):

@@ -20,7 +20,7 @@ def single_pole_monitor(pole=1j, coeff=1.0, tol=1e-8, t=0.1):
 def test_pivot_first_step():
     monitor = single_pole_monitor()
     monitor.advance(2.0, 0.0)
-    assert monitor.m.tolist() == [1]
+    assert monitor.m == 1
     assert monitor.u[0, 0] == pytest.approx(2.0 - 1j)
     assert monitor.eta[0, 0] == pytest.approx((2.0 + 1j) / 5.0)
 
@@ -37,26 +37,33 @@ def test_pivot_second_step_hand_values():
     assert monitor.eta[0, 0] == pytest.approx(x[-1])
 
 
-def test_pivot_guard_raises():
+def test_pivot_guard_records_the_failure():
     monitor = single_pole_monitor(pole=0.0)  # pole on the real axis
-    with pytest.raises(PivotBreakdownError) as err:
-        monitor.advance(0.0, 0.0)
-    assert err.value.pole == 0.0 and err.value.column == 0
-    assert monitor.m.tolist() == [0]
+    monitor.advance(0.0, 0.0)
+    (err,) = monitor._failures.values()
+    assert isinstance(err, PivotBreakdownError)
+    assert err.pole == 0.0 and err.column == 0 and monitor._failures.keys() == {0}
+    assert str(err) == "pivot underflow at step 1 for pole 0j"
+    assert monitor.m == 1 and monitor.u[0, 0] == np.inf and monitor.eta[0, 0] == 0.0
 
 
-def test_pivot_guard_leaves_the_monitor_at_its_last_step():
-    # u_2 = alpha_2 - 0 - beta^2 / u_1 = 1 - 1 / 1 = 0 on the real pole 0
-    monitor = single_pole_monitor(pole=0.0)
-    monitor.advance(1.0, 0.0)
-    u, eta = monitor.u.copy(), monitor.eta.copy()
-    with pytest.raises(PivotBreakdownError, match="at step 2"):
-        monitor.advance(1.0, 1.0)
-    assert monitor.m.tolist() == [1] and monitor.history[0].size == 0
-    with pytest.raises(ContractViolationError):
-        cumulative_error(monitor, 1, 2)
-    np.testing.assert_array_equal(monitor.u, u)
-    np.testing.assert_array_equal(monitor.eta, eta)
+def test_a_failed_column_takes_exact_zeros_and_leaves_the_others_alone():
+    # u_2 = alpha_2 - 0 - beta^2 / u_1 = 1 - 1 / 1 = 0 on the real pole 0 in
+    # column 0, which keeps that first failure when its u_3 = 0 - 0 - 0 is 0
+    # again; column 1 takes other coefficients and runs as if alone
+    monitor = single_pole_monitor(pole=0.0, tol=[1e-8, 1e-8])
+    alone = single_pole_monitor(pole=0.0)
+    feed = [((1.0, 2.0), (0.0, 0.0)), ((1.0, 3.0), (1.0, 0.5)),
+            ((0.0, 1.5), (0.3, 0.2)), ((0.5, 2.5), (0.7, 0.1))]
+    for alphas, betas in feed:
+        monitor.advance(np.array(alphas), np.array(betas))
+        alone.advance(alphas[1], betas[1])
+    assert monitor._failures.keys() == {0}
+    assert str(monitor._failures[0]) == "pivot underflow at step 2 for pole 0j"
+    assert monitor.m == 4 and monitor.history[0].tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_array_equal(monitor.history[1], alone.history[0])
+    np.testing.assert_array_equal(monitor.eta[1], alone.eta[0])
+    assert lookback_check(monitor)[1][1] == lookback_check(alone)[1][0]
 
 
 @pytest.mark.parametrize("pole", [1j, 2.0 + 0.5j, -3.0 + 0j, 0.3 + 2j])
@@ -198,11 +205,18 @@ def test_cumulative_telescopes_to_eigen_route():
 def test_sign_flip_counter():
     # one real pole z = 0 with c = 1: d_{m-1} = beta^2 eta_{m-1}^2 / u_m, so the
     # increments take the sign of the pivot u_m ~ alpha_m (small beta)
+    feed = [(1.0, 0.0), (1.0, 0.1), (-1.0, 0.1), (1.0, 0.1), (1.0, 0.1)]
     monitor = single_pole_monitor(pole=0.0)
-    for alpha, beta in [(1.0, 0.0), (1.0, 0.1), (-1.0, 0.1), (1.0, 0.1), (1.0, 0.1)]:
+    for alpha, beta in feed:
         monitor.advance(alpha, beta)
     assert np.sign(monitor.history[0]).tolist() == [1.0, -1.0, 1.0, 1.0]
-    assert monitor.sign_flips.tolist() == [2]
+    # Lanczos from e1 on that Jacobi matrix takes the same steps, and the
+    # record of its one probe counts the two flips
+    alphas, betas = zip(*feed)
+    T = np.diag(alphas) + np.diag(betas[1:], 1) + np.diag(betas[1:], -1)
+    r = RationalApproximant("log", (0.5, 2.0), np.array([0.0j]), np.array([1.0 + 0j]), 0.0, 1)
+    (rec,) = ProbeBlock(DenseOperator(T), np.eye(5)[:1]).watch(r, 1e-8)
+    assert rec.steps_run == 5 and rec.sign_flips == 2
 
 
 def test_constant_sign_on_laplacian_runs():

@@ -121,47 +121,45 @@ def block_feeds(draw):
 @settings(max_examples=150)
 @given(feed=block_feeds(), t=st.floats(0.01, 0.99))
 def test_block_monitor_matches_the_scalar_reference(feed, t):
-    # step m goes to the columns whose last step is at least m and that have
-    # not failed, a slice when they are adjacent and an index array when not;
-    # a failed pivot leaves its column behind, and the other columns take
-    # the step
+    # every column takes every step, zeros past its last one, as a column
+    # that has left its run does; up to its last step, or the step before
+    # its pivot fails, each column is its own scalar monitor, and a failed
+    # column records the reference's error and takes exact zeros from then on
     alphas, betas, last, tols = feed
-    b = len(tols)
+    b, steps = alphas.shape
+    past = np.arange(1, steps + 1) > np.array(last)[:, None]
+    alphas[past], betas[past] = 0.0, 0.0
     block = ErrorMonitor(MIXED, tols, t=t)
     refs = [ReferenceMonitor(MIXED, tol, t=t) for tol in tols]
-    failed, ref_failed = {}, {}
-    for m in range(1, alphas.shape[1] + 1):
-        fed = [j for j in range(b) if m <= last[j] and j not in ref_failed]
-        for j in fed:
+    ref_failed, failed_at = {}, {}
+    for m in range(1, steps + 1):
+        block.advance(alphas[:, m - 1], betas[:, m - 1])
+        for j in block._failures:
+            failed_at.setdefault(j, m)
+        checked = list(zip(*lookback_check(block)))
+        for j, ref in enumerate(refs):
+            if m > last[j] or j in ref_failed:
+                continue
             try:
-                refs[j].advance(float(alphas[j, m - 1]), float(betas[j, m - 1]))
+                ref.advance(float(alphas[j, m - 1]), float(betas[j, m - 1]))
             except PivotBreakdownError as exc:
                 ref_failed[j] = str(exc)
-        while True:
-            idx = np.array([j for j in range(b) if m <= last[j] and j not in failed])
-            if not len(idx):
-                break
-            cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] < len(idx) else idx
-            try:
-                block.advance(alphas[idx, m - 1], betas[idx, m - 1], cols)
-                break
-            except PivotBreakdownError as exc:
-                failed[exc.column] = str(exc)
-        assert failed == ref_failed
-        if len(idx):
-            checked = zip(*lookback_check(block, cols))
-            for j, (converged, retired, estimate) in zip(idx.tolist(), checked):
-                expected = reference_lookback(refs[j])
-                assert (converged, retired) == (expected[0], expected[1] or 0)
-                assert (math.isnan(estimate) if expected[2] is None
-                        else estimate == expected[2])
-        for j, ref in enumerate(refs):
-            assert block.m[j] == ref.m and block.sign_flips[j] == ref.sign_flips
-            assert block.history[j].tolist() == ref.history
-            # a window from step 1 is a prefix sum minus 0.0, which keeps it
-            assert [cumulative_error(block, 1, i + 2, j)
-                    for i in range(len(ref.history))] == ref.prefix_sums
+                continue
             np.testing.assert_array_equal(block.eta[j], ref.eta)
+            converged, retired, estimate = checked[j]
+            expected = reference_lookback(ref)
+            assert (converged, retired) == (expected[0], expected[1] or 0)
+            assert (math.isnan(estimate) if expected[2] is None
+                    else estimate == expected[2])
+    assert {j: str(block._failures[j]) for j in failed_at if failed_at[j] <= last[j]} \
+        == ref_failed
+    for j, ref in enumerate(refs):
+        assert block.m == steps and block.history[j][:len(ref.history)].tolist() == ref.history
+        # a window from step 1 is a prefix sum minus 0.0, which keeps it
+        assert [cumulative_error(block, 1, i + 2, j)
+                for i in range(len(ref.history))] == ref.prefix_sums
+        if j in failed_at:
+            assert not block.history[j][max(failed_at[j] - 2, 0):].any()
 
 
 _SCALARS = {

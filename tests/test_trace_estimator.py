@@ -286,6 +286,17 @@ def test_alpha_and_beta_are_checked_before_any_probe(monkeypatch):
         calibrate_delta(op, "log", interval, beta=-1.0)
 
 
+@pytest.mark.parametrize("production_n", [0, -3, 1])
+def test_calibrate_delta_rejects_an_n_no_estimate_takes(monkeypatch, production_n):
+    # 0 gave inf, -3 NaN, and 1 a delta for an N that estimate_trace refuses
+    def no_probe(*_args, **_kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(trace_estimator, "ProbeBlock", no_probe)
+    with pytest.raises(ContractViolationError, match="N >= 2"):
+        calibrate_delta(Laplacian2D(4, 4), "log", (0.1, 8.0), production_n=production_n)
+
+
 def test_an_approximant_over_the_budget_leaves_the_run_uncertified():
     # log at K = 1 misses delta / (2 n) by four orders of magnitude: each
     # sample's bias is then no longer bounded by delta, however well its
@@ -438,7 +449,7 @@ def test_follow_feeds_each_monitor_the_beta_above_each_alpha():
     block = ProbeBlock(op, u, m_max=12)
     by_hand = [ReferenceMonitor(r, tol=0.0) for _ in u]
     for count, (monitor, _) in enumerate(block.follow(r, 0.0), 1):
-        assert monitor.m.tolist() == [count, count]
+        assert monitor.m == count
         for j, hand in enumerate(by_hand):
             T = block.state.tridiagonal(column=j)
             hand.advance(float(T.alphas[count - 1]),
@@ -472,7 +483,7 @@ def test_follow_yields_once_per_catch_up(monkeypatch):
     follow = block.follow(r, 1e-6, count=2)
     monitor, ends = next(follow)
     assert len(rows) == m and block.state.m == m
-    assert monitor.m.tolist() == [m if end is None else end[0] for end in ends]
+    assert monitor.m == max(m if end is None else end[0] for end in ends)
     assert not block.state.active[2]
     running = ends.count(None)
     for monitor, ends in follow:
@@ -590,7 +601,7 @@ def test_the_estimates_monitor_time_leaves_out_the_pilots(monkeypatch):
     interval = oracles.laplacian_extreme_eigenvalues(20, 30)
     rows = _count_laplacian_rows(monkeypatch)
     calibrate_delta(op, "log", interval, n_pilot=6, production_n=10, seed=3)
-    assert set(rows) == {6}
+    assert rows[0] == 6      # one block of the six pilot probes, stepped m_pilot times
     m_pilot = len(rows)
     clock = itertools.count()
     monkeypatch.setattr(trace_estimator.time, "perf_counter", lambda: float(next(clock)))
@@ -710,18 +721,20 @@ def test_preconditioned_block_matches_per_probe_runs():
 
 
 def test_a_failing_probe_retires_alone(monkeypatch):
-    # the block's monitor raises for probe 3 on its third step: that probe
-    # retires unconverged with the error, and the other seven finish as
-    # without it
+    # the block's monitor records a pivot failure of probe 3 on its third
+    # step: that probe retires unconverged with the error, and the other
+    # seven finish as without it
     op = _paired_operator(30)
     r = build("log", 8, (1.0, 10.0))
     clean = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
 
     class FlakyMonitor(ErrorMonitor):
-        def advance(self, alpha, beta, columns=slice(None)):
-            if 3 in np.arange(len(self.m))[columns] and self.m[3] == 2:
-                raise PivotBreakdownError("pivot underflow at step 3", pole=0j, column=3)
-            return super().advance(alpha, beta, columns)
+        def advance(self, alpha, beta):
+            d = super().advance(alpha, beta)
+            if self.m == 3:
+                self._failures[3] = PivotBreakdownError("pivot underflow at step 3",
+                                                       pole=0j, column=3)
+            return d
 
     monkeypatch.setattr(trace_estimator, "ErrorMonitor", FlakyMonitor)
     est = estimate_trace_with(op, r, N=8, delta=1e-9, seed=2)
@@ -737,6 +750,19 @@ def test_a_failing_probe_retires_alone(monkeypatch):
     report = est.to_json_dict()
     assert report["per_sample"][3]["failure"] == failed.failure
     assert "failure" not in report["per_sample"][0]
+
+
+def test_a_pivot_breakdown_fails_its_probe():
+    # Lanczos from e1 on this Jacobi matrix takes its entries as they stand,
+    # and the one real pole 0 meets u_3 = alpha_3 - beta_3^2 / u_2 = 1 - 1 = 0:
+    # the record fails at step 3, and its estimate is the last increment
+    # before that step, d_1 = 1, not the 0 the failed step adds
+    T = np.diag([1.0, 2.0, 1.0, 3.0]) + np.diag([1.0, 1.0, 0.5], 1) + np.diag([1.0, 1.0, 0.5], -1)
+    r = RationalApproximant("log", (0.5, 4.0), np.array([0.0j]), np.array([1.0 + 0j]), 0.0, 1)
+    (rec,) = sample_bilinear(DenseOperator(T), r, np.eye(4)[:1], 1e-8)
+    assert rec.failure == "PivotBreakdownError: pivot underflow at step 3 for pole 0j"
+    assert (rec.steps_run, rec.retired_step, rec.error_estimate) == (3, 3, 1.0)
+    assert not rec.converged and math.isnan(rec.value)
 
 
 def test_quadrature_failure_is_flagged_per_probe():
