@@ -202,6 +202,10 @@ def cmd_rational_check(config: ExperimentConfig) -> int:
 def cmd_bilinear_curve(config: ExperimentConfig) -> int:
     """Per-step CSV: true bilinear error, |d_m|, and the lookback window.
 
+    The approximant r has ``--K`` poles when K is given; otherwise the
+    smallest K whose uniform error is at most
+    ``trace_estimator.rational_target(delta, n)``, or 1e-10 without
+    ``--delta``, and the best K of the schedule when none reaches it.
     The run is one follow of a ``ProbeBlock`` of one probe at tolerance 0,
     whose monitor's column 0 gives the increments and windows; a failed
     monitor is an error.  It ends at m_max, at the operator dimension,
@@ -390,31 +394,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: each takes ``--config`` and every key's flag."""
     parser = _Parser(
         prog="slqcert",
         description="Matrix-free trace estimation with error certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(ExperimentConfig)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        for key, hint in hints.items():
-            if key != "command":
-                _add_flag(p, key, hint)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file (flags override it)")
+    for key, hint in typing.get_type_hints(ExperimentConfig).items():
+        if key != "command":
+            _add_flag(parser, key, hint)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
     """The config file's keys overridden by the flags given, checked as one."""
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ContractViolationError("a config file must hold a JSON object")
     for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
             values[f.name] = value
     return ExperimentConfig.from_dict(values)

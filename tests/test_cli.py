@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -11,7 +10,8 @@ import pytest
 from slqcert import cli, error_estimator, oracles, rational, trace_estimator
 from slqcert.cli import ExperimentConfig, build_parser, main
 from slqcert.error_estimator import LOOKBACK_THRESHOLD, ErrorMonitor, cumulative_error
-from slqcert.errors import ContractViolationError, QuadratureDomainError
+from slqcert.errors import (ContractViolationError, QuadratureDomainError,
+                            UnreachableAccuracyError)
 from slqcert.lanczos import DEFAULT_REORTH, LanczosState, lanczos_step, quadrature_value
 from slqcert.operators import Laplacian2D, build_matern_operator, sample_sites
 
@@ -111,6 +111,28 @@ def test_bilinear_curve_rejects_matern(capsys):
          "--kind", "log"], capsys)
     assert code == 1
     assert "laplacian" in err
+
+
+def test_bilinear_curve_falls_back_to_the_best_K(monkeypatch, capsys):
+    # no K in the schedule reaches rational_target(1e-12, 120) = 4.2e-15; the
+    # best, K = 14 at 1.18e-14, draws the curve
+    raised = []
+    choose_K = rational.choose_K
+
+    def spy(*args, **kwargs):
+        try:
+            return choose_K(*args, **kwargs)
+        except UnreachableAccuracyError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(rational, "choose_K", spy)
+    code, out, _ = run_cli(["bilinear-curve", "--n1", "10", "--n2", "12", "--kind", "sqrt",
+                            "--delta", "1e-12", "--seed", "3"], capsys)
+    assert code == 0
+    assert next(csv.reader(io.StringIO(out))) == [
+        "m", "true_error", "incremental_error", "cumulative_window"]
+    assert [exc.best_k for exc in raised] == [14]
 
 
 def test_bilinear_curve_columns_track_each_other(capsys):
@@ -500,16 +522,18 @@ def test_trace_rejects_a_forced_pole_count(capsys, monkeypatch):
     assert code == 1 and out == "" and err.count("\n") == 1
 
 
-def test_each_subcommand_has_one_flag_per_config_key():
+def test_the_parser_has_one_flag_per_config_key():
     parser = build_parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    keys = {f.name for f in fields(ExperimentConfig)} - {"command"}
-    for name, sub in commands.items():
-        assert {action.dest for action in sub._actions} - {"help", "config"} == keys, name
+    keys = {f.name for f in fields(ExperimentConfig)}
+    assert {action.dest for action in parser._actions} - {"help", "config"} == keys
+    for name in cli._COMMANDS:
+        assert parser.parse_args([name]).command == name
     args = parser.parse_args(["trace", "--K", "3", "--tau", "1e-3", "--beta", "2",
                               "-o", "out.json"])
     assert (args.K, args.tau, args.beta, args.output) == (3, 1e-3, 2.0, "out.json")
+    # a flag may come before the command
+    assert vars(parser.parse_args(["--K", "3", "--tau", "1e-3", "--beta", "2", "trace",
+                                   "-o", "out.json"])) == vars(args)
     with pytest.raises(SystemExit):
         parser.parse_args(["trace", "--kind", "cosh"])
 
@@ -575,6 +599,19 @@ def test_trace_matern_desk_scale(tmp_path, capsys):
     for counter in ("reorth_passes", "replayed_steps"):
         assert all(type(s[counter]) is int for s in samples)
         assert report[counter] == sum(s[counter] for s in samples)
+
+
+def test_trace_past_the_dense_oracle_cap_reports_no_truth(monkeypatch, capsys):
+    # the CI's Matern run has 38 sites, above a cap of 10
+    monkeypatch.setattr(oracles, "DENSE_ORACLE_MAX_DIM", 10)
+    code, out, _ = run_cli(
+        ["trace", "--testbed", "matern", "--n1", "16", "--n2", "12",
+         "--sample-fraction", "0.2", "--kind", "log", "--n-samples", "4",
+         "--delta", "2.0", "--tau", "1e-4"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["operator"]["dim"] == 38
+    assert not {"truth", "abs_error", "within_half_width"} & set(report)
 
 
 def test_trace_matern_log_reports_its_preconditioner_and_timings(capsys):

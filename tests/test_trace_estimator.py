@@ -198,6 +198,17 @@ def test_estimate_trace_constant_function():
     assert est.certified
 
 
+def test_estimate_trace_survives_every_sample_failing():
+    # log is undefined on a negative spectrum: every probe is flagged, and the
+    # estimate has no value to certify but returns
+    op = DenseOperator(np.diag([-1.0, -2.0, -3.0]), spd_hint=False)
+    est = estimate_trace_with(op, constant_approximant(0.0), N=3, delta=1.0)
+    assert math.isnan(est.mean) and math.isnan(est.std_err) and math.isnan(est.half_width)
+    assert not est.certified
+    assert len(est.records) == 3
+    assert all(rec.failure.startswith("QuadratureDomainError") for rec in est.records)
+
+
 def test_estimate_trace_deterministic_replay():
     op = Laplacian2D(12, 15)
     interval = oracles.laplacian_extreme_eigenvalues(12, 15)
